@@ -98,6 +98,7 @@ def _run_one(scenario, algo: str, args):
         return result.rows, {
             "converged": result.converged,
             "outer_iterations": result.outer_iterations,
+            "inner_nonconverged": result.inner_nonconverged,
             "final_sum_rate": last.sum_rate,
             "final_potential": last.system_potential,
             "final_association": last.association,

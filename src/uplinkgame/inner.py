@@ -3,6 +3,22 @@
 a_iwf averages simultaneous water-fill responses with a diminishing stepsize;
 s_iwf applies exact responses one MU at a time. Both stop when the
 best-response residual drops below ``eps_wf`` in inf-norm.
+
+Both solvers and ``evaluate_profile`` run on one stacked-row state: each MU
+is a row of one matrix per AP block width (``partition_channels`` yields at
+most two), rows ordered by (width, AP, MU index). Gains, powers and budgets
+are gathered once per solve; an evaluation makes one ``G*P``, one water-fill
+call, one residual and one set of ``log2``s per width. Results are
+bit-identical to evaluating each AP block on its own, because every sum keeps
+numpy's per-block order:
+- block totals are ``noise + Z.sum(axis=1)``, ``Z`` the zero-padded (blocks,
+  members, width) scatter of ``G*P``: a sequential member-order sum, where
+  trailing zeros add exactly. A lone block needs no ``Z``, and width-1 blocks
+  are summed block by block: numpy sums an (m, 1) column pairwise, and padding
+  would move its bits;
+- squared residuals (one contiguous slice per block) and potentials are
+  summed per block, then added in AP order as Python floats;
+- rates are row sums over each MU's own block columns.
 """
 
 from __future__ import annotations
@@ -92,89 +108,116 @@ class InnerDiagnostics:
     stepsize_weighted_residual: float
 
 
-class _ApBlock:
-    """Dense per-AP state for vectorized iterations."""
+class _Group:
+    """Stacked rows of every MU whose AP block has one width, ordered by
+    (AP, MU index); ``bounds`` are each block's row range."""
 
-    def __init__(self, scenario, members: np.ndarray, ap: int, powers):
-        cols = scenario.chan_idx[ap]
-        self.members = members
-        self.gain = scenario.gain_sq[np.ix_(members, cols)]
+    def __init__(self, scenario, aps, members, powers):
+        cols = np.stack([scenario.chan_idx[ap] for ap in aps])
+        sizes = [m.size for m in members]
+        ends = np.cumsum(sizes)
+        self.aps = aps
+        self.mus = np.concatenate(members)
+        self.block = np.repeat(np.arange(len(aps)), sizes)
+        self.bounds = list(zip((ends - sizes).tolist(), ends.tolist()))
+        self.gain = scenario.gain_sq[self.mus[:, None], cols[self.block]]
         self.noise = scenario.noise[cols]
-        self.budgets = scenario.budget[members]
-        self.pmat = np.stack([np.asarray(powers[i], dtype=float) for i in members])
+        self.log_noise = np.log2(self.noise)
+        self.budgets = scenario.budget[self.mus]
+        self.limits = self.budgets + 1e-9
+        self.pmat = np.array([powers[i] for i in self.mus], dtype=float)
+        self.slot = np.arange(self.mus.size) - (ends - sizes)[self.block]
+        self.z = np.zeros((len(aps), max(sizes), cols.shape[1])) if min(cols.shape) > 1 else None
 
-    def totals(self) -> np.ndarray:
-        return self.noise + (self.gain * self.pmat).sum(axis=0)
-
-    def responses(self, totals: np.ndarray) -> np.ndarray:
-        floors = (totals[None, :] - self.gain * self.pmat) / self.gain
-        phi, _ = water_fill_batch(floors, self.budgets)
-        return phi
-
-    def rates(self, totals: np.ndarray, num_channels: int) -> np.ndarray:
-        own = self.gain * self.pmat
-        return (np.log2(totals[None, :]) - np.log2(totals[None, :] - own)).sum(axis=1) / num_channels
-
-    def potential(self, totals: np.ndarray, num_channels: int) -> float:
-        return float((np.log2(totals) - np.log2(self.noise)).sum() / num_channels)
+    def totals(self, gp: np.ndarray) -> np.ndarray:
+        """Per-block received totals, (blocks, width)."""
+        if self.z is None:
+            return self.noise + np.stack([gp[lo:hi].sum(axis=0) for lo, hi in self.bounds])
+        self.z[self.block, self.slot] = gp
+        return self.noise + self.z.sum(axis=1)
 
 
-def _blocks(scenario, association, powers) -> list[_ApBlock]:
-    blocks = []
-    for ap in range(scenario.num_aps):
-        members = np.flatnonzero(association == ap)
-        if members.size:
-            blocks.append(_ApBlock(scenario, members, ap, powers))
-    return blocks
+class _Stack:
+    """Stacked-row state of one association profile: one _Group per block
+    width, narrowest first."""
 
+    def __init__(self, scenario, association, powers):
+        self.num_channels, self.num_mus = scenario.num_channels, scenario.num_mus
+        by_width: dict = {}
+        for ap in range(scenario.num_aps):
+            members = np.flatnonzero(association == ap)
+            if members.size:
+                by_width.setdefault(scenario.chan_idx[ap].size, []).append((ap, members))
+        self.groups = [_Group(scenario, *zip(*by_width[w]), powers) for w in sorted(by_width)]
+        # (MU, group, row) in ascending MU order.
+        self.rows = sorted((mu, g, r) for g in self.groups for r, mu in enumerate(g.mus.tolist()))
 
-def _evaluate(blocks, num_channels, num_mus):
-    """One synchronous evaluation: responses, residual norms, potential and
-    per-MU rates."""
-    res_sq = 0.0
-    res_inf = 0.0
-    potential = 0.0
-    rates = np.zeros(num_mus)
-    responses = []
-    for blk in blocks:
-        tot = blk.totals()
-        phi = blk.responses(tot)
-        s = phi - blk.pmat
-        res_sq += float((s * s).sum())
-        res_inf = max(res_inf, float(np.max(np.abs(s))))
-        potential += blk.potential(tot, num_channels)
-        rates[blk.members] = blk.rates(tot, num_channels)
-        responses.append(phi)
-    return responses, res_inf, math.sqrt(res_sq), potential, rates
+    def evaluate(self):
+        """One synchronous evaluation: per-group residuals (response minus
+        powers), residual inf- and 2-norms, potential and per-MU rates."""
+        k = self.num_channels
+        res_inf = 0.0
+        blocks = []  # (AP, squared residual, potential)
+        rates = np.empty(self.num_mus)
+        residuals = []
+        for g in self.groups:
+            gp = g.gain * g.pmat
+            tot = g.totals(gp)
+            others = tot[g.block] - gp
+            phi, _ = water_fill_batch(others / g.gain, g.budgets)
+            s = phi - g.pmat
+            res_inf = max(res_inf, float(np.max(np.abs(s))))
+            s2 = s * s
+            log_tot = np.log2(tot)
+            block_pot = ((log_tot - g.log_noise).sum(axis=1) / k).tolist()
+            blocks += zip(g.aps, [float(s2[lo:hi].sum()) for lo, hi in g.bounds], block_pot)
+            rates[g.mus] = (log_tot[g.block] - np.log2(others)).sum(axis=1) / k
+            residuals.append(s)
+        sq = potential = 0.0
+        for _, sq_b, pot_b in sorted(blocks):
+            sq += sq_b
+            potential += pot_b
+        return residuals, res_inf, math.sqrt(sq), potential, rates
 
 
 def evaluate_profile(scenario, association, powers):
     """Batch metrics of one profile: (residual inf-norm, residual 2-norm,
     system potential, sum rate, per-MU rates)."""
     association = np.asarray(association, dtype=np.intp)
-    blocks = _blocks(scenario, association, powers)
-    _, res_inf, res_two, potential, rates = _evaluate(
-        blocks, scenario.num_channels, scenario.num_mus
-    )
+    _, res_inf, res_two, potential, rates = _Stack(scenario, association, powers).evaluate()
     return res_inf, res_two, potential, float(rates.sum()), rates
 
 
-def _collect(scenario, blocks) -> list:
-    powers: list = [None] * scenario.num_mus
-    for blk in blocks:
-        for row, i in enumerate(blk.members):
-            powers[int(i)] = blk.pmat[row].copy()
-    return powers
-
-
-def _prepare(scenario, association, initial_powers):
+def _prepare(scenario, association, initial_powers) -> _Stack:
     association = validate_association(scenario, association)
     if initial_powers is None:
         powers = uniform_powers(scenario, association)
     else:
         validate_powers(scenario, association, initial_powers)
         powers = copy_powers(initial_powers)
-    return association, powers
+    return _Stack(scenario, association, powers)
+
+
+def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopResult:
+    """Evaluate and record a trace row; stop at ``eps_wf`` or ``max_iters``,
+    else call ``step(t, residuals)``, which updates the powers and returns the
+    stepsize it applied (nan for exact steps)."""
+    rows = []
+    converged = False
+    t = 0
+    while True:
+        residuals, res_inf, res_two, potential, rates = stack.evaluate()
+        rows.append([potential, float(rates.sum()), res_inf, res_two, math.nan])
+        if res_inf <= eps_wf:
+            converged = True
+            break
+        if t >= max_iters:
+            break
+        t += 1
+        rows[-1][4] = step(t, residuals)
+    trace = InnerTrace(*(np.asarray(col) for col in zip(*rows)))
+    powers = [g.pmat[r].copy() for _, g, r in stack.rows]
+    return InnerLoopResult(powers, t, converged, trace)
 
 
 def a_iwf(
@@ -186,48 +229,24 @@ def a_iwf(
     initial_powers=None,
 ) -> InnerLoopResult:
     """Averaged iterative water-filling: every MU moves a fraction alpha_t of
-    the way to its water-fill response, simultaneously, each iteration."""
-    association, powers = _prepare(scenario, association, initial_powers)
+    the way to its water-fill response, simultaneously, each iteration.
+
+    Raises RuntimeError if a step leaves the feasible set (a negative power
+    or a budget exceeded by more than 1e-9); a convex combination of feasible
+    points cannot, so this flags a faulty water-fill response."""
+    stack = _prepare(scenario, association, initial_powers)
     if schedule is None:
         schedule = StepsizeSchedule()
-    blocks = _blocks(scenario, association, powers)
-    k = scenario.num_channels
 
-    pot, rates, rinf, rtwo, alphas = [], [], [], [], []
-    converged = False
-    t = 0
-    while True:
-        responses, res_inf, res_two, potential, mu_rates = _evaluate(
-            blocks, k, scenario.num_mus
-        )
-        pot.append(potential)
-        rates.append(float(mu_rates.sum()))
-        rinf.append(res_inf)
-        rtwo.append(res_two)
-        if res_inf <= eps_wf:
-            converged = True
-            alphas.append(math.nan)
-            break
-        if t >= max_iters:
-            alphas.append(math.nan)
-            break
-        t += 1
+    def step(t, residuals):
         a = schedule.alpha(t)
-        alphas.append(a)
-        for blk, phi in zip(blocks, responses):
-            blk.pmat += a * (phi - blk.pmat)
-            # Convex combination of feasible points stays feasible.
-            assert np.all(blk.pmat >= 0.0)
-            assert np.all(blk.pmat.sum(axis=1) <= blk.budgets + 1e-9)
+        for g, s in zip(stack.groups, residuals):
+            g.pmat += a * s
+            if not (np.all(g.pmat >= 0.0) and np.all(g.pmat.sum(axis=1) <= g.limits)):
+                raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
+        return a
 
-    trace = InnerTrace(
-        potential=np.asarray(pot),
-        sum_rate=np.asarray(rates),
-        residual_inf=np.asarray(rinf),
-        residual_two=np.asarray(rtwo),
-        alpha=np.asarray(alphas),
-    )
-    return InnerLoopResult(_collect(scenario, blocks), t, converged, trace)
+    return _iterate(stack, eps_wf, max_iters, step)
 
 
 def s_iwf(
@@ -239,46 +258,19 @@ def s_iwf(
 ) -> InnerLoopResult:
     """Sequential iterative water-filling: MUs take exact water-fill steps in
     ascending index order; one iteration is one full round."""
-    association, powers = _prepare(scenario, association, initial_powers)
-    blocks = _blocks(scenario, association, powers)
-    k = scenario.num_channels
-    order = []  # (block, row) in ascending MU order
-    by_mu = {}
-    for blk in blocks:
-        for row, i in enumerate(blk.members):
-            by_mu[int(i)] = (blk, row)
-    for i in sorted(by_mu):
-        order.append(by_mu[i])
+    stack = _prepare(scenario, association, initial_powers)
 
-    pot, rates, rinf, rtwo = [], [], [], []
-    converged = False
-    rounds = 0
-    while True:
-        _, res_inf, res_two, potential, mu_rates = _evaluate(blocks, k, scenario.num_mus)
-        pot.append(potential)
-        rates.append(float(mu_rates.sum()))
-        rinf.append(res_inf)
-        rtwo.append(res_two)
-        if res_inf <= eps_wf:
-            converged = True
-            break
-        if rounds >= max_iters:
-            break
-        rounds += 1
-        for blk, row in order:
-            tot = blk.totals()
-            floors = (tot - blk.gain[row] * blk.pmat[row]) / blk.gain[row]
-            phi, _ = water_fill_batch(floors[None, :], blk.budgets[row : row + 1])
-            blk.pmat[row] = phi[0]
+    def step(t, residuals):
+        for _, g, r in stack.rows:
+            b = g.block[r]
+            lo, hi = g.bounds[b]
+            tot = g.noise[b] + (g.gain[lo:hi] * g.pmat[lo:hi]).sum(axis=0)
+            floors = (tot - g.gain[r] * g.pmat[r]) / g.gain[r]
+            phi, _ = water_fill_batch(floors[None, :], g.budgets[r : r + 1])
+            g.pmat[r] = phi[0]
+        return math.nan
 
-    trace = InnerTrace(
-        potential=np.asarray(pot),
-        sum_rate=np.asarray(rates),
-        residual_inf=np.asarray(rinf),
-        residual_two=np.asarray(rtwo),
-        alpha=np.full(len(pot), math.nan),
-    )
-    return InnerLoopResult(_collect(scenario, blocks), rounds, converged, trace)
+    return _iterate(stack, eps_wf, max_iters, step)
 
 
 def convergence_diagnostics(

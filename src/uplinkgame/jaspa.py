@@ -157,7 +157,8 @@ class RunResult:
     the initial draw. jep_report is always computed from the final profile
     (cost-free, per the equilibrium definition); for runs driven by nonzero
     connection costs, converged certifies cost-stability, under which the
-    cost-free verdict may legitimately be negative."""
+    cost-free verdict may legitimately be negative. inner_nonconverged counts
+    inner solves that stopped at max_inner (jaspa only; 0 elsewhere)."""
 
     algorithm: str
     association: np.ndarray
@@ -167,6 +168,7 @@ class RunResult:
     rows: list
     detail: list
     jep_report: EquilibriumReport
+    inner_nonconverged: int = 0
 
 
 def _resolve_costs(scenario, config: JaspaConfig) -> np.ndarray:
@@ -321,10 +323,12 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     detail: list[OuterRecord] = []
     converged = False
     prev = history[0]
+    inner_nonconverged = 0
 
     for body in range(config.max_outer):
         inner = run_inner(scenario, state.association, config, initial_powers=state.powers)
         state.powers = inner.powers
+        inner_nonconverged += not inner.converged
         rows.extend(inner_rows(body, state.association, inner.trace))
 
         cur_rates = all_rates(scenario, state.association, state.powers)
@@ -385,6 +389,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         rows,
         detail,
         report,
+        inner_nonconverged,
     )
 
 

@@ -133,10 +133,6 @@ class NetworkScenario:
             a.setflags(write=False)
         object.__setattr__(self, "chan_idx", tuple(idx))
 
-    def channels_of(self, ap: int) -> np.ndarray:
-        """0-based channel columns owned by ``ap``."""
-        return self.chan_idx[ap]
-
 
 @dataclass(frozen=True)
 class ScenarioGenParams:

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 from scipy.optimize import LinearConstraint, minimize
 
+import uplinkgame.inner as inner_module
 from uplinkgame import (
     StepsizeSchedule,
     ValidationError,
     a_iwf,
     convergence_diagnostics,
+    residual,
+    residual_norms,
     s_iwf,
+    sum_rate,
     system_potential,
     uniform_powers,
     water_fill,
     wf_operator,
 )
+from uplinkgame.game import all_rates
+from uplinkgame.inner import evaluate_profile
 
 from conftest import make_scenario, random_powers
 
@@ -229,3 +235,69 @@ def test_diagnostics_constant_trace_at_equilibrium():
     diag = convergence_diagnostics(result.trace)
     assert diag.monotone_from == 0
     assert diag.final_residual_inf <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Stacked-row kernel
+
+
+@pytest.mark.parametrize(
+    "n, w, k, assoc",
+    [
+        (10, 3, 16, [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]),  # block widths 6/5/5
+        (10, 3, 16, [0, 2, 2, 0, 2, 0, 0, 2, 2, 0]),  # AP 1 empty
+        (6, 1, 5, [0] * 6),  # W = 1
+        (1, 3, 8, [1]),  # N = 1
+        (9, 4, 6, [0, 1, 2, 3, 3, 2, 1, 0, 3]),  # width-1 blocks beside width-2
+    ],
+)
+def test_evaluate_profile_matches_scalar_oracles(n, w, k, assoc):
+    sc = make_scenario(n, w, k, seed=12)
+    assoc = np.asarray(assoc)
+    powers = random_powers(sc, assoc, np.random.default_rng(n + w + k), slack=True)
+    res_inf, res_two, potential, total, rates = evaluate_profile(sc, assoc, powers)
+    want_inf, want_two = residual_norms(residual(sc, assoc, powers))
+    close = dict(rel=1e-12, abs=1e-12)
+    assert res_inf == pytest.approx(want_inf, **close)
+    assert res_two == pytest.approx(want_two, **close)
+    assert potential == pytest.approx(system_potential(sc, assoc, powers), **close)
+    assert total == pytest.approx(sum_rate(sc, assoc, powers), **close)
+    np.testing.assert_allclose(rates, all_rates(sc, assoc, powers), rtol=1e-12, atol=1e-12)
+
+
+def _count_water_fills(monkeypatch):
+    calls = []
+    real = inner_module.water_fill_batch
+
+    def counted(floors, budgets):
+        calls.append(floors.shape)
+        return real(floors, budgets)
+
+    monkeypatch.setattr(inner_module, "water_fill_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, w, k, widths", [(16, 4, 48, 1), (10, 3, 16, 2)])
+def test_a_iwf_makes_one_water_fill_per_block_width_per_iteration(
+    monkeypatch, n, w, k, widths
+):
+    sc = make_scenario(n, w, k, seed=13)
+    assoc = np.arange(n) % w
+    calls = _count_water_fills(monkeypatch)
+    result = a_iwf(sc, assoc, eps_wf=1e-6)
+    assert result.iterations > 0
+    assert len(calls) == widths * (result.iterations + 1)
+    assert sum(rows for rows, _ in calls) == n * (result.iterations + 1)
+
+
+def test_a_iwf_raises_on_infeasible_step(monkeypatch):
+    sc = make_scenario(6, 2, 8, seed=14)
+    real = inner_module.water_fill_batch
+
+    def over_budget(floors, budgets):
+        phi, levels = real(floors, budgets)
+        return 3.0 * phi, levels
+
+    monkeypatch.setattr(inner_module, "water_fill_batch", over_budget)
+    with pytest.raises(RuntimeError, match="infeasible"):
+        a_iwf(sc, np.arange(6) % 2)

@@ -256,3 +256,11 @@ def test_si_seeded_runs_reach_equilibria():
         result = si_jaspa(sc, JaspaConfig(memory_len=4, seed=seed, max_outer=8000))
         assert result.converged
         assert result.jep_report.is_equilibrium
+
+
+def test_jaspa_counts_nonconverged_inner_solves():
+    sc = make_scenario(8, 2, 16, seed=0)
+    capped = jaspa(sc, JaspaConfig(memory_len=8, seed=0, max_outer=5, max_inner=1))
+    assert 0 < capped.inner_nonconverged <= capped.outer_iterations
+    assert jaspa(sc, JaspaConfig(memory_len=8, seed=0)).inner_nonconverged == 0
+    assert se_jaspa(sc, JaspaConfig(memory_len=8, seed=0)).inner_nonconverged == 0

@@ -56,6 +56,7 @@ def test_run_writes_trace_and_summary(tmp_path, scenario_file):
     doc = json.loads(summary.read_text())
     assert doc["algorithm"] == "jaspa"
     assert doc["converged"] is True
+    assert doc["inner_nonconverged"] == 0
     assert doc["jep"]["is_equilibrium"] is True
     assert doc["wall_time_s"] >= 0
     rows = read_trace(trace)
@@ -97,6 +98,17 @@ def test_nonconverged_run_still_exits_zero(tmp_path, scenario_file):
     assert code == 0
     doc = json.loads((tmp_path / "s.json").read_text())
     assert doc["converged"] is False
+
+
+def test_capped_inner_solves_are_reported(tmp_path, scenario_file):
+    code = run_cli(
+        "run", "--algo", "jaspa", "--scenario", scenario_file, "--m", 4,
+        "--seed", 1, "--max-outer", 3, "--max-inner", 1,
+        "--out-trace", tmp_path / "t.csv", "--out-summary", tmp_path / "s.json",
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "s.json").read_text())
+    assert doc["inner_nonconverged"] > 0
 
 
 def test_enumeration_cap_exit_code(tmp_path, scenario_file):
