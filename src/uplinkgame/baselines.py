@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
-from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, s_iwf
+from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, s_iwf, solve_profiles
 from .scenario import NetworkScenario
 
 
@@ -65,14 +65,24 @@ class ExhaustiveResult:
     table: tuple
 
 
+# Stacked row-cells (rows times block width) of one batch of profiles in
+# exhaustive_search; bounds the batch's working memory.
+CHUNK_CELLS = 2**19
+
+
 def exhaustive_search(
     scenario, inner: InnerConfig | None = None, enumeration_cap: int = 100_000
 ) -> ExhaustiveResult:
     """Solve the power game for every one of the W^N association profiles.
 
     Profiles are enumerated in lexicographic order and ties keep the first
-    maximizer, so results are deterministic. Raises ResourceError when
-    W^N exceeds the cap (sample associations instead of enumerating)."""
+    maximizer, so results are deterministic. Each profile's row equals
+    ``inner.run`` on it (final sum rate and potential, converged flag), bit
+    for bit, but profiles are solved in batches by ``inner.solve_profiles``:
+    lexicographic runs of at most CHUNK_CELLS / (N * widest block) profiles,
+    each distinct (AP, member set) block of a batch solved once. Raises
+    ResourceError when W^N exceeds the cap (sample associations instead of
+    enumerating)."""
     inner = inner or InnerConfig()
     n, w = scenario.num_mus, scenario.num_aps
     count = w**n
@@ -81,18 +91,22 @@ def exhaustive_search(
             f"{w}^{n} = {count} association profiles exceed the enumeration cap "
             f"({enumeration_cap}); sample profiles instead of enumerating"
         )
-    table = []
-    for assoc in itertools.product(range(w), repeat=n):
-        arr = np.asarray(assoc, dtype=np.intp)
-        result = inner.run(scenario, arr)
-        table.append(
-            AssociationRecord(
-                association=assoc,
-                sum_rate=float(result.trace.sum_rate[-1]),
-                potential=float(result.trace.potential[-1]),
-                converged=result.converged,
+    width = max(cols.size for cols in scenario.chan_idx)
+    chunk = max(1, CHUNK_CELLS // (n * width))
+    parts = []
+    for lo in range(0, count, chunk):
+        index = np.arange(lo, min(lo + chunk, count))
+        profiles = np.stack(np.unravel_index(index, (w,) * n), axis=1)
+        parts.append(
+            solve_profiles(
+                scenario, profiles, inner.solver, inner.eps_wf, inner.max_iters, inner.schedule
             )
         )
+    columns = (np.concatenate(col).tolist() for col in zip(*parts))
+    table = [
+        AssociationRecord(assoc, *row)
+        for assoc, row in zip(itertools.product(range(w), repeat=n), zip(*columns))
+    ]
     best = max(range(len(table)), key=lambda j: table[j].sum_rate)
     top_pot = max(range(len(table)), key=lambda j: table[j].potential)
     return ExhaustiveResult(

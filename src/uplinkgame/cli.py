@@ -249,7 +249,7 @@ def cmd_compare(args) -> int:
             if algo == "exhaustive":
                 stats["sum_rate"].append(tstar)
                 stats["iters"].append(len(ex.table))
-                stats["converged"].append(True)
+                stats["converged"].append(all(rec.converged for rec in ex.table))
                 stats["ratio"].append(1.0)
                 continue
             run_args = argparse.Namespace(**vars(args))

@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import uplinkgame.baselines as baselines_module
+import uplinkgame.inner as inner_module
 from uplinkgame import (
     InnerConfig,
     JaspaConfig,
@@ -18,7 +21,9 @@ from uplinkgame import (
     virtual_scenario,
 )
 
-from conftest import make_scenario
+from uplinkgame.baselines import AssociationRecord
+
+from conftest import footnote_network, make_scenario
 
 
 def test_footnote_table_by_hand(footnote2):
@@ -57,6 +62,82 @@ def test_enumeration_cap():
     sc = make_scenario(8, 3, 6, seed=2)
     with pytest.raises(ResourceError, match="sampl"):
         exhaustive_search(sc, enumeration_cap=100)
+
+
+def _per_profile_table(scenario, inner):
+    """The exhaustive table built the slow way: one inner solve per profile."""
+    table = []
+    for assoc in itertools.product(range(scenario.num_aps), repeat=scenario.num_mus):
+        result = inner.run(scenario, np.asarray(assoc))
+        table.append(
+            AssociationRecord(
+                assoc,
+                float(result.trace.sum_rate[-1]),
+                float(result.trace.potential[-1]),
+                result.converged,
+            )
+        )
+    return tuple(table)
+
+
+@pytest.mark.parametrize("solver", ["s_iwf", "a_iwf"])
+@pytest.mark.parametrize(
+    "n, w, k, max_iters, cells",
+    [
+        (4, 3, 5, None, None),  # a width-1 block beside width-2 blocks
+        (8, 2, 2, None, None),  # width-1 blocks of up to 8 members
+        (4, 3, 12, 2, None),  # some profiles stop at max_iters
+        (6, 2, 8, None, 64),  # two profiles per chunk: 32 chunks
+        (4, 1, 5, None, None),  # W = 1
+        (1, 3, 8, None, None),  # N = 1
+        (2, 2, 2, None, None),  # the footnote network
+    ],
+)
+def test_exhaustive_table_equals_per_profile_solves(monkeypatch, solver, n, w, k, max_iters, cells):
+    if cells is not None:
+        monkeypatch.setattr(baselines_module, "CHUNK_CELLS", cells)
+    chunks = []
+    real = baselines_module.solve_profiles
+
+    def counted(scenario, profiles, *args):
+        chunks.append(len(profiles))
+        return real(scenario, profiles, *args)
+
+    monkeypatch.setattr(baselines_module, "solve_profiles", counted)
+    sc = footnote_network() if (n, w, k) == (2, 2, 2) else make_scenario(n, w, k, seed=21)
+    if solver == "s_iwf":
+        inner = InnerConfig(solver=solver, max_iters=max_iters or 100_000)
+    else:
+        inner = InnerConfig(solver=solver, eps_wf=1e-7, max_iters=max_iters or 3_000)
+    want = _per_profile_table(sc, inner)
+    result = exhaustive_search(sc, inner)
+    assert result.table == want  # exact float equality, field by field
+    assert sum(chunks) == w**n
+    if cells is not None:
+        assert len(chunks) == w**n // 2
+    if max_iters is not None:
+        assert not all(rec.converged for rec in want)
+        # s_iwf settles most of these profiles in two rounds.
+        assert any(rec.converged for rec in want) == (solver == "s_iwf")
+
+
+def test_exhaustive_search_solves_profiles_in_batches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exhaustive search ran a per-profile solve")
+
+    monkeypatch.setattr(baselines_module, "s_iwf", refuse)
+    monkeypatch.setattr(baselines_module, "a_iwf", refuse)
+    calls = []
+    real = inner_module.water_fill_batch
+
+    def counted(floors, budgets):
+        calls.append(len(floors))
+        return real(floors, budgets)
+
+    monkeypatch.setattr(inner_module, "water_fill_batch", counted)
+    result = exhaustive_search(make_scenario(6, 3, 6, seed=22))
+    assert len(result.table) == 729
+    assert len(calls) < 729
 
 
 def test_closest_ap_basics():

@@ -290,6 +290,17 @@ def test_a_iwf_makes_one_water_fill_per_block_width_per_iteration(
     assert sum(rows for rows, _ in calls) == n * (result.iterations + 1)
 
 
+def test_s_iwf_makes_one_water_fill_per_member_slot(monkeypatch):
+    # Four APs with four members each: one call per evaluation plus one per
+    # member slot of every round.
+    sc = make_scenario(16, 4, 48, seed=13)
+    calls = _count_water_fills(monkeypatch)
+    result = s_iwf(sc, np.arange(16) % 4, eps_wf=1e-10)
+    assert result.iterations > 0
+    assert len(calls) == (result.iterations + 1) + 4 * result.iterations
+    assert sum(rows for rows, _ in calls) == 16 * (2 * result.iterations + 1)
+
+
 def test_a_iwf_raises_on_infeasible_step(monkeypatch):
     sc = make_scenario(6, 2, 8, seed=14)
     real = inner_module.water_fill_batch

@@ -166,6 +166,20 @@ def test_compare_with_exhaustive_ratio(tmp_path):
     assert 0.0 < float(body["closest_ap"][idx]) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("max_inner, converged_runs", [(1, 0), (100_000, 2)])
+def test_compare_counts_exhaustive_convergence(tmp_path, max_inner, converged_runs):
+    # With one inner round some of the 32 profiles stop short, so neither
+    # search counts as converged, as in ``run --algo exhaustive``.
+    out = tmp_path / "cmp.csv"
+    code = run_cli(
+        "compare", "--algos", "exhaustive", "--reps", 2, "--n", 5, "--w", 2,
+        "--k", 8, "--max-inner", max_inner, "--out", out,
+    )
+    assert code == 0
+    header, row = (ln.split(",") for ln in out.read_text().strip().splitlines())
+    assert int(row[header.index("converged_runs")]) == converged_runs
+
+
 def test_outdir_env_var_sets_default_paths(tmp_path, scenario_file, monkeypatch):
     outdir = tmp_path / "results"
     outdir.mkdir()
