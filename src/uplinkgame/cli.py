@@ -74,6 +74,18 @@ def _jaspa_config(args, selection: str = "uniform") -> JaspaConfig:
     )
 
 
+def _inner_config(args, algo: str) -> InnerConfig:
+    """Inner solver of the fixed-association algorithms: a_iwf for a_iwf and
+    closest_ap, s_iwf (the library default) for s_iwf, exhaustive and
+    virtual_bound. ``run`` and ``compare`` both build it here."""
+    return InnerConfig(
+        solver="a_iwf" if algo in ("a_iwf", "closest_ap") else "s_iwf",
+        eps_wf=args.eps_wf,
+        max_iters=args.max_inner,
+        schedule=StepsizeSchedule(rule=args.schedule, exponent=args.exponent),
+    )
+
+
 def _inner_association(scenario, args) -> np.ndarray:
     if args.assoc == "closest":
         return closest_ap(scenario)
@@ -105,12 +117,7 @@ def _run_one(scenario, algo: str, args):
             "jep": _report_dict(result.jep_report),
         }
 
-    inner = InnerConfig(
-        solver="s_iwf" if algo == "s_iwf" else "a_iwf",
-        eps_wf=args.eps_wf,
-        max_iters=args.max_inner,
-        schedule=StepsizeSchedule(rule=args.schedule, exponent=args.exponent),
-    )
+    inner = _inner_config(args, algo)
     if algo in ("a_iwf", "s_iwf", "closest_ap"):
         assoc = closest_ap(scenario) if algo == "closest_ap" else _inner_association(scenario, args)
         res = inner.run(scenario, assoc)
@@ -226,7 +233,7 @@ def _expand_compare_algos(args) -> list[tuple[str, float | None]]:
 
 def cmd_compare(args) -> int:
     entries = _expand_compare_algos(args)
-    inner = InnerConfig(eps_wf=args.eps_wf, max_iters=args.max_inner)
+    inner = _inner_config(args, "exhaustive")
     per_algo: dict[str, dict[str, list]] = {}
     for rep in range(args.reps):
         seed = args.seed_base + rep

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .waterfill import water_fill, wf_operator
+from .waterfill import best_replies, interference_table, water_fill, wf_operator
 
 LN2 = math.log(2.0)
 
@@ -215,7 +215,8 @@ class EquilibriumReport:
     """Outcome of an equilibrium check.
 
     violations holds the per-MU violation measure: water-fill residual
-    inf-norms for power checks, best switch-rate gains for joint checks.
+    inf-norms for power checks, best switch-rate gains (net of connection
+    costs when given) for joint checks.
     """
 
     is_equilibrium: bool
@@ -226,49 +227,66 @@ class EquilibriumReport:
     worst_violator: Optional[tuple] = None  # (mu, ap, gain)
 
 
-def verify_power_ne(scenario, association, powers, eps: float = EPS_WF) -> EquilibriumReport:
-    """Fixed-point check of the water-fill operator for a fixed association."""
+def _table_report(scenario, association, powers, eps: float):
+    """Power-equilibrium report of a validated profile, and its best-reply
+    rate table. The residual and the own-AP best rate come from the table's
+    own-AP column; current rates use the table's interference rows."""
+    a = validate_association(scenario, association)
+    validate_powers(scenario, a, powers)
+    interf = interference_table(scenario, a, powers)
+    br, vecs = best_replies(scenario, interf)
+    cur = np.empty(scenario.num_mus)
     viol = np.empty(scenario.num_mus)
-    best = np.empty(scenario.num_mus)
-    cur = all_rates(scenario, association, powers)
-    for i in range(scenario.num_mus):
-        phi = wf_operator(scenario, association, powers, i)
-        viol[i] = np.max(np.abs(phi - np.asarray(powers[i])))
-        best[i], _ = best_response_rate(scenario, association, powers, i, int(association[i]))
+    for ap in range(scenario.num_aps):
+        members = members_of(a, ap)
+        if members.size == 0:
+            continue
+        cols = scenario.chan_idx[ap]
+        p = np.array([powers[i] for i in members], dtype=float)
+        floors_phys = scenario.noise[cols] + interf[ap][members]
+        sinr = scenario.gain_sq[np.ix_(members, cols)] * p / floors_phys
+        cur[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
+        viol[members] = np.max(np.abs(vecs[ap][members] - p), axis=1)
     ok = bool(np.all(viol <= eps))
     worst = None
     if not ok:
         i = int(np.argmax(viol))
-        worst = (i, int(association[i]), float(viol[i]))
-    return EquilibriumReport(ok, eps, viol, cur, best, worst)
+        worst = (i, int(a[i]), float(viol[i]))
+    own = br[np.arange(scenario.num_mus), a]
+    return EquilibriumReport(ok, eps, viol, cur, own, worst), br
 
 
-def verify_jep(scenario, association, powers, eps: float = EPS_EQ) -> EquilibriumReport:
+def verify_power_ne(scenario, association, powers, eps: float = EPS_WF) -> EquilibriumReport:
+    """Fixed-point check of the water-fill operator for a fixed association."""
+    return _table_report(scenario, association, powers, eps)[0]
+
+
+def verify_jep(
+    scenario, association, powers, eps: float = EPS_EQ, costs=None
+) -> EquilibriumReport:
     """Joint check: per-MU power fixed point, and no MU can gain more than
-    ``eps`` rate at any other AP. Connection costs are deliberately excluded:
-    they shape the dynamics, not the equilibrium definition."""
-    power_part = verify_power_ne(scenario, association, powers, eps)
-    n, w = scenario.num_mus, scenario.num_aps
-    gains = np.zeros(n)
-    best = power_part.best_rates.copy()
-    worst = None
-    worst_gain = -np.inf
-    for i in range(n):
-        cur_ap = int(association[i])
-        for ap in range(w):
-            if ap == cur_ap:
-                continue
-            br, _ = best_response_rate(scenario, association, powers, i, ap)
-            best[i] = max(best[i], br)
-            gain = br - power_part.current_rates[i]
-            gains[i] = max(gains[i], gain)
-            if gain > worst_gain:
-                worst_gain = gain
-                worst = (i, ap, float(gain))
+    ``eps`` rate at any other AP.
+
+    Without ``costs`` this is the joint-equilibrium definition. With per-MU
+    connection costs it is stability of the cost-modified game, which the
+    joint dynamics gate termination on: a switch counts only by the amount
+    its gain exceeds the MU's cost. violations holds each MU's best net
+    switch gain, at least 0. One best-reply table answers both parts."""
+    power_part, br = _table_report(scenario, association, powers, eps)
+    n = scenario.num_mus
+    a = np.asarray(association, dtype=np.intp)
+    net = br - power_part.current_rates[:, None]
+    if costs is not None:
+        net = net - np.asarray(costs, dtype=float)[:, None]
+    net[np.arange(n), a] = -np.inf
+    gains = np.maximum(net.max(axis=1), 0.0)
+    best = br.max(axis=1)
     ok = power_part.is_equilibrium and bool(np.all(gains <= eps))
     violator = None
     if not ok:
-        violator = worst if np.any(gains > eps) else power_part.worst_violator
-    return EquilibriumReport(
-        ok, eps, gains, power_part.current_rates, best, violator
-    )
+        if np.any(gains > eps):
+            i, ap = np.unravel_index(int(np.argmax(net)), net.shape)
+            violator = (int(i), int(ap), float(net[i, ap]))
+        else:
+            violator = power_part.worst_violator
+    return EquilibriumReport(ok, eps, gains, power_part.current_rates, best, violator)

@@ -31,7 +31,9 @@ from .game import (
 )
 from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, evaluate_profile, s_iwf
 from .trace import TraceRow, association_label, inner_rows
-from .waterfill import water_fill_batch
+from .waterfill import best_reply_table, water_fill_batch
+
+# Unused verify_power_ne and water_fill_batch stay bound: perfbench hooks both names.
 
 
 def per_mu_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -150,15 +152,50 @@ class OuterRecord:
 
 
 @dataclass
+class RunRecorder:
+    """The outer-level trace rows of a joint run and, when keep_detail is
+    set, an OuterRecord per row."""
+
+    keep_detail: bool
+    rows: list = field(default_factory=list)
+    detail: list = field(default_factory=list)
+
+    def record(self, t, metrics, association, switch_count, powers, beta=None, stay_counts=None):
+        """metrics is evaluate_profile's (res_inf, res_two, potential,
+        sum_rate, per-MU rates); powers, beta and stay_counts are copied."""
+        res_inf, _, potential, total, rates = metrics
+        here = tuple(int(x) for x in association)
+        self.rows.append(
+            TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
+        )
+        if self.keep_detail:
+            self.detail.append(
+                OuterRecord(
+                    t,
+                    here,
+                    total,
+                    potential,
+                    res_inf,
+                    rates,
+                    switch_count,
+                    beta=None if beta is None else beta.copy(),
+                    powers=copy_powers(powers),
+                    stay_counts=None if stay_counts is None else stay_counts.copy(),
+                )
+            )
+
+
+@dataclass
 class RunResult:
     """Final profile plus the full per-iteration history of a joint run.
 
     outer_iterations counts association profiles in the run history including
     the initial draw. jep_report is always computed from the final profile
-    (cost-free, per the equilibrium definition); for runs driven by nonzero
-    connection costs, converged certifies cost-stability, under which the
-    cost-free verdict may legitimately be negative. inner_nonconverged counts
-    inner solves that stopped at max_inner (jaspa only; 0 elsewhere)."""
+    (cost-free, per the equilibrium definition); for jaspa and si_jaspa runs
+    driven by nonzero connection costs, converged certifies cost stability
+    (``verify_jep`` with those costs), under which the cost-free verdict may
+    legitimately be negative. inner_nonconverged counts inner solves that
+    stopped at max_inner (jaspa only; 0 elsewhere)."""
 
     algorithm: str
     association: np.ndarray
@@ -230,29 +267,6 @@ def run_inner(scenario, association, config: JaspaConfig, initial_powers=None) -
     )
 
 
-def best_reply_table(scenario, association, powers):
-    """Best-response rates and power vectors for every (MU, AP) pair, holding
-    the current profile fixed. Returns (rates (N, W), powers per-AP list of
-    (N, K_w) arrays)."""
-    n, w = scenario.num_mus, scenario.num_aps
-    rates = np.empty((n, w))
-    vecs = []
-    for ap in range(w):
-        cols = scenario.chan_idx[ap]
-        base = np.zeros(cols.size)
-        for j in np.flatnonzero(association == ap):
-            base += scenario.gain_sq[j, cols] * np.asarray(powers[j])
-        gains = scenario.gain_sq[:, cols]
-        interf = np.tile(base, (n, 1))
-        for j in np.flatnonzero(association == ap):
-            interf[j] -= gains[j] * np.asarray(powers[j])
-        floors_phys = scenario.noise[cols] + interf
-        phi, _ = water_fill_batch(floors_phys / gains, scenario.budget)
-        rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
-        vecs.append(phi)
-    return rates, vecs
-
-
 def _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs):
     """JASPA step-3 semantics: qualify APs whose best-response rate beats the
     current rate plus the switch cost (waived for the current AP), then pick
@@ -280,26 +294,6 @@ def _tail_constant(history: list, span: int) -> bool:
     return all(t == tail[0] for t in tail)
 
 
-def _cost_stable(scenario, association, powers, costs, eps: float) -> bool:
-    """Stability of the cost-modified game: every MU is power-optimal and no
-    switch gains more than its connection cost. With zero costs this is
-    exactly the joint-equilibrium test; with costs it is what the dynamics
-    actually stabilize at (a constant association window can occur by chance
-    before stability, so termination is gated on this check)."""
-    report = verify_power_ne(scenario, association, powers, eps)
-    if not report.is_equilibrium:
-        return False
-    br_rates, _ = best_reply_table(scenario, association, powers)
-    for i in range(scenario.num_mus):
-        cur_ap = int(association[i])
-        for ap in range(scenario.num_aps):
-            if ap == cur_ap:
-                continue
-            if br_rates[i, ap] > report.current_rates[i] + costs[i] + eps:
-                return False
-    return True
-
-
 def jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Memory-based joint dynamics with intermediate power equilibria.
 
@@ -308,10 +302,11 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     set), refresh the probability vectors, then resample every association.
     A repeat of the association across memory_len+1 consecutive iterations
     proposes termination; convergence is declared only if the profile then
-    verifies as stable under the connection costs in force (a constant window
-    can occur by chance before stability, since every qualifying set contains
-    the current AP). With zero costs the stability gate is exactly the joint
-    equilibrium test. Deterministic under the config seed."""
+    verifies as stable under the connection costs in force, ``verify_jep``
+    with those costs (a constant window can occur by chance before stability,
+    since every qualifying set contains the current AP). With zero costs the
+    gate is exactly the joint equilibrium test. Deterministic under the
+    config seed."""
     n = scenario.num_mus
     _warn_short_memory(config, n)
     costs = _resolve_costs(scenario, config)
@@ -319,8 +314,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=False)
     state = new_state(scenario, assoc, powers, config.memory_len)
     history = [tuple(int(x) for x in assoc)]
-    rows: list[TraceRow] = []
-    detail: list[OuterRecord] = []
+    log = RunRecorder(config.record_detail)
     converged = False
     prev = history[0]
     inner_nonconverged = 0
@@ -329,7 +323,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         inner = run_inner(scenario, state.association, config, initial_powers=state.powers)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
-        rows.extend(inner_rows(body, state.association, inner.trace))
+        log.rows.extend(inner_rows(body, state.association, inner.trace))
 
         cur_rates = all_rates(scenario, state.association, state.powers)
         br_rates, _ = best_reply_table(scenario, state.association, state.powers)
@@ -340,31 +334,22 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
 
         here = tuple(int(x) for x in state.association)
         switch_count = sum(1 for x, y in zip(here, prev) if x != y)
-        potential = float(inner.trace.potential[-1])
-        res_inf = float(inner.trace.residual_inf[-1])
-        total = float(cur_rates.sum())
-        rows.append(
-            TraceRow(body, -1, potential, total, res_inf, association_label(here), switch_count)
+        metrics = (
+            float(inner.trace.residual_inf[-1]),
+            None,
+            float(inner.trace.potential[-1]),
+            float(cur_rates.sum()),
+            cur_rates,
         )
-        if config.record_detail:
-            detail.append(
-                OuterRecord(
-                    body,
-                    here,
-                    total,
-                    potential,
-                    res_inf,
-                    cur_rates,
-                    switch_count,
-                    beta=state.beta.copy(),
-                    powers=copy_powers(state.powers),
-                )
-            )
+        log.record(body, metrics, here, switch_count, state.powers, beta=state.beta)
         prev = here
         history.append(tuple(int(x) for x in nxt))
 
-        if _tail_constant(history, config.memory_len + 1) and _cost_stable(
-            scenario, state.association, state.powers, costs, config.eps_eq
+        if (
+            _tail_constant(history, config.memory_len + 1)
+            and verify_jep(
+                scenario, state.association, state.powers, config.eps_eq, costs
+            ).is_equilibrium
         ):
             # The sampled association equals the evaluated one, so the latest
             # inner equilibrium is the final power profile.
@@ -386,8 +371,8 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         state.powers,
         converged,
         len(history),
-        rows,
-        detail,
+        log.rows,
+        log.detail,
         report,
         inner_nonconverged,
     )
@@ -403,29 +388,8 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     n = scenario.num_mus
     rngs = per_mu_rngs(config.seed, n)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
-    rows: list[TraceRow] = []
-    detail: list[OuterRecord] = []
-
-    def record(t, switch_count):
-        res_inf, _, potential, total, rates = evaluate_profile(scenario, assoc, powers)
-        rows.append(
-            TraceRow(t, -1, potential, total, res_inf, association_label(assoc), switch_count)
-        )
-        if config.record_detail:
-            detail.append(
-                OuterRecord(
-                    t,
-                    tuple(int(x) for x in assoc),
-                    total,
-                    potential,
-                    res_inf,
-                    rates,
-                    switch_count,
-                    powers=copy_powers(powers),
-                )
-            )
-
-    record(0, 0)
+    log = RunRecorder(config.record_detail)
+    log.record(0, evaluate_profile(scenario, assoc, powers), assoc, 0, powers)
     converged = False
     quiet = 0
     turns = 0
@@ -445,14 +409,16 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
         assoc[i] = pick
         powers[i] = new_p
         turns = body + 1
-        record(turns, 1 if changed else 0)
+        log.record(
+            turns, evaluate_profile(scenario, assoc, powers), assoc, 1 if changed else 0, powers
+        )
         if quiet >= n:
             converged = True
             break
 
     report = verify_jep(scenario, assoc, powers, config.eps_eq)
     return RunResult(
-        "se_jaspa", assoc, powers, converged, turns + 1, rows, detail, report
+        "se_jaspa", assoc, powers, converged, turns + 1, log.rows, log.detail, report
     )
 
 
@@ -464,8 +430,8 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     otherwise. Termination is proposed when the association is constant over
     memory_len+1 iterations and the best-response residual is below eps_wf,
     and declared only once the profile verifies as stable under the
-    connection costs in force (the joint equilibrium test when costs are
-    zero)."""
+    connection costs in force, ``verify_jep`` with those costs (the joint
+    equilibrium test when costs are zero)."""
     n = scenario.num_mus
     _warn_short_memory(config, n)
     costs = _resolve_costs(scenario, config)
@@ -473,37 +439,9 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
     state = new_state(scenario, assoc, powers, config.memory_len)
     history = [tuple(int(x) for x in assoc)]
-    rows: list[TraceRow] = []
-    detail: list[OuterRecord] = []
-
-    def record(t, switch_count):
-        res_inf, _, potential, total, rates = evaluate_profile(
-            scenario, state.association, state.powers
-        )
-        rows.append(
-            TraceRow(
-                t, -1, potential, total, res_inf,
-                association_label(state.association), switch_count,
-            )
-        )
-        if config.record_detail:
-            detail.append(
-                OuterRecord(
-                    t,
-                    tuple(int(x) for x in state.association),
-                    total,
-                    potential,
-                    res_inf,
-                    rates,
-                    switch_count,
-                    beta=state.beta.copy(),
-                    powers=copy_powers(state.powers),
-                    stay_counts=state.stay_counts.copy(),
-                )
-            )
-        return res_inf
-
-    record(0, 0)
+    log = RunRecorder(config.record_detail)
+    metrics = evaluate_profile(scenario, state.association, state.powers)
+    log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     converged = False
     steps = 0
     for body in range(config.max_outer):
@@ -530,11 +468,17 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         state.powers = new_powers
         history.append(tuple(int(x) for x in nxt))
         steps = body + 1
-        res_inf = record(steps, switch_count)
+        metrics = evaluate_profile(scenario, state.association, state.powers)
+        log.record(
+            steps, metrics, state.association, switch_count, state.powers,
+            state.beta, state.stay_counts,
+        )
         if (
             _tail_constant(history, config.memory_len + 1)
-            and res_inf <= config.eps_wf
-            and _cost_stable(scenario, state.association, state.powers, costs, config.eps_eq)
+            and metrics[0] <= config.eps_wf
+            and verify_jep(
+                scenario, state.association, state.powers, config.eps_eq, costs
+            ).is_equilibrium
         ):
             converged = True
             break
@@ -546,7 +490,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         state.powers,
         converged,
         len(history),
-        rows,
-        detail,
+        log.rows,
+        log.detail,
         report,
     )

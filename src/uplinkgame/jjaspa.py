@@ -15,19 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .game import copy_powers, verify_jep
+from .game import verify_jep
 from .inner import evaluate_profile
 from .jaspa import (
     JaspaConfig,
-    OuterRecord,
+    RunRecorder,
     RunResult,
     _initial_profile,
     _tail_constant,
     _warn_short_memory,
     per_mu_rngs,
 )
-from .trace import TraceRow, association_label
-from .waterfill import water_fill_batch
+from .waterfill import best_replies, interference_table, water_fill_batch
 
 
 @dataclass
@@ -118,39 +117,6 @@ def ap_memory_summary(memory: ApMemory) -> dict:
     return out
 
 
-def _all_ap_interference(scenario, association, powers) -> list[np.ndarray]:
-    """Interference each MU would see on every AP's channels: per AP an
-    (N, K_w) array; a member's own contribution is excluded."""
-    out = []
-    for ap in range(scenario.num_aps):
-        cols = scenario.chan_idx[ap]
-        base = np.zeros(cols.size)
-        members = np.flatnonzero(association == ap)
-        for j in members:
-            base += scenario.gain_sq[j, cols] * np.asarray(powers[j])
-        interf = np.tile(base, (scenario.num_mus, 1))
-        for j in members:
-            interf[j] -= scenario.gain_sq[j, cols] * np.asarray(powers[j])
-        out.append(interf)
-    return out
-
-
-def _sampled_best_rates(scenario, sampled_interf: list) -> np.ndarray:
-    """Water-fill-optimal rate of every MU at every AP against the MU's own
-    sampled interference snapshot."""
-    n, w = scenario.num_mus, scenario.num_aps
-    rates = np.empty((n, w))
-    for ap in range(w):
-        cols = scenario.chan_idx[ap]
-        gains = scenario.gain_sq[:, cols]
-        floors_phys = scenario.noise[cols] + np.stack(
-            [sampled_interf[i][ap] for i in range(n)]
-        )
-        phi, _ = water_fill_batch(floors_phys / gains, scenario.budget)
-        rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
-    return rates
-
-
 def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Run the joint-strategy dynamics.
 
@@ -171,35 +137,14 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     memories = [MuMemory(config.memory_len) for _ in range(n)]
     apmem = ApMemory(w, config.coalition_cap)
     history = [tuple(int(x) for x in assoc)]
-    rows: list[TraceRow] = []
-    detail: list[OuterRecord] = []
-
-    def record(t, switch_count, metrics):
-        res_inf, _, potential, total, rates = metrics
-        rows.append(
-            TraceRow(t, -1, potential, total, res_inf, association_label(assoc), switch_count)
-        )
-        if config.record_detail:
-            detail.append(
-                OuterRecord(
-                    t,
-                    tuple(int(x) for x in assoc),
-                    total,
-                    potential,
-                    res_inf,
-                    rates,
-                    switch_count,
-                    powers=copy_powers(powers),
-                )
-            )
-
+    log = RunRecorder(config.record_detail)
     metrics = evaluate_profile(scenario, assoc, powers)
-    record(0, 0, metrics)
+    log.record(0, metrics, assoc, 0, powers)
     converged = False
     steps = 0
 
     for body in range(config.max_outer):
-        interf = _all_ap_interference(scenario, assoc, powers)
+        interf = interference_table(scenario, assoc, powers)
         rates_now = metrics[4]
         for i in range(n):
             memories[i].push(
@@ -217,7 +162,9 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
             )
 
         sampled = [sample_mu_memory(memories[i], rngs[i]) for i in range(n)]
-        best = _sampled_best_rates(scenario, [s[1] for s in sampled])
+        best, _ = best_replies(
+            scenario, [np.stack([s[1][ap] for s in sampled]) for ap in range(w)]
+        )
         nxt = np.empty(n, dtype=np.intp)
         for i in range(n):
             a_hat, _, r_hat = sampled[i]
@@ -251,7 +198,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
         history.append(tuple(int(x) for x in assoc))
         steps = body + 1
         metrics = evaluate_profile(scenario, assoc, powers)
-        record(steps, switch_count, metrics)
+        log.record(steps, metrics, assoc, switch_count, powers)
         if _tail_constant(history, config.memory_len + 1) and metrics[0] <= config.eps_wf:
             report = verify_jep(scenario, assoc, powers, config.eps_eq)
             if report.is_equilibrium:
@@ -266,7 +213,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
         powers,
         converged,
         len(history),
-        rows,
-        detail,
+        log.rows,
+        log.detail,
         report,
     )

@@ -1,9 +1,14 @@
-"""Single-user vector water-filling: the best-response primitive.
+"""Single-user vector water-filling: the best-response primitive, and the
+(MU, AP) best-reply table built on it.
 
 The allocation maximizes sum(log(1 + g*p/(n+I))) over p >= 0 with
 sum(p) <= budget. The optimum has the form p_k = max(level - f_k, 0) with
 effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
+
+``best_reply_table`` is the one kernel behind the joint dynamics' best
+replies and the equilibrium verifiers; ``wf_operator`` and the scalar
+functions in ``game`` are the reference oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -93,3 +98,45 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
     return water_fill(
         scenario.gain_sq[mu, cols], scenario.noise[cols] + interf, scenario.budget[mu]
     ).powers
+
+
+def interference_table(scenario, association, powers) -> list[np.ndarray]:
+    """Interference every MU would see on every AP's channels with the
+    profile held fixed: per AP an (N, K_w) array. Each row is the AP's block
+    total (summed from zero in member order) minus the MU's own received
+    power, which is zero for non-members."""
+    out = []
+    for ap in range(scenario.num_aps):
+        cols = scenario.chan_idx[ap]
+        members = np.flatnonzero(np.asarray(association) == ap)
+        own = [scenario.gain_sq[j, cols] * np.asarray(powers[j]) for j in members]
+        base = np.zeros(cols.size)
+        for term in own:
+            base += term
+        interf = np.tile(base, (scenario.num_mus, 1))
+        for j, term in zip(members, own):
+            interf[j] -= term
+        out.append(interf)
+    return out
+
+
+def best_replies(scenario, interference: list):
+    """The batched ``wf_operator``: every MU's water-fill at every AP against
+    the given per-AP (N, K_w) interference rows, one ``water_fill_batch``
+    call per AP. Returns (rates (N, W), per-AP list of (N, K_w) powers)."""
+    rates = np.empty((scenario.num_mus, scenario.num_aps))
+    vecs = []
+    for ap in range(scenario.num_aps):
+        cols = scenario.chan_idx[ap]
+        gains = scenario.gain_sq[:, cols]
+        floors_phys = scenario.noise[cols] + interference[ap]
+        phi, _ = water_fill_batch(floors_phys / gains, scenario.budget)
+        rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
+        vecs.append(phi)
+    return rates, vecs
+
+
+def best_reply_table(scenario, association, powers):
+    """Best-response rates and power vectors for every (MU, AP) pair, holding
+    the current profile fixed: ``best_replies`` on ``interference_table``."""
+    return best_replies(scenario, interference_table(scenario, association, powers))

@@ -14,6 +14,7 @@ from uplinkgame import (
     rate,
     residual,
     residual_norms,
+    s_iwf,
     sum_rate,
     system_potential,
     uniform_powers,
@@ -420,3 +421,85 @@ def test_equilibrium_verdicts_are_log_base_invariant():
                 if br_nats > cur_nats + 1e-6 * ln2:
                     nats_ok = False
         assert nats_ok == report.is_equilibrium
+
+
+# ---------------------------------------------------------------------------
+# Verifiers on the best-reply table against scalar loops over the oracles
+
+
+def scalar_reports(sc, assoc, powers, eps_power, eps_joint):
+    """(power verdict, power violator (mu, ap)), (joint verdict, joint
+    violator (mu, ap)) and the per-MU switch gains, from rate and
+    best_response_rate one (MU, AP) pair at a time."""
+    n = sc.num_mus
+    cur = [rate(sc, assoc, powers, i) for i in range(n)]
+    viol = []
+    for i in range(n):
+        _, phi = best_response_rate(sc, assoc, powers, i, int(assoc[i]))
+        viol.append(float(np.max(np.abs(phi - powers[i]))))
+
+    def power_part(eps):
+        worst = int(np.argmax(viol))
+        ok = max(viol) <= eps
+        return ok, None if ok else (worst, int(assoc[worst]))
+
+    gains, worst, worst_gain = [0.0] * n, None, -np.inf
+    for i in range(n):
+        for ap in range(sc.num_aps):
+            if ap == int(assoc[i]):
+                continue
+            gain = best_response_rate(sc, assoc, powers, i, ap)[0] - cur[i]
+            gains[i] = max(gains[i], gain)
+            if gain > worst_gain:
+                worst, worst_gain = (i, ap), gain
+    power_ok, power_who = power_part(eps_joint)
+    joint_ok = power_ok and max(gains) <= eps_joint
+    joint_who = None if joint_ok else (worst if max(gains) > eps_joint else power_who)
+    return power_part(eps_power), (joint_ok, joint_who), np.array(gains), np.array(cur)
+
+
+@pytest.mark.parametrize(
+    "n, w, k, seed", [(6, 2, 8, 0), (7, 3, 12, 1), (9, 4, 6, 2), (5, 1, 4, 3), (1, 3, 6, 4)]
+)
+def test_verifiers_match_scalar_loops(n, w, k, seed):
+    sc = make_scenario(n, w, k, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        assoc = rng.integers(0, w, n)
+        equilibrium = s_iwf(sc, assoc, eps_wf=1e-12, max_iters=500).powers
+        for powers in (equilibrium, uniform_powers(sc, assoc)):
+            (p_ok, p_who), (j_ok, j_who), gains, cur = scalar_reports(sc, assoc, powers, 1e-8, 1e-6)
+            power = verify_power_ne(sc, assoc, powers, 1e-8)
+            joint = verify_jep(sc, assoc, powers, 1e-6)
+            assert power.is_equilibrium == p_ok
+            assert (power.worst_violator and power.worst_violator[:2]) == p_who
+            assert joint.is_equilibrium == j_ok
+            assert (joint.worst_violator and joint.worst_violator[:2]) == j_who
+            np.testing.assert_allclose(joint.violations, gains, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(joint.current_rates, cur, rtol=1e-12, atol=1e-12)
+
+
+def test_verify_jep_costs_shift_the_switch_gain(footnote2):
+    assoc, powers = [0, 0], [np.array([1.0]), np.array([1.0])]
+    gain = 0.5 - 0.5 * math.log2(1.5)
+    assert not verify_jep(footnote2, assoc, powers, 1e-6).is_equilibrium
+    assert verify_jep(footnote2, assoc, powers, 1e-6, costs=np.full(2, gain + 0.01)).is_equilibrium
+    report = verify_jep(footnote2, assoc, powers, 1e-6, costs=np.full(2, gain - 0.01))
+    assert not report.is_equilibrium
+    assert report.worst_violator[1] == 1
+    assert report.worst_violator[2] == pytest.approx(0.01, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "assoc, powers",
+    [
+        ([-1, 1], [[1.0], [1.0]]),  # AP index below range
+        ([0, 2], [[1.0], [1.0]]),  # AP index W
+        ([0, 1], [[1.0, 0.0], [1.0]]),  # wrong-length power vector
+        ([0, 1], [[-0.5], [1.0]]),  # negative power
+    ],
+)
+@pytest.mark.parametrize("verify", [verify_jep, verify_power_ne])
+def test_verifiers_validate_their_inputs(footnote2, verify, assoc, powers):
+    with pytest.raises(ValidationError):
+        verify(footnote2, assoc, [np.array(p) for p in powers])

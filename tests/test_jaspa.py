@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,15 @@ from uplinkgame import (
     JaspaConfig,
     ValidationError,
     a_iwf,
+    game,
+    j_jaspa,
     jaspa,
     se_jaspa,
     si_jaspa,
     update_beta,
+    verify_jep,
     verify_power_ne,
+    waterfill,
     wf_operator,
 )
 from uplinkgame.jaspa import new_state, sample_association
@@ -264,3 +270,42 @@ def test_jaspa_counts_nonconverged_inner_solves():
     assert 0 < capped.inner_nonconverged <= capped.outer_iterations
     assert jaspa(sc, JaspaConfig(memory_len=8, seed=0)).inner_nonconverged == 0
     assert se_jaspa(sc, JaspaConfig(memory_len=8, seed=0)).inner_nonconverged == 0
+
+
+# ---------------------------------------------------------------------------
+# The verifiers and dynamics run on the best-reply table
+
+
+def test_verifiers_and_dynamics_avoid_the_scalar_oracles(monkeypatch):
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+
+    def scalar_oracle(*args, **kwargs):
+        raise AssertionError("scalar oracle called")
+
+    monkeypatch.setattr(game, "best_response_rate", scalar_oracle)
+    monkeypatch.setattr(game, "wf_operator", scalar_oracle)
+    monkeypatch.setattr(waterfill, "wf_operator", scalar_oracle)
+    # si_jaspa keeps game.all_rates (built on interference_at) for its
+    # current rates, so interference_at is counted rather than forbidden.
+    calls = {"interference_at": 0, "all_rates": 0}
+    real_interference, real_all_rates = game.interference_at, jaspa_module.all_rates
+
+    def counted_interference(*args):
+        calls["interference_at"] += 1
+        return real_interference(*args)
+
+    def counted_all_rates(*args):
+        calls["all_rates"] += 1
+        return real_all_rates(*args)
+
+    monkeypatch.setattr(game, "interference_at", counted_interference)
+    monkeypatch.setattr(jaspa_module, "all_rates", counted_all_rates)
+
+    sc = make_scenario(8, 2, 16, seed=0)
+    assert j_jaspa(sc, JaspaConfig(memory_len=8, seed=0)).converged
+    result = si_jaspa(sc, JaspaConfig(memory_len=8, seed=0, connection_cost=3.0))
+    assert result.converged
+    costs = np.full(8, 3.0)
+    assert verify_jep(sc, result.association, result.powers, costs=costs).is_equilibrium
+    assert calls["all_rates"] == result.outer_iterations - 1
+    assert calls["interference_at"] == 8 * calls["all_rates"]

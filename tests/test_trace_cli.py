@@ -180,6 +180,22 @@ def test_compare_counts_exhaustive_convergence(tmp_path, max_inner, converged_ru
     assert int(row[header.index("converged_runs")]) == converged_runs
 
 
+def test_run_and_compare_solve_exhaustive_alike(tmp_path):
+    scn = tmp_path / "s.scn"
+    assert run_cli("generate", "--n", 6, "--w", 3, "--k", 12, "--seed", 4, "--out", scn) == 0
+    summary, table = tmp_path / "run.json", tmp_path / "cmp.csv"
+    assert run_cli(
+        "run", "--algo", "exhaustive", "--scenario", scn,
+        "--out-trace", tmp_path / "run.csv", "--out-summary", summary,
+    ) == 0
+    assert run_cli(
+        "compare", "--algos", "exhaustive", "--reps", 1, "--scenario", scn, "--out", table,
+    ) == 0
+    header, row = (ln.split(",") for ln in table.read_text().strip().splitlines())
+    mean = float(row[header.index("mean_sum_rate")])
+    assert json.loads(summary.read_text())["final_sum_rate"] == mean
+
+
 def test_outdir_env_var_sets_default_paths(tmp_path, scenario_file, monkeypatch):
     outdir = tmp_path / "results"
     outdir.mkdir()

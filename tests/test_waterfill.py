@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uplinkgame import ValidationError, water_fill, wf_operator
+from uplinkgame import ValidationError, best_response_rate, water_fill, wf_operator
 from uplinkgame.game import interference_at
+from uplinkgame.waterfill import best_reply_table, interference_table
 
-from conftest import footnote_network, make_scenario
+from conftest import footnote_network, make_scenario, random_powers
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +190,45 @@ def test_operator_composes_interference_and_water_fill():
         )
         expected = water_fill(sc.gain_sq[mu], sc.noise + interf, sc.budget[mu]).powers
         np.testing.assert_allclose(wf_operator(sc, assoc, powers, mu), expected, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The (MU, AP) best-reply table against the scalar best-response oracle.
+
+
+@pytest.mark.parametrize(
+    "n, w, k, assoc",
+    [
+        (10, 3, 16, [0, 2, 2, 0, 2, 0, 0, 2, 2, 0]),  # AP 1 empty
+        (6, 1, 5, [0] * 6),  # W = 1
+        (1, 3, 8, [1]),  # N = 1
+        (9, 4, 6, [0, 1, 2, 3, 3, 2, 1, 0, 3]),  # width-1 blocks beside width-2
+        (2, 2, 2, [0, 0]),  # footnote network, stacked
+    ],
+)
+def test_best_reply_table_matches_best_response_rate(n, w, k, assoc):
+    sc = footnote_network() if (n, w, k) == (2, 2, 2) else make_scenario(n, w, k, seed=12)
+    assoc = np.asarray(assoc)
+    powers = random_powers(sc, assoc, np.random.default_rng(n + w + k), slack=True)
+    rates, vecs = best_reply_table(sc, assoc, powers)
+    assert rates.shape == (n, w)
+    for i in range(n):
+        for ap in range(w):
+            want_rate, want_p = best_response_rate(sc, assoc, powers, i, ap)
+            assert rates[i, ap] == pytest.approx(want_rate, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(vecs[ap][i], want_p, rtol=1e-12, atol=1e-12)
+
+
+def test_interference_table_rows_exclude_only_the_own_term():
+    sc = make_scenario(9, 4, 6, seed=3)
+    assoc = np.array([0, 1, 2, 3, 3, 2, 1, 0, 3])
+    powers = random_powers(sc, assoc, np.random.default_rng(1))
+    table = interference_table(sc, assoc, powers)
+    for ap in range(4):
+        cols = sc.chan_idx[ap]
+        for i in range(9):
+            want = sum(
+                (sc.gain_sq[j, cols] * powers[j] for j in range(9) if assoc[j] == ap and j != i),
+                np.zeros(cols.size),
+            )
+            np.testing.assert_allclose(table[ap][i], want, rtol=1e-12, atol=1e-15)
