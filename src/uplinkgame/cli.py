@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-outer", type=int, default=10_000)
         p.add_argument("--max-inner", type=int, default=100_000)
         p.add_argument("--inner-solver", choices=("a_iwf", "s_iwf"), default="a_iwf")
-        p.add_argument("--schedule", choices=("polynomial", "harmonic"), default="polynomial")
+        p.add_argument("--schedule", choices=("safeguarded", "polynomial", "harmonic"),
+                       default="safeguarded", help="stepsize rule")
         p.add_argument("--exponent", type=float, default=0.55)
         p.add_argument("--greedy", action="store_true", help="always pick the best AP")
         p.add_argument("--assoc", choices=("random", "closest"), default="random",

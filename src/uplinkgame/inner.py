@@ -1,7 +1,8 @@
 """Fixed-association power equilibrium solvers.
 
-a_iwf averages simultaneous water-fill responses with a diminishing stepsize;
-s_iwf applies exact responses one MU at a time. Both stop when the
+a_iwf averages simultaneous water-fill responses with a stepsize from a
+``StepsizeSchedule`` (per AP block under the safeguarded rule); s_iwf applies
+exact responses one MU at a time. Both stop when the
 best-response residual drops below ``eps_wf`` in inf-norm.
 
 APs own disjoint channel blocks, so a profile's power game is a set of
@@ -29,7 +30,8 @@ because every sum keeps numpy's per-block order:
   adds 0.0, which is exact);
 - rates are row sums over each MU's own block columns, and a profile's sum
   rate sums its N MU rates in MU order (a row sum of a (profiles, N) gather
-  has the bits of the 1-D sum).
+  has the bits of the 1-D sum);
+- a block's safeguarded step reads only that block's own potentials.
 """
 
 from __future__ import annotations
@@ -46,18 +48,32 @@ from .game import copy_powers, uniform_powers, validate_association, validate_po
 from .waterfill import water_fill_batch
 
 
+# The step a safeguarded a_iwf block holds until its potential first falls.
+SAFEGUARD_ALPHA = 0.5
+
+
 @dataclass(frozen=True)
 class StepsizeSchedule:
-    """Diminishing stepsizes with divergent sum and finite sum of squares.
+    """Stepsizes of the averaged updates.
 
-    "polynomial": alpha_t = (t+1)^(-exponent), exponent in (0.5, 1].
-    "harmonic":   alpha_t = 1/(t+1).
-    "custom":     user-supplied func(t); each value must lie in (0, 1).
+    "polynomial":  alpha_t = (t+1)^(-exponent), exponent in (0.5, 1].
+    "harmonic":    alpha_t = 1/(t+1).
+    "custom":      user-supplied func(t); each value must lie in (0, 1).
+    "safeguarded": a_iwf steps each AP block by the constant SAFEGUARD_ALPHA
+                   until the block's potential first falls (strictly, against
+                   its previous evaluation), then by the polynomial alpha_t on
+                   the solve's own clock t. ``alpha(t)`` is the polynomial
+                   value, so si_jaspa's stay steps and j_jaspa's coalition
+                   steps take the fallback values.
 
-    The polynomial default (exponent 0.55) is used instead of the harmonic
-    rule because harmonic steps contract the single-user error only like 1/t,
-    which cannot reach the residual tolerances used here in any practical
-    iteration budget.
+    The polynomial and harmonic rules are diminishing (divergent sum, finite
+    sum of squares). The polynomial default (exponent 0.55) is used instead of
+    the harmonic rule because harmonic steps contract the single-user error
+    only like 1/t, which cannot reach the residual tolerances used here in any
+    practical iteration budget. A constant step converges only under
+    contraction conditions; the safeguarded rule keeps the polynomial rule's
+    guarantee because that rule converges from any feasible point, and while a
+    block holds the constant step its potential never decreases.
     """
 
     rule: str = "polynomial"
@@ -65,10 +81,10 @@ class StepsizeSchedule:
     func: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.rule not in ("polynomial", "harmonic", "custom"):
+        if self.rule not in ("polynomial", "harmonic", "custom", "safeguarded"):
             raise ValidationError(f"unknown stepsize rule {self.rule!r}")
-        if self.rule == "polynomial" and not 0.5 < self.exponent <= 1.0:
-            raise ValidationError("polynomial exponent must lie in (0.5, 1]")
+        if self.rule in ("polynomial", "safeguarded") and not 0.5 < self.exponent <= 1.0:
+            raise ValidationError(f"{self.rule} exponent must lie in (0.5, 1]")
         if self.rule == "custom" and self.func is None:
             raise ValidationError("custom schedule needs a func")
 
@@ -77,10 +93,10 @@ class StepsizeSchedule:
             raise ValidationError("stepsize index starts at 1")
         if self.rule == "harmonic":
             a = 1.0 / (t + 1)
-        elif self.rule == "polynomial":
-            a = (t + 1.0) ** (-self.exponent)
-        else:
+        elif self.rule == "custom":
             a = float(self.func(t))
+        else:
+            a = (t + 1.0) ** (-self.exponent)
         if not 0.0 < a < 1.0:
             raise ValidationError(f"stepsize alpha({t})={a} outside (0, 1)")
         return a
@@ -90,8 +106,8 @@ class StepsizeSchedule:
 class InnerTrace:
     """Per-iteration records of one inner-loop run (row 0 is the start point).
 
-    alpha[j] is the step applied after evaluating row j (nan on the final row
-    and everywhere for s_iwf, which takes exact steps)."""
+    alpha[j] is the largest block step applied after evaluating row j (nan on
+    the final row and everywhere for s_iwf, which takes exact steps)."""
 
     potential: np.ndarray
     sum_rate: np.ndarray
@@ -112,7 +128,9 @@ class InnerLoopResult:
 class InnerDiagnostics:
     """Convergence facts read off a trace: the index after which the potential
     never decreases, whether the residual dropped below tolerance, and the
-    stepsize-weighted squared-residual sum (finite for a convergent run)."""
+    stepsize-weighted squared-residual sum (finite for a convergent run; under
+    per-block steps it weights every block by the largest step, an upper
+    bound)."""
 
     monotone_from: int
     residual_converged: bool
@@ -129,7 +147,8 @@ class _Group:
     columns, largest block first; ``block`` and ``mus`` name each row's block
     and MU, rows sorted by block, then MU index; ``pmat`` holds the rows'
     powers. ``ids`` and ``rows`` are the caller's labels for the blocks and
-    the rows."""
+    the rows. Per block, ``potential`` is the last evaluation's potential and
+    ``held`` stays True until a potential falls below the previous one."""
 
     def __init__(self, scenario, cols, block, mus, pmat, ids, rows):
         self.scenario, self.cols = scenario, cols
@@ -146,6 +165,8 @@ class _Group:
         self.lone = len(cols) == 1
         wide = not self.lone and cols.shape[1] > 1
         self.z = np.zeros((len(cols), self.sizes[0], cols.shape[1])) if wide else None
+        self.potential = np.full(len(cols), -np.inf)
+        self.held = np.ones(len(cols), dtype=bool)
 
     @cached_property
     def bounds(self) -> list:
@@ -174,7 +195,8 @@ class _Group:
 
     def evaluate(self):
         """One synchronous evaluation: per block the potential, per row the
-        rate; keeps the residual rows (response minus powers)."""
+        rate; keeps the residual rows (response minus powers) and the block
+        potentials, and releases every held block whose potential fell."""
         k = self.num_channels
         gp = self.gain * self.pmat
         if self.z is not None:
@@ -186,12 +208,14 @@ class _Group:
         log_tot = np.log2(tot)
         potential = (log_tot - self.log_noise).sum(axis=1) / k
         rates = (log_tot[self.block] - np.log2(others)).sum(axis=1) / k
+        self.held &= potential >= self.potential
+        self.potential = potential
         return potential, rates
 
     def average(self, alpha, t):
-        """a_iwf's step: every row moves ``alpha`` of its last residual.
+        """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
         Raises RuntimeError if that leaves the feasible set."""
-        self.pmat += alpha * self.residual
+        self.pmat += alpha[:, None] * self.residual
         if not (np.all(self.pmat >= 0.0) and np.all(self.pmat.sum(axis=1) <= self.limits)):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
@@ -213,7 +237,7 @@ class _Group:
 
     def subset(self, keep):
         """The blocks where ``keep`` holds, in order, with their rows' powers
-        and residuals."""
+        and residuals and their potentials and held flags."""
         rows = keep[self.block]
         block = (np.cumsum(keep) - 1)[self.block[rows]]
         sub = _Group(
@@ -221,17 +245,25 @@ class _Group:
             self.ids[keep], self.rows[rows],
         )
         sub.residual = self.residual[rows]
+        sub.potential, sub.held = self.potential[keep], self.held[keep]
         return sub
 
 
 def _average_step(schedule: StepsizeSchedule):
-    """a_iwf's iteration t on every group; returns its stepsize."""
+    """a_iwf's iteration t on every group; returns the largest stepsize
+    applied. A held block steps SAFEGUARD_ALPHA under the safeguarded rule;
+    every other block steps ``schedule.alpha(t)``."""
+    safeguarded = schedule.rule == "safeguarded"
 
     def step(t, groups):
         a = schedule.alpha(t)
+        held = SAFEGUARD_ALPHA if safeguarded else a
+        top = 0.0
         for g in groups:
-            g.average(a, t)
-        return a
+            block_alpha = np.where(g.held, held, a)
+            g.average(block_alpha[g.block], t)
+            top = max(top, *block_alpha.tolist())
+        return top
 
     return step
 
@@ -441,7 +473,9 @@ def convergence_diagnostics(
 ) -> InnerDiagnostics:
     """Summarize a trace: first index after which the potential is
     non-decreasing (within ``monotone_tol``), whether the final residual meets
-    ``eps``, and sum over iterations of alpha * ||residual||_2^2."""
+    ``eps``, and sum over iterations of alpha * ||residual||_2^2, where alpha
+    is the largest block step the trace records (under per-block steps, an
+    upper bound of the per-block weighted sum)."""
     p = trace.potential
     drops = np.flatnonzero(np.diff(p) < -monotone_tol)
     monotone_from = int(drops[-1] + 1) if drops.size else 0

@@ -49,7 +49,10 @@ class JaspaConfig:
     connection_cost None means "use the scenario's per-MU costs"; a scalar is
     broadcast. selection="best" replaces the uniform draw from the qualifying
     AP set with a deterministic pick of the highest-rate AP (the greedy
-    variant used in oscillation regressions).
+    variant used in oscillation regressions). The default schedule is the
+    safeguarded rule: jaspa's a_iwf solves hold a constant step per AP block
+    until the block's potential first falls, while si_jaspa's stay steps and
+    j_jaspa's coalition steps take its polynomial values.
     """
 
     memory_len: int = 10
@@ -59,7 +62,7 @@ class JaspaConfig:
     max_inner: int = 100_000
     max_outer: int = 10_000
     seed: int = 0
-    schedule: StepsizeSchedule = field(default_factory=StepsizeSchedule)
+    schedule: StepsizeSchedule = StepsizeSchedule(rule="safeguarded")
     selection: str = "uniform"
     eps_eq: float = 1e-6
     initial_association: Optional[np.ndarray] = None

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from uplinkgame import (
     JaspaConfig,
     NetworkScenario,
     ResourceError,
+    StepsizeSchedule,
     closest_ap,
     exhaustive_search,
     jaspa,
@@ -80,7 +82,7 @@ def _per_profile_table(scenario, inner):
     return tuple(table)
 
 
-@pytest.mark.parametrize("solver", ["s_iwf", "a_iwf"])
+@pytest.mark.parametrize("solver", ["s_iwf", "a_iwf", "safeguarded"])
 @pytest.mark.parametrize(
     "n, w, k, max_iters, cells",
     [
@@ -88,6 +90,7 @@ def _per_profile_table(scenario, inner):
         (8, 2, 2, None, None),  # width-1 blocks of up to 8 members
         (4, 3, 12, 2, None),  # some profiles stop at max_iters
         (6, 2, 8, None, 64),  # two profiles per chunk: 32 chunks
+        (7, 2, 8, None, None),  # safeguarded blocks released before a subset
         (4, 1, 5, None, None),  # W = 1
         (1, 3, 8, None, None),  # N = 1
         (2, 2, 2, None, None),  # the footnote network
@@ -108,7 +111,10 @@ def test_exhaustive_table_equals_per_profile_solves(monkeypatch, solver, n, w, k
     if solver == "s_iwf":
         inner = InnerConfig(solver=solver, max_iters=max_iters or 100_000)
     else:
-        inner = InnerConfig(solver=solver, eps_wf=1e-7, max_iters=max_iters or 3_000)
+        inner = InnerConfig(solver="a_iwf", eps_wf=1e-7, max_iters=max_iters or 3_000)
+    if solver == "safeguarded":
+        # a_iwf with per-block held steps: subsets must carry the block state.
+        inner = dataclasses.replace(inner, schedule=StepsizeSchedule(rule="safeguarded"))
     want = _per_profile_table(sc, inner)
     result = exhaustive_search(sc, inner)
     assert result.table == want  # exact float equality, field by field

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from uplinkgame import (
     StepsizeSchedule,
     ValidationError,
     a_iwf,
+    closest_ap,
     convergence_diagnostics,
     residual,
     residual_norms,
@@ -177,6 +179,74 @@ def test_multi_ap_inner_solves_each_cell():
     for i in range(4):
         phi = wf_operator(sc, assoc, result.powers, i)
         assert np.max(np.abs(phi - result.powers[i])) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The safeguarded rule
+
+SAFEGUARDED = StepsizeSchedule(rule="safeguarded")
+
+
+def test_safeguarded_schedule_values_and_validation():
+    paper = StepsizeSchedule()
+    assert all(SAFEGUARDED.alpha(t) == paper.alpha(t) for t in range(1, 500))
+    with pytest.raises(ValidationError):
+        StepsizeSchedule(rule="safeguarded", exponent=0.4)
+
+
+def _first_drop(potential):
+    drops = np.flatnonzero(np.diff(potential) < 0)
+    return int(drops[0] + 1) if drops.size else None
+
+
+@pytest.mark.parametrize("n, k, seed, drop", [(10, 16, 0, 77), (30, 8, 3, 380)])
+def test_safeguarded_holds_half_until_first_potential_drop(n, k, seed, drop):
+    # One AP: the trace's potential is the block's potential.
+    sc = make_scenario(n, 1, k, seed=seed)
+    result = a_iwf(sc, np.zeros(n, dtype=int), schedule=SAFEGUARDED, eps_wf=1e-8)
+    assert result.converged
+    tr = result.trace
+    assert _first_drop(tr.potential) == drop
+    assert np.all(tr.alpha[:drop] == inner_module.SAFEGUARD_ALPHA)
+    after = [SAFEGUARDED.alpha(j + 1) for j in range(drop, result.iterations)]
+    assert tr.alpha[drop:-1].tolist() == after
+    assert math.isnan(tr.alpha[-1])
+
+
+def test_safeguarded_converges_monotonically_on_desk_set():
+    for seed in range(20):
+        sc = make_scenario(10, 1, 16, seed=seed)
+        result = a_iwf(
+            sc, np.zeros(10, dtype=int), schedule=SAFEGUARDED, eps_wf=1e-6, max_iters=50_000
+        )
+        diag = convergence_diagnostics(result.trace, eps=1e-6)
+        assert result.converged and diag.residual_converged
+        assert diag.monotone_from == 0
+
+
+def test_safeguarded_blocks_release_independently():
+    # Two APs whose blocks first drop at evaluations 55 and 98 when solved
+    # alone: the first drop leaves the other block at the constant step, so
+    # each block follows its own solve bit for bit.
+    sc = make_scenario(12, 2, 16, seed=3)
+    assoc = closest_ap(sc)
+    steps = 150
+    joint = a_iwf(sc, assoc, schedule=SAFEGUARDED, eps_wf=0.0, max_iters=steps)
+    drops = []
+    for ap in range(2):
+        mus = np.flatnonzero(assoc == ap)
+        alone = dataclasses.replace(
+            sc, num_mus=mus.size, gain_sq=sc.gain_sq[mus], budget=sc.budget[mus],
+            mu_positions=sc.mu_positions[mus], connection_cost=sc.connection_cost[mus],
+        )
+        own = a_iwf(alone, assoc[mus], schedule=SAFEGUARDED, eps_wf=0.0, max_iters=steps)
+        drops.append(_first_drop(own.trace.potential))
+        for j, i in enumerate(mus):
+            assert np.array_equal(joint.powers[i], own.powers[j])
+    assert drops == [55, 98]
+    # The largest block step stays at the constant until the later drop.
+    assert np.all(joint.trace.alpha[:98] == inner_module.SAFEGUARD_ALPHA)
+    assert joint.trace.alpha[98] == SAFEGUARDED.alpha(99)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uplinkgame import JaspaConfig, StepsizeSchedule, jaspa, load_scenario
 from uplinkgame.cli import main
 from uplinkgame.trace import TraceRow, read_trace, write_trace
 
@@ -219,3 +220,34 @@ def test_cost_sweep_medians_non_increasing(tmp_path):
     idx = header.index("median_outer_iterations")
     med = {ln.split(",")[0]: float(ln.split(",")[idx]) for ln in lines[1:]}
     assert med["si_jaspa(c=0)"] >= med["si_jaspa(c=3)"] >= med["si_jaspa(c=5)"]
+
+
+def test_jaspa_defaults_to_the_safeguarded_schedule(tmp_path, scenario_file):
+    sc = load_scenario(scenario_file)
+    configs = {
+        (): JaspaConfig(memory_len=4, seed=2),
+        ("--schedule", "polynomial"): JaspaConfig(memory_len=4, seed=2, schedule=StepsizeSchedule()),
+    }
+    runs = {}
+    for flags, config in configs.items():
+        summary = tmp_path / "s.json"
+        assert run_cli(
+            "run", "--algo", "jaspa", "--scenario", scenario_file, "--m", 4, "--seed", 2,
+            "--out-trace", tmp_path / "t.csv", "--out-summary", summary, *flags,
+        ) == 0
+        doc = json.loads(summary.read_text())
+        result = jaspa(sc, config)
+        assert doc["final_sum_rate"] == result.rows[-1].sum_rate
+        assert doc["outer_iterations"] == result.outer_iterations
+        runs[flags] = result
+    # The default writes fewer inner rows than the paper's rule.
+    assert len(runs[()].rows) < len(runs[("--schedule", "polynomial")].rows)
+
+
+@pytest.mark.parametrize("schedule", ["safeguarded", "polynomial"])
+def test_exponent_outside_range_is_validation_error(tmp_path, scenario_file, schedule):
+    code = run_cli(
+        "run", "--algo", "jaspa", "--scenario", scenario_file, "--schedule", schedule,
+        "--exponent", 0.4, "--outdir", tmp_path,
+    )
+    assert code == 3
