@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .waterfill import best_replies, interference_table, water_fill, wf_operator
+from .waterfill import best_reply_table, current_rates, water_fill, wf_operator
 
 LN2 = math.log(2.0)
 
@@ -31,7 +31,10 @@ def members_of(association: np.ndarray, ap: int) -> np.ndarray:
 
 
 def validate_association(scenario, association) -> np.ndarray:
-    a = np.asarray(association, dtype=np.intp)
+    raw = np.asarray(association)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+        raise ValidationError("association: AP indices must be whole numbers")
+    a = raw.astype(np.intp)
     if a.shape != (scenario.num_mus,):
         raise ValidationError(
             f"association: expected shape ({scenario.num_mus},), got {a.shape}"
@@ -42,7 +45,7 @@ def validate_association(scenario, association) -> np.ndarray:
 
 
 def validate_powers(scenario, association, powers, tol: float = 1e-12) -> None:
-    """Check shapes, nonnegativity and per-MU budget feasibility."""
+    """Check shapes, finiteness, nonnegativity and per-MU budget feasibility."""
     if len(powers) != scenario.num_mus:
         raise ValidationError(f"powers: expected {scenario.num_mus} vectors")
     for i, p in enumerate(powers):
@@ -52,6 +55,8 @@ def validate_powers(scenario, association, powers, tol: float = 1e-12) -> None:
             raise ValidationError(
                 f"powers[{i}]: expected length {cols.size}, got {p.shape}"
             )
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"powers[{i}]: non-finite entry")
         if np.any(p < 0.0):
             raise ValidationError(f"powers[{i}]: negative entry")
         if p.sum() > scenario.budget[i] + tol:
@@ -117,7 +122,8 @@ def all_rates(scenario, association, powers) -> np.ndarray:
 
 
 def sum_rate(scenario, association, powers) -> float:
-    return float(all_rates(scenario, association, powers).sum())
+    a = validate_association(scenario, association)
+    return float(current_rates(scenario, a, powers).sum())
 
 
 def received_totals(scenario, association, powers, ap: int) -> np.ndarray:
@@ -185,22 +191,14 @@ def best_response_rate(scenario, association, powers, mu: int, candidate_ap: int
     return br, wf.powers
 
 
-def best_response_rates(scenario, association, powers, mu: int) -> np.ndarray:
-    return np.array(
-        [
-            best_response_rate(scenario, association, powers, mu, w)[0]
-            for w in range(scenario.num_aps)
-        ]
-    )
-
-
 def best_ap_set(scenario, association, powers, mu: int, connection_cost: float) -> np.ndarray:
     """APs whose best-response rate beats the current rate, plus the cost for
     leaving: candidate w qualifies when br(w) >= current + c (c waived for the
     current AP, so staying is always free)."""
     cur_ap = int(association[mu])
     cur = rate(scenario, association, powers, mu)
-    br = best_response_rates(scenario, association, powers, mu)
+    br = np.array([best_response_rate(scenario, association, powers, mu, w)[0]
+                   for w in range(scenario.num_aps)])
     thresh = cur + connection_cost * (np.arange(scenario.num_aps) != cur_ap)
     members = np.flatnonzero(br >= thresh)
     if members.size == 0:
@@ -230,29 +228,18 @@ class EquilibriumReport:
 def _table_report(scenario, association, powers, eps: float):
     """Power-equilibrium report of a validated profile, and its best-reply
     rate table. The residual and the own-AP best rate come from the table's
-    own-AP column; current rates use the table's interference rows."""
+    own-AP column; current rates come from ``current_rates``."""
     a = validate_association(scenario, association)
     validate_powers(scenario, a, powers)
-    interf = interference_table(scenario, a, powers)
-    br, vecs = best_replies(scenario, interf)
-    cur = np.empty(scenario.num_mus)
-    viol = np.empty(scenario.num_mus)
-    for ap in range(scenario.num_aps):
-        members = members_of(a, ap)
-        if members.size == 0:
-            continue
-        cols = scenario.chan_idx[ap]
-        p = np.array([powers[i] for i in members], dtype=float)
-        floors_phys = scenario.noise[cols] + interf[ap][members]
-        sinr = scenario.gain_sq[np.ix_(members, cols)] * p / floors_phys
-        cur[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
-        viol[members] = np.max(np.abs(vecs[ap][members] - p), axis=1)
+    br, vecs = best_reply_table(scenario, a, powers)
+    viol = np.array([np.max(np.abs(vecs[a[i]][i] - powers[i])) for i in range(scenario.num_mus)])
     ok = bool(np.all(viol <= eps))
     worst = None
     if not ok:
         i = int(np.argmax(viol))
         worst = (i, int(a[i]), float(viol[i]))
     own = br[np.arange(scenario.num_mus), a]
+    cur = current_rates(scenario, a, powers)
     return EquilibriumReport(ok, eps, viol, cur, own, worst), br
 
 

@@ -31,9 +31,9 @@ from .game import (
 )
 from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, evaluate_profile, s_iwf
 from .trace import TraceRow, association_label, inner_rows
-from .waterfill import best_reply_table, water_fill_batch
+from .waterfill import best_reply_table, current_rates, water_fill_batch
 
-# Unused verify_power_ne and water_fill_batch stay bound: perfbench hooks both names.
+# Unused all_rates, verify_power_ne and water_fill_batch stay bound for perfbench's hooks.
 
 
 def per_mu_rngs(seed: int, n: int) -> list[np.random.Generator]:
@@ -67,7 +67,6 @@ class JaspaConfig:
     eps_eq: float = 1e-6
     initial_association: Optional[np.ndarray] = None
     initial_powers: Optional[list] = None
-    record_detail: bool = True
     coalition_cap: int = 100_000
 
     def __post_init__(self):
@@ -81,6 +80,8 @@ class JaspaConfig:
             raise ValidationError(f"unknown selection mode {self.selection!r}")
         if self.coalition_cap < 1:
             raise ValidationError("coalition_cap must be >= 1")
+        if not all(np.isfinite(e) and e >= 0.0 for e in (self.eps_wf, self.eps_eq)):
+            raise ValidationError("eps_wf and eps_eq must be finite and >= 0")
 
 
 @dataclass
@@ -156,10 +157,8 @@ class OuterRecord:
 
 @dataclass
 class RunRecorder:
-    """The outer-level trace rows of a joint run and, when keep_detail is
-    set, an OuterRecord per row."""
+    """The outer-level trace rows of a joint run and an OuterRecord per row."""
 
-    keep_detail: bool
     rows: list = field(default_factory=list)
     detail: list = field(default_factory=list)
 
@@ -171,21 +170,20 @@ class RunRecorder:
         self.rows.append(
             TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
         )
-        if self.keep_detail:
-            self.detail.append(
-                OuterRecord(
-                    t,
-                    here,
-                    total,
-                    potential,
-                    res_inf,
-                    rates,
-                    switch_count,
-                    beta=None if beta is None else beta.copy(),
-                    powers=copy_powers(powers),
-                    stay_counts=None if stay_counts is None else stay_counts.copy(),
-                )
+        self.detail.append(
+            OuterRecord(
+                t,
+                here,
+                total,
+                potential,
+                res_inf,
+                rates,
+                switch_count,
+                beta=None if beta is None else beta.copy(),
+                powers=copy_powers(powers),
+                stay_counts=None if stay_counts is None else stay_counts.copy(),
             )
+        )
 
 
 @dataclass
@@ -317,7 +315,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=False)
     state = new_state(scenario, assoc, powers, config.memory_len)
     history = [tuple(int(x) for x in assoc)]
-    log = RunRecorder(config.record_detail)
+    log = RunRecorder()
     converged = False
     prev = history[0]
     inner_nonconverged = 0
@@ -328,7 +326,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))
 
-        cur_rates = all_rates(scenario, state.association, state.powers)
+        cur_rates = current_rates(scenario, state.association, state.powers)
         br_rates, _ = best_reply_table(scenario, state.association, state.powers)
         picks = _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs)
         for i in range(n):
@@ -391,7 +389,7 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     n = scenario.num_mus
     rngs = per_mu_rngs(config.seed, n)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
-    log = RunRecorder(config.record_detail)
+    log = RunRecorder()
     log.record(0, evaluate_profile(scenario, assoc, powers), assoc, 0, powers)
     converged = False
     quiet = 0
@@ -442,13 +440,13 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
     state = new_state(scenario, assoc, powers, config.memory_len)
     history = [tuple(int(x) for x in assoc)]
-    log = RunRecorder(config.record_detail)
+    log = RunRecorder()
     metrics = evaluate_profile(scenario, state.association, state.powers)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     converged = False
     steps = 0
     for body in range(config.max_outer):
-        cur_rates = all_rates(scenario, state.association, state.powers)
+        cur_rates = current_rates(scenario, state.association, state.powers)
         br_rates, br_vecs = best_reply_table(scenario, state.association, state.powers)
         picks = _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs)
         for i in range(n):

@@ -137,7 +137,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     memories = [MuMemory(config.memory_len) for _ in range(n)]
     apmem = ApMemory(w, config.coalition_cap)
     history = [tuple(int(x) for x in assoc)]
-    log = RunRecorder(config.record_detail)
+    log = RunRecorder()
     metrics = evaluate_profile(scenario, assoc, powers)
     log.record(0, metrics, assoc, 0, powers)
     converged = False

@@ -142,7 +142,6 @@ class ScenarioGenParams:
     num_aps: int
     num_channels: int
     area_side: float = 10.0
-    gain_distribution: str = "exponential"
     seed: int = 0
 
     def __post_init__(self):
@@ -154,10 +153,6 @@ class ScenarioGenParams:
             raise ValidationError("num_mus must be >= 1")
         if self.area_side <= 0:
             raise ValidationError("area_side must be positive")
-        if self.gain_distribution != "exponential":
-            raise ValidationError(
-                f"unsupported gain_distribution {self.gain_distribution!r}"
-            )
 
 
 def sample_gains(rng: np.random.Generator, distance: float, count: int) -> np.ndarray:

@@ -7,8 +7,9 @@ effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
 
 ``best_reply_table`` is the one kernel behind the joint dynamics' best
-replies and the equilibrium verifiers; ``wf_operator`` and the scalar
-functions in ``game`` are the reference oracles it is tested against.
+replies and the equilibrium verifiers, and ``current_rates`` their one source
+of current rates; ``wf_operator`` and the scalar functions in ``game`` are
+the reference oracles both are tested against.
 """
 
 from __future__ import annotations
@@ -118,6 +119,30 @@ def interference_table(scenario, association, powers) -> list[np.ndarray]:
             interf[j] -= term
         out.append(interf)
     return out
+
+
+def current_rates(scenario, association, powers) -> np.ndarray:
+    """Every MU's rate at its own AP, bit for bit equal to ``game.rate``.
+
+    Per AP, member slot s adds its received-power row to every other
+    member's row, so each row's interference is summed from zero in member
+    order, skipping itself, exactly as ``game.interference_at`` sums it."""
+    a = np.asarray(association)
+    rates = np.zeros(scenario.num_mus)
+    for ap in range(scenario.num_aps):
+        members = np.flatnonzero(a == ap)
+        if members.size == 0:
+            continue
+        cols = scenario.chan_idx[ap]
+        p = np.array([powers[j] for j in members], dtype=float)
+        rx = scenario.gain_sq[np.ix_(members, cols)] * p
+        interf = np.zeros_like(rx)
+        for s in range(members.size):
+            interf[:s] += rx[s]
+            interf[s + 1:] += rx[s]
+        sinr = rx / (scenario.noise[cols] + interf)
+        rates[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
+    return rates
 
 
 def best_replies(scenario, interference: list):

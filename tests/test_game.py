@@ -476,7 +476,8 @@ def test_verifiers_match_scalar_loops(n, w, k, seed):
             assert joint.is_equilibrium == j_ok
             assert (joint.worst_violator and joint.worst_violator[:2]) == j_who
             np.testing.assert_allclose(joint.violations, gains, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(joint.current_rates, cur, rtol=1e-12, atol=1e-12)
+            assert power.current_rates.tolist() == cur.tolist()
+            assert joint.current_rates.tolist() == cur.tolist()
 
 
 def test_verify_jep_costs_shift_the_switch_gain(footnote2):
@@ -497,6 +498,8 @@ def test_verify_jep_costs_shift_the_switch_gain(footnote2):
         ([0, 2], [[1.0], [1.0]]),  # AP index W
         ([0, 1], [[1.0, 0.0], [1.0]]),  # wrong-length power vector
         ([0, 1], [[-0.5], [1.0]]),  # negative power
+        ([0, 1], [[np.nan], [1.0]]),  # non-finite power
+        ([0.7, 1], [[1.0], [1.0]]),  # fractional AP index
     ],
 )
 @pytest.mark.parametrize("verify", [verify_jep, verify_power_ne])

@@ -143,6 +143,10 @@ def test_infeasible_initial_powers_rejected():
     bad = [np.full(3, 1.0), np.full(3, 0.1)]  # first MU exceeds its budget
     with pytest.raises(ValidationError):
         a_iwf(sc, [0, 0], initial_powers=bad)
+    nan = [np.array([np.nan, 0.1, 0.1]), np.full(3, 0.1)]
+    for solver in (a_iwf, s_iwf):
+        with pytest.raises(ValidationError, match=r"powers\[0\]: non-finite"):
+            solver(sc, [0, 0], initial_powers=nan)
 
 
 def test_initial_powers_already_converged():

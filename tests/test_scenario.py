@@ -155,8 +155,6 @@ def test_params_validation():
         ScenarioGenParams(num_mus=2, num_aps=4, num_channels=3)
     with pytest.raises(ValidationError):
         ScenarioGenParams(num_mus=2, num_aps=1, num_channels=2, area_side=0.0)
-    with pytest.raises(ValidationError):
-        ScenarioGenParams(num_mus=2, num_aps=1, num_channels=2, gain_distribution="rician")
 
 
 def test_scenario_arrays_are_read_only():

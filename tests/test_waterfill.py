@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uplinkgame import ValidationError, best_response_rate, water_fill, wf_operator
-from uplinkgame.game import interference_at
-from uplinkgame.waterfill import best_reply_table, interference_table
+from uplinkgame.game import interference_at, rate
+from uplinkgame.waterfill import best_reply_table, current_rates, interference_table
 
 from conftest import footnote_network, make_scenario, random_powers
 
@@ -217,6 +217,10 @@ def test_best_reply_table_matches_best_response_rate(n, w, k, assoc):
             want_rate, want_p = best_response_rate(sc, assoc, powers, i, ap)
             assert rates[i, ap] == pytest.approx(want_rate, rel=1e-12, abs=1e-12)
             np.testing.assert_allclose(vecs[ap][i], want_p, rtol=1e-12, atol=1e-12)
+    # Current rates sum each interferer in member order, as interference_at
+    # does, so they match the scalar rate bit for bit.
+    want_cur = [rate(sc, assoc, powers, i) for i in range(n)]
+    assert np.array_equal(current_rates(sc, assoc, powers), want_cur)
 
 
 def test_interference_table_rows_exclude_only_the_own_term():
