@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError
-from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, s_iwf, solve_profiles
+from .inner import (
+    InnerLoopResult, StepsizeSchedule, a_iwf, check_solver_settings, s_iwf, solve_profiles
+)
 from .scenario import NetworkScenario
 
 
@@ -21,6 +23,9 @@ class InnerConfig:
     eps_wf: float = 1e-10
     max_iters: int = 100_000
     schedule: StepsizeSchedule = StepsizeSchedule()
+
+    def __post_init__(self):
+        check_solver_settings(self.solver, self.eps_wf, self.max_iters)
 
     def run(self, scenario, association, initial_powers=None) -> InnerLoopResult:
         if self.solver == "a_iwf":

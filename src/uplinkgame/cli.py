@@ -217,15 +217,22 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _cost_list(text: str) -> list[float]:
+    """argparse type of ``--costs``: comma-separated numbers."""
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
 def _expand_compare_algos(args) -> list[tuple[str, float | None]]:
     out = []
-    costs = [float(c) for c in args.costs.split(",")] if args.costs else [None]
     for algo in args.algos.split(","):
         algo = algo.strip()
         if algo not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {algo!r}")
         if algo in JOINT_ALGOS and args.costs:
-            out.extend((algo, c) for c in costs)
+            out.extend((algo, c) for c in args.costs)
         else:
             out.append((algo, None))
     return out
@@ -362,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--n", type=int, default=8)
     cmp_.add_argument("--w", type=int, default=2)
     cmp_.add_argument("--k", type=int, default=16)
-    cmp_.add_argument("--costs", default=None, help="comma-separated connection-cost sweep")
+    cmp_.add_argument("--costs", type=_cost_list, default=None,
+                      help="comma-separated connection-cost sweep")
     cmp_.add_argument("--out", default=None, help="comparison CSV path")
     common_run_flags(cmp_)
     cmp_.set_defaults(func=cmd_compare)

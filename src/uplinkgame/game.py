@@ -63,6 +63,22 @@ def validate_powers(scenario, association, powers, tol: float = 1e-12) -> None:
             raise ValidationError(f"powers[{i}]: budget exceeded")
 
 
+def validate_costs(scenario, costs) -> np.ndarray:
+    """Connection costs as one value per MU, a scalar broadcast to all;
+    entries must be finite and nonnegative, as in ``NetworkScenario``."""
+    try:
+        c = np.asarray(costs, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("connection_cost: expected numbers") from None
+    if c.ndim == 0:
+        c = np.full(scenario.num_mus, float(c))
+    if c.shape != (scenario.num_mus,):
+        raise ValidationError("connection_cost: expected a scalar or one value per MU")
+    if not np.all(np.isfinite(c) & (c >= 0.0)):
+        raise ValidationError("connection_cost: entries must be finite and nonnegative")
+    return c
+
+
 def uniform_powers(scenario, association) -> list[np.ndarray]:
     """Spread each budget evenly over the channels of the MU's AP."""
     return [
@@ -264,7 +280,7 @@ def verify_jep(
     a = np.asarray(association, dtype=np.intp)
     net = br - power_part.current_rates[:, None]
     if costs is not None:
-        net = net - np.asarray(costs, dtype=float)[:, None]
+        net = net - validate_costs(scenario, costs)[:, None]
     net[np.arange(n), a] = -np.inf
     gains = np.maximum(net.max(axis=1), 0.0)
     best = br.max(axis=1)

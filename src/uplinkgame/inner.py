@@ -102,6 +102,17 @@ class StepsizeSchedule:
         return a
 
 
+def check_solver_settings(solver: str, eps_wf: float, max_iters: int) -> None:
+    """The rules every inner-solver configuration obeys: a known solver, a
+    finite nonnegative tolerance and an iteration cap of at least 1."""
+    if solver not in ("a_iwf", "s_iwf"):
+        raise ValidationError(f"unknown inner solver {solver!r}")
+    if not (np.isfinite(eps_wf) and eps_wf >= 0.0):
+        raise ValidationError("eps_wf must be finite and >= 0")
+    if max_iters < 1:
+        raise ValidationError("iteration caps must be >= 1")
+
+
 @dataclass
 class InnerTrace:
     """Per-iteration records of one inner-loop run (row 0 is the start point).
@@ -396,7 +407,7 @@ def solve_profiles(
     max_iters: int = 100_000,
     schedule: Optional[StepsizeSchedule] = None,
 ):
-    """Final sum rate, potential and converged flag of ``solver`` (a_iwf, else
+    """Final sum rate, potential and converged flag of ``solver`` (a_iwf or
     s_iwf) run from uniform powers on every row of ``associations``, a
     (profiles, N) array, as three arrays; each equals that profile's own run
     (``trace.sum_rate[-1]``, ``trace.potential[-1]``, ``converged``), bit for
@@ -408,6 +419,7 @@ def solve_profiles(
     ``eps_wf`` (converged), or at ``max_iters``; a block is dropped when no
     running profile uses it. The sum rate sums the N MU rates in MU order;
     the potential adds the block potentials in AP order, from 0.0."""
+    check_solver_settings(solver, eps_wf, max_iters)
     step = _average_step(schedule or StepsizeSchedule()) if solver == "a_iwf" else _sweep_step
     profiles, n = associations.shape
     w = scenario.num_aps

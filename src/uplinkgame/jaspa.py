@@ -25,11 +25,14 @@ from .game import (
     random_feasible_powers,
     uniform_powers,
     validate_association,
+    validate_costs,
     validate_powers,
     verify_jep,
     verify_power_ne,
 )
-from .inner import InnerLoopResult, StepsizeSchedule, a_iwf, evaluate_profile, s_iwf
+from .inner import (
+    InnerLoopResult, StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
+)
 from .trace import TraceRow, association_label, inner_rows
 from .waterfill import best_reply_table, current_rates, water_fill_batch
 
@@ -72,16 +75,15 @@ class JaspaConfig:
     def __post_init__(self):
         if self.memory_len < 1:
             raise ValidationError("memory_len must be >= 1")
-        if self.max_outer < 1 or self.max_inner < 1:
+        if self.max_outer < 1:
             raise ValidationError("iteration caps must be >= 1")
-        if self.inner_solver not in ("a_iwf", "s_iwf"):
-            raise ValidationError(f"unknown inner solver {self.inner_solver!r}")
+        check_solver_settings(self.inner_solver, self.eps_wf, self.max_inner)
         if self.selection not in ("uniform", "best"):
             raise ValidationError(f"unknown selection mode {self.selection!r}")
         if self.coalition_cap < 1:
             raise ValidationError("coalition_cap must be >= 1")
-        if not all(np.isfinite(e) and e >= 0.0 for e in (self.eps_wf, self.eps_eq)):
-            raise ValidationError("eps_wf and eps_eq must be finite and >= 0")
+        if not (np.isfinite(self.eps_eq) and self.eps_eq >= 0.0):
+            raise ValidationError("eps_eq must be finite and >= 0")
 
 
 @dataclass
@@ -209,19 +211,6 @@ class RunResult:
     inner_nonconverged: int = 0
 
 
-def _resolve_costs(scenario, config: JaspaConfig) -> np.ndarray:
-    if config.connection_cost is None:
-        return scenario.connection_cost
-    costs = np.asarray(config.connection_cost, dtype=float)
-    if costs.ndim == 0:
-        costs = np.full(scenario.num_mus, float(costs))
-    if costs.shape != (scenario.num_mus,):
-        raise ValidationError("connection_cost: expected a scalar or one value per MU")
-    if np.any(costs < 0.0):
-        raise ValidationError("connection_cost: entries must be nonnegative")
-    return costs
-
-
 def _initial_profile(scenario, config: JaspaConfig, rngs, random_powers: bool):
     if config.initial_association is not None:
         assoc = validate_association(scenario, config.initial_association).copy()
@@ -249,6 +238,18 @@ def _warn_short_memory(config: JaspaConfig, n: int) -> None:
         )
 
 
+def _start(scenario, config: JaspaConfig, random_powers: bool):
+    """The start of jaspa and si_jaspa: the connection costs in force, the
+    per-MU streams, the state at the initial profile, the association history
+    and the recorder."""
+    cost = config.connection_cost
+    costs = scenario.connection_cost if cost is None else validate_costs(scenario, cost)
+    rngs = per_mu_rngs(config.seed, scenario.num_mus)
+    assoc, powers = _initial_profile(scenario, config, rngs, random_powers)
+    state = new_state(scenario, assoc, powers, config.memory_len)
+    return costs, rngs, state, [tuple(int(x) for x in assoc)], RunRecorder()
+
+
 def run_inner(scenario, association, config: JaspaConfig, initial_powers=None) -> InnerLoopResult:
     if config.inner_solver == "s_iwf":
         return s_iwf(
@@ -268,24 +269,30 @@ def run_inner(scenario, association, config: JaspaConfig, initial_powers=None) -
     )
 
 
-def _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs):
-    """JASPA step-3 semantics: qualify APs whose best-response rate beats the
-    current rate plus the switch cost (waived for the current AP), then pick
-    uniformly; or pick the argmax AP in greedy mode."""
-    n, w = br_rates.shape
-    picks = np.empty(n, dtype=np.intp)
-    ap_range = np.arange(w)
-    for i in range(n):
-        if config.selection == "best":
-            picks[i] = int(np.argmax(br_rates[i]))
-            continue
-        cur_ap = int(state.association[i])
-        thresh = cur_rates[i] + costs[i] * (ap_range != cur_ap)
-        members = np.flatnonzero(br_rates[i] >= thresh)
-        if members.size == 0:
-            members = np.array([cur_ap], dtype=np.intp)
-        picks[i] = members[int(rngs[i].integers(members.size))]
-    return picks
+def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
+    """JASPA step 3 at the current profile. Each MU records one best reply:
+    uniform over the APs whose best-response rate beats its current rate plus
+    the switch cost (waived for the current AP, which alone qualifies if
+    roundoff empties the set), or the highest-rate AP in greedy mode; then
+    its probability vector is refreshed and its next AP sampled. Returns the
+    next association, the current rates and the best-reply power vectors."""
+    a = state.association
+    cur_rates = current_rates(scenario, a, state.powers)
+    br_rates, br_vecs = best_reply_table(scenario, a, state.powers)
+    if config.selection == "best":
+        picks = br_rates.argmax(axis=1)
+    else:
+        switching = np.arange(scenario.num_aps) != a[:, None]
+        qualify = br_rates >= cur_rates[:, None] + costs[:, None] * switching
+        qualify[np.arange(a.size), a] |= ~qualify.any(axis=1)
+        picks = []
+        for row, rng in zip(qualify, rngs):
+            members = np.flatnonzero(row)
+            picks.append(members[int(rng.integers(members.size))])
+    for i, pick in enumerate(picks):
+        update_beta(state, i, int(pick))
+    nxt = np.array([sample_association(r, b) for r, b in zip(rngs, state.beta)], dtype=np.intp)
+    return nxt, cur_rates, br_vecs
 
 
 def _tail_constant(history: list, span: int) -> bool:
@@ -293,6 +300,31 @@ def _tail_constant(history: list, span: int) -> bool:
         return False
     tail = history[-span:]
     return all(t == tail[0] for t in tail)
+
+
+def _settled(scenario, state: JaspaState, history, costs, config: JaspaConfig, residual=None):
+    """The stop gate of jaspa and si_jaspa, in order: the association held
+    over memory_len+1 iterations; the residual, when given, is at most
+    eps_wf; the profile verifies as stable under the connection costs in
+    force (``verify_jep`` with those costs, the joint-equilibrium test when
+    they are zero)."""
+    return (
+        _tail_constant(history, config.memory_len + 1)
+        and (residual is None or residual <= config.eps_wf)
+        and verify_jep(
+            scenario, state.association, state.powers, config.eps_eq, costs
+        ).is_equilibrium
+    )
+
+
+def _run_result(algorithm, scenario, config, log, association, powers, converged,
+                outer_iterations, inner_nonconverged=0, report=None) -> RunResult:
+    """The RunResult of a joint run. ``report`` is the cost-free verdict on
+    the final profile; it is computed here unless the run already has it."""
+    if report is None:
+        report = verify_jep(scenario, association, powers, config.eps_eq)
+    return RunResult(algorithm, association, powers, converged, outer_iterations,
+                     log.rows, log.detail, report, inner_nonconverged)
 
 
 def jaspa(scenario, config: JaspaConfig) -> RunResult:
@@ -308,33 +340,18 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     since every qualifying set contains the current AP). With zero costs the
     gate is exactly the joint equilibrium test. Deterministic under the
     config seed."""
-    n = scenario.num_mus
-    _warn_short_memory(config, n)
-    costs = _resolve_costs(scenario, config)
-    rngs = per_mu_rngs(config.seed, n)
-    assoc, powers = _initial_profile(scenario, config, rngs, random_powers=False)
-    state = new_state(scenario, assoc, powers, config.memory_len)
-    history = [tuple(int(x) for x in assoc)]
-    log = RunRecorder()
+    _warn_short_memory(config, scenario.num_mus)
+    costs, rngs, state, history, log = _start(scenario, config, random_powers=False)
     converged = False
-    prev = history[0]
+    switch_count = 0
     inner_nonconverged = 0
-
     for body in range(config.max_outer):
         inner = run_inner(scenario, state.association, config, initial_powers=state.powers)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))
 
-        cur_rates = current_rates(scenario, state.association, state.powers)
-        br_rates, _ = best_reply_table(scenario, state.association, state.powers)
-        picks = _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs)
-        for i in range(n):
-            update_beta(state, i, int(picks[i]))
-        nxt = np.array([sample_association(rngs[i], state.beta[i]) for i in range(n)], dtype=np.intp)
-
-        here = tuple(int(x) for x in state.association)
-        switch_count = sum(1 for x, y in zip(here, prev) if x != y)
+        nxt, cur_rates, _ = _reselect(scenario, state, costs, config, rngs)
         metrics = (
             float(inner.trace.residual_inf[-1]),
             None,
@@ -342,40 +359,25 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
             float(cur_rates.sum()),
             cur_rates,
         )
-        log.record(body, metrics, here, switch_count, state.powers, beta=state.beta)
-        prev = here
+        log.record(body, metrics, state.association, switch_count, state.powers, beta=state.beta)
         history.append(tuple(int(x) for x in nxt))
-
-        if (
-            _tail_constant(history, config.memory_len + 1)
-            and verify_jep(
-                scenario, state.association, state.powers, config.eps_eq, costs
-            ).is_equilibrium
-        ):
+        if _settled(scenario, state, history, costs, config):
             # The sampled association equals the evaluated one, so the latest
             # inner equilibrium is the final power profile.
-            state.association = nxt
             converged = True
             break
 
         # Warm-start the next inner loop: movers restart from a uniform spread.
-        for i in range(n):
-            if nxt[i] != state.association[i]:
-                k = scenario.chan_idx[int(nxt[i])].size
-                state.powers[i] = np.full(k, scenario.budget[i] / k)
+        moved = np.flatnonzero(nxt != state.association)
+        for i in moved:
+            k = scenario.chan_idx[int(nxt[i])].size
+            state.powers[i] = np.full(k, scenario.budget[i] / k)
+        switch_count = moved.size
         state.association = nxt
 
-    report = verify_jep(scenario, state.association, state.powers, config.eps_eq)
-    return RunResult(
-        "jaspa",
-        state.association,
-        state.powers,
-        converged,
-        len(history),
-        log.rows,
-        log.detail,
-        report,
-        inner_nonconverged,
+    return _run_result(
+        "jaspa", scenario, config, log, state.association, state.powers, converged,
+        len(history), inner_nonconverged,
     )
 
 
@@ -393,7 +395,6 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     log.record(0, evaluate_profile(scenario, assoc, powers), assoc, 0, powers)
     converged = False
     quiet = 0
-    turns = 0
     for body in range(config.max_outer):
         i = body % n
         br_rates, br_vecs = best_reply_table(scenario, assoc, powers)
@@ -409,18 +410,14 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
             quiet = 0 if move > config.eps_wf else quiet + 1
         assoc[i] = pick
         powers[i] = new_p
-        turns = body + 1
         log.record(
-            turns, evaluate_profile(scenario, assoc, powers), assoc, 1 if changed else 0, powers
+            body + 1, evaluate_profile(scenario, assoc, powers), assoc, int(changed), powers
         )
         if quiet >= n:
             converged = True
             break
 
-    report = verify_jep(scenario, assoc, powers, config.eps_eq)
-    return RunResult(
-        "se_jaspa", assoc, powers, converged, turns + 1, log.rows, log.detail, report
-    )
+    return _run_result("se_jaspa", scenario, config, log, assoc, powers, converged, len(log.rows))
 
 
 def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
@@ -433,29 +430,15 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     and declared only once the profile verifies as stable under the
     connection costs in force, ``verify_jep`` with those costs (the joint
     equilibrium test when costs are zero)."""
-    n = scenario.num_mus
-    _warn_short_memory(config, n)
-    costs = _resolve_costs(scenario, config)
-    rngs = per_mu_rngs(config.seed, n)
-    assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
-    state = new_state(scenario, assoc, powers, config.memory_len)
-    history = [tuple(int(x) for x in assoc)]
-    log = RunRecorder()
+    _warn_short_memory(config, scenario.num_mus)
+    costs, rngs, state, history, log = _start(scenario, config, random_powers=True)
     metrics = evaluate_profile(scenario, state.association, state.powers)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     converged = False
-    steps = 0
     for body in range(config.max_outer):
-        cur_rates = current_rates(scenario, state.association, state.powers)
-        br_rates, br_vecs = best_reply_table(scenario, state.association, state.powers)
-        picks = _pick_replies(scenario, state, br_rates, cur_rates, costs, config, rngs)
-        for i in range(n):
-            update_beta(state, i, int(picks[i]))
-        nxt = np.array(
-            [sample_association(rngs[i], state.beta[i]) for i in range(n)], dtype=np.intp
-        )
+        nxt, _, br_vecs = _reselect(scenario, state, costs, config, rngs)
         new_powers = []
-        for i in range(n):
+        for i in range(scenario.num_mus):
             target = br_vecs[int(nxt[i])][i]
             if nxt[i] != state.association[i]:
                 state.stay_counts[i] = 1
@@ -468,30 +451,16 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         state.association = nxt
         state.powers = new_powers
         history.append(tuple(int(x) for x in nxt))
-        steps = body + 1
         metrics = evaluate_profile(scenario, state.association, state.powers)
         log.record(
-            steps, metrics, state.association, switch_count, state.powers,
+            body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,
         )
-        if (
-            _tail_constant(history, config.memory_len + 1)
-            and metrics[0] <= config.eps_wf
-            and verify_jep(
-                scenario, state.association, state.powers, config.eps_eq, costs
-            ).is_equilibrium
-        ):
+        if _settled(scenario, state, history, costs, config, metrics[0]):
             converged = True
             break
 
-    report = verify_jep(scenario, state.association, state.powers, config.eps_eq)
-    return RunResult(
-        "si_jaspa",
-        state.association,
-        state.powers,
-        converged,
+    return _run_result(
+        "si_jaspa", scenario, config, log, state.association, state.powers, converged,
         len(history),
-        log.rows,
-        log.detail,
-        report,
     )

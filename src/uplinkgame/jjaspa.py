@@ -22,6 +22,7 @@ from .jaspa import (
     RunRecorder,
     RunResult,
     _initial_profile,
+    _run_result,
     _tail_constant,
     _warn_short_memory,
     per_mu_rngs,
@@ -141,64 +142,57 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     metrics = evaluate_profile(scenario, assoc, powers)
     log.record(0, metrics, assoc, 0, powers)
     converged = False
-    steps = 0
-
+    aps = np.arange(w)
     for body in range(config.max_outer):
+        # Snapshots are views: neither the table nor a power vector is
+        # written after it is made.
         interf = interference_table(scenario, assoc, powers)
-        rates_now = metrics[4]
         for i in range(n):
-            memories[i].push(
-                int(assoc[i]), [interf[ap][i].copy() for ap in range(w)], rates_now[i]
-            )
+            memories[i].push(int(assoc[i]), [interf[ap][i] for ap in range(w)], metrics[4][i])
         for ap in range(w):
             members = np.flatnonzero(assoc == ap)
-            coalition = tuple(int(i) for i in members)
             ap_memory_update(
                 apmem,
                 ap,
-                coalition,
-                {int(i): np.asarray(powers[i]).copy() for i in members},
-                {int(i): interf[ap][i].copy() for i in members},
+                members,
+                {int(i): powers[i] for i in members},
+                {int(i): interf[ap][i] for i in members},
             )
 
         sampled = [sample_mu_memory(memories[i], rngs[i]) for i in range(n)]
-        best, _ = best_replies(
-            scenario, [np.stack([s[1][ap] for s in sampled]) for ap in range(w)]
-        )
+        best, _ = best_replies(scenario, [np.stack([s[1][ap] for s in sampled]) for ap in range(w)])
         nxt = np.empty(n, dtype=np.intp)
-        for i in range(n):
-            a_hat, _, r_hat = sampled[i]
-            candidates = set(np.flatnonzero(best[i] > r_hat).tolist())
-            candidates.add(int(a_hat))
-            options = sorted(candidates)
-            nxt[i] = options[int(rngs[i].integers(len(options)))]
+        for i, (a_hat, _, r_hat) in enumerate(sampled):
+            options = np.flatnonzero((best[i] > r_hat) | (aps == a_hat))
+            nxt[i] = options[int(rngs[i].integers(options.size))]
 
+        # One water-fill per returning coalition: its rows are independent.
         new_powers: list = [None] * n
         for ap in range(w):
             members = np.flatnonzero(nxt == ap)
             if members.size == 0:
                 continue
-            coalition = tuple(int(i) for i in members)
-            rec = apmem.get(ap, coalition)
+            coalition = members.tolist()
+            rec = apmem.get(ap, tuple(coalition))
             cols = scenario.chan_idx[ap]
-            for i in members:
-                i = int(i)
-                if rec is None:
+            if rec is None:
+                for i in coalition:
                     frac = rngs[i].dirichlet(np.ones(cols.size + 1))[: cols.size]
                     new_powers[i] = scenario.budget[i] * frac
-                else:
-                    alpha = config.schedule.alpha(rec.visits)
-                    floors = (scenario.noise[cols] + rec.interference[i]) / scenario.gain_sq[i, cols]
-                    phi, _ = water_fill_batch(floors[None, :], scenario.budget[i : i + 1])
-                    new_powers[i] = (1.0 - alpha) * rec.powers[i] + alpha * phi[0]
+                continue
+            alpha = config.schedule.alpha(rec.visits)
+            interf_rows = np.stack([rec.interference[i] for i in coalition])
+            floors = (scenario.noise[cols] + interf_rows) / scenario.gain_sq[np.ix_(members, cols)]
+            phi, _ = water_fill_batch(floors, scenario.budget[members])
+            for i, row in zip(coalition, phi):
+                new_powers[i] = (1.0 - alpha) * rec.powers[i] + alpha * row
 
         switch_count = int(np.sum(nxt != assoc))
         assoc = nxt
         powers = new_powers
         history.append(tuple(int(x) for x in assoc))
-        steps = body + 1
         metrics = evaluate_profile(scenario, assoc, powers)
-        log.record(steps, metrics, assoc, switch_count, powers)
+        log.record(body + 1, metrics, assoc, switch_count, powers)
         if _tail_constant(history, config.memory_len + 1) and metrics[0] <= config.eps_wf:
             report = verify_jep(scenario, assoc, powers, config.eps_eq)
             if report.is_equilibrium:
@@ -207,13 +201,6 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
 
     if not converged:
         report = verify_jep(scenario, assoc, powers, config.eps_eq)
-    return RunResult(
-        "j_jaspa",
-        assoc,
-        powers,
-        converged,
-        len(history),
-        log.rows,
-        log.detail,
-        report,
+    return _run_result(
+        "j_jaspa", scenario, config, log, assoc, powers, converged, len(history), report=report
     )

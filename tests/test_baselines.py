@@ -13,6 +13,7 @@ from uplinkgame import (
     NetworkScenario,
     ResourceError,
     StepsizeSchedule,
+    ValidationError,
     closest_ap,
     exhaustive_search,
     jaspa,
@@ -125,6 +126,32 @@ def test_exhaustive_table_equals_per_profile_solves(monkeypatch, solver, n, w, k
         assert not all(rec.converged for rec in want)
         # s_iwf settles most of these profiles in two rounds.
         assert any(rec.converged for rec in want) == (solver == "s_iwf")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"solver": "a-iwf"},  # used to run s_iwf silently
+        {"solver": "newton"},
+        {"eps_wf": -1.0},
+        {"eps_wf": math.nan},  # used to run every profile to max_iters
+        {"eps_wf": math.inf},
+        {"max_iters": 0},
+        {"max_iters": -5},
+    ],
+)
+def test_inner_config_validates_its_settings(bad):
+    with pytest.raises(ValidationError):
+        InnerConfig(**bad)
+
+
+def test_solve_profiles_checks_its_settings():
+    InnerConfig(solver="a_iwf", eps_wf=0.0, max_iters=1)  # edges stay valid: the CLI passes 1
+    sc = make_scenario(3, 2, 4, seed=3)
+    profiles = np.zeros((1, 3), dtype=np.intp)
+    for bad in ({"solver": "a-iwf"}, {"eps_wf": math.nan}, {"max_iters": 0}):
+        with pytest.raises(ValidationError):
+            baselines_module.solve_profiles(sc, profiles, **bad)
 
 
 def test_exhaustive_search_solves_profiles_in_batches(monkeypatch):

@@ -506,3 +506,20 @@ def test_verify_jep_costs_shift_the_switch_gain(footnote2):
 def test_verifiers_validate_their_inputs(footnote2, verify, assoc, powers):
     with pytest.raises(ValidationError):
         verify(footnote2, assoc, [np.array(p) for p in powers])
+
+
+@pytest.mark.parametrize(
+    "costs", [np.full(2, np.nan), np.array([0.1, -0.1]), np.zeros(3), np.inf, [[0.1, 0.1]]]
+)
+def test_verify_jep_validates_its_costs(footnote2, costs):
+    with pytest.raises(ValidationError, match="connection_cost"):
+        verify_jep(footnote2, [0, 1], [np.array([1.0]), np.array([1.0])], 1e-6, costs=costs)
+
+
+def test_verify_jep_broadcasts_a_scalar_cost(footnote2):
+    assoc, powers = [0, 0], [np.array([1.0]), np.array([1.0])]
+    for cost in (0.0, 0.3):
+        scalar = verify_jep(footnote2, assoc, powers, 1e-6, costs=cost)
+        vector = verify_jep(footnote2, assoc, powers, 1e-6, costs=np.full(2, cost))
+        assert scalar.violations.tolist() == vector.violations.tolist()
+        assert scalar.worst_violator == vector.worst_violator

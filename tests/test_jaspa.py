@@ -94,6 +94,14 @@ def test_config_validation():
         with pytest.raises(ValidationError):
             JaspaConfig(**bad)
     JaspaConfig(eps_wf=0.0, eps_eq=0.0)
+    # Connection costs follow NetworkScenario's rule, checked when a run starts.
+    sc = make_scenario(3, 2, 4, seed=1)
+    for cost in (float("nan"), np.inf, -1.0, [0.0, 1.0], [0.0, -0.1, 0.0], "abc"):
+        for algo in (jaspa, si_jaspa):
+            with pytest.raises(ValidationError, match="connection_cost"):
+                algo(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
+    for cost in (0.0, [0.0, 0.5, 1.0]):
+        jaspa(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
 
 
 def test_short_memory_warns():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import uplinkgame.jjaspa as jjaspa_module
 from uplinkgame import (
     JaspaConfig,
     ResourceError,
@@ -221,3 +222,21 @@ def test_coalition_cap_raises_resource_error():
     sc = make_scenario(4, 2, 4, seed=250)
     with pytest.raises(ResourceError):
         j_jaspa(sc, base_config(seed=0, coalition_cap=2))
+
+
+def test_coalition_step_water_fills_each_coalition_once(monkeypatch):
+    calls = []
+    real = jjaspa_module.water_fill_batch
+
+    def counted(floors, budgets):
+        calls.append(floors.shape[0])
+        return real(floors, budgets)
+
+    monkeypatch.setattr(jjaspa_module, "water_fill_batch", counted)
+    sc = make_scenario(8, 2, 16, seed=0)
+    result = j_jaspa(sc, base_config(memory_len=8))
+    # One call per returning coalition at most: never more than the APs
+    # occupied after each iteration, and one row per member.
+    occupied = sum(len(set(rec.association)) for rec in result.detail[1:])
+    assert 0 < len(calls) <= occupied
+    assert sum(calls) <= sc.num_mus * (len(result.detail) - 1)

@@ -1,12 +1,18 @@
 """The benchmark in ``perfbench/`` wraps package functions by module and
-attribute name. These tests keep every name it hooks bound, so a rename in
-the package shows up here rather than only in the benchmark's own selftest."""
+attribute name. These tests keep every name it hooks bound, and the bindings
+it counts called, so a rename or a call moved off a hooked binding shows up
+here rather than only in the benchmark's own selftest or as a silent zero."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import uplinkgame as ug
+
+from conftest import make_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +47,28 @@ def test_every_benchmark_hook_installs_and_is_restored(tracing):
         assert len(hooks.installed) == len(tracing.HOOKS)
         assert package_bindings() != before
     assert package_bindings() == before
+
+
+def test_counted_bindings_are_called(tracing):
+    sc = make_scenario(5, 2, 8, seed=1)
+    config = ug.JaspaConfig(memory_len=5, seed=1)
+    tracer = tracing.Tracer()
+    with tracing.Hooks(tracer):
+        runs = {algo: getattr(ug, algo)(sc, config) for algo in ("jaspa", "se_jaspa", "si_jaspa")}
+        joint = ug.j_jaspa(sc, config)
+        ug.exhaustive_search(sc)
+        ug.InnerConfig().run(sc, np.arange(5) % 2)
+    assert all(run.converged for run in runs.values()) and joint.converged
+    calls = {name: count for name, (count, _) in tracing.summarize(tracer)["by_name"].items()}
+    for name in (
+        "jaspa.best_reply_table",
+        "inner.evaluate_profile",
+        "inner.a_iwf",
+        "trace.inner_rows",
+        "game.verify_jep@jjaspa",
+        "inner.s_iwf@baselines",
+    ):
+        assert calls.get(name, 0) >= 1, name
+    # One coalition update per AP per j_jaspa iteration, as the benchmark's
+    # replay of the coalition updates counts them.
+    assert calls["jjaspa.ap_memory_update"] == sc.num_aps * (len(joint.detail) - 1)

@@ -251,3 +251,11 @@ def test_exponent_outside_range_is_validation_error(tmp_path, scenario_file, sch
         "--exponent", 0.4, "--outdir", tmp_path,
     )
     assert code == 3
+
+
+def test_malformed_cost_list_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--algos", "jaspa", "--costs", "0,abc", "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
+    assert "--costs" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
