@@ -31,7 +31,8 @@ because every sum keeps numpy's per-block order:
 - rates are row sums over each MU's own block columns, and a profile's sum
   rate sums its N MU rates in MU order (a row sum of a (profiles, N) gather
   has the bits of the 1-D sum);
-- a block's safeguarded step reads only that block's own potentials.
+- a block's safeguarded step reads only that block's own potentials, and
+  a per-AP potential of ``evaluate_profile`` is its block's own potential.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ class StepsizeSchedule:
     "polynomial":  alpha_t = (t+1)^(-exponent), exponent in (0.5, 1].
     "harmonic":    alpha_t = 1/(t+1).
     "custom":      user-supplied func(t); each value must lie in (0, 1).
-    "safeguarded": a_iwf steps each AP block by the constant SAFEGUARD_ALPHA
-                   until the block's potential first falls (strictly, against
-                   its previous evaluation), then by the polynomial alpha_t on
-                   the solve's own clock t. ``alpha(t)`` is the polynomial
-                   value, so si_jaspa's stay steps and j_jaspa's coalition
-                   steps take the fallback values.
+    "safeguarded": every averaged step of an (AP, member set) block is the
+                   constant SAFEGUARD_ALPHA until the block's potential first
+                   falls (strictly, against its previous evaluation), then the
+                   polynomial alpha_t on the block's own clock t. The blocks
+                   are a_iwf's AP blocks (clock: the solve's iterations),
+                   si_jaspa's unchanged blocks (clock: the MU's stay count)
+                   and j_jaspa's coalitions (clock: the visit count);
+                   ``block_alpha`` picks the step. ``alpha(t)`` is the
+                   polynomial value.
 
     The polynomial and harmonic rules are diminishing (divergent sum, finite
     sum of squares). The polynomial default (exponent 0.55) is used instead of
@@ -100,6 +104,14 @@ class StepsizeSchedule:
         if not 0.0 < a < 1.0:
             raise ValidationError(f"stepsize alpha({t})={a} outside (0, 1)")
         return a
+
+    def block_alpha(self, t: int, held):
+        """Step t of a block: SAFEGUARD_ALPHA while the block is held under the
+        safeguarded rule, else ``alpha(t)``. ``held`` is one flag (a float
+        comes back) or an array of flags (an array of steps comes back)."""
+        held = np.logical_and(held, self.rule == "safeguarded")
+        steps = np.where(held, SAFEGUARD_ALPHA, self.alpha(t))
+        return steps if steps.ndim else float(steps)
 
 
 def check_solver_settings(solver: str, eps_wf: float, max_iters: int) -> None:
@@ -262,16 +274,12 @@ class _Group:
 
 def _average_step(schedule: StepsizeSchedule):
     """a_iwf's iteration t on every group; returns the largest stepsize
-    applied. A held block steps SAFEGUARD_ALPHA under the safeguarded rule;
-    every other block steps ``schedule.alpha(t)``."""
-    safeguarded = schedule.rule == "safeguarded"
+    applied. Each block steps ``schedule.block_alpha(t, held)``."""
 
     def step(t, groups):
-        a = schedule.alpha(t)
-        held = SAFEGUARD_ALPHA if safeguarded else a
         top = 0.0
         for g in groups:
-            block_alpha = np.where(g.held, held, a)
+            block_alpha = schedule.block_alpha(t, g.held)
             g.average(block_alpha[g.block], t)
             top = max(top, *block_alpha.tolist())
         return top
@@ -291,7 +299,7 @@ class _Stack:
     one _Group per block width, narrowest first, largest block first within."""
 
     def __init__(self, scenario, association, powers):
-        self.num_mus = scenario.num_mus
+        self.num_mus, self.num_aps = scenario.num_mus, scenario.num_aps
         by_width: dict = {}
         for ap in range(scenario.num_aps):
             members = np.flatnonzero(association == ap)
@@ -310,8 +318,8 @@ class _Stack:
         self.rows = sorted((mu, g, r) for g in self.groups for r, mu in enumerate(g.mus.tolist()))
 
     def evaluate(self):
-        """One synchronous evaluation: residual inf- and 2-norms, potential
-        and per-MU rates."""
+        """One synchronous evaluation: residual inf- and 2-norms, potential,
+        per-MU rates and per-AP potentials (0.0 at an empty AP)."""
         res_inf = 0.0
         blocks = []  # (AP, squared residual, potential)
         rates = np.empty(self.num_mus)
@@ -322,18 +330,23 @@ class _Stack:
             block_sq = [float(s2[lo:hi].sum()) for lo, hi in g.bounds]
             blocks += zip(g.ids, block_sq, block_pot.tolist())
         sq = potential = 0.0
-        for _, sq_b, pot_b in sorted(blocks):
+        ap_potential = np.zeros(self.num_aps)
+        for ap, sq_b, pot_b in sorted(blocks):
             sq += sq_b
             potential += pot_b
-        return res_inf, math.sqrt(sq), potential, rates
+            ap_potential[ap] = pot_b
+        return res_inf, math.sqrt(sq), potential, rates, ap_potential
 
 
 def evaluate_profile(scenario, association, powers):
     """Batch metrics of one profile: (residual inf-norm, residual 2-norm,
-    system potential, sum rate, per-MU rates)."""
+    system potential, sum rate, per-MU rates, per-AP potentials). The system
+    potential adds the per-AP potentials in AP order."""
     association = np.asarray(association, dtype=np.intp)
-    res_inf, res_two, potential, rates = _Stack(scenario, association, powers).evaluate()
-    return res_inf, res_two, potential, float(rates.sum()), rates
+    res_inf, res_two, potential, rates, ap_potential = _Stack(
+        scenario, association, powers
+    ).evaluate()
+    return res_inf, res_two, potential, float(rates.sum()), rates, ap_potential
 
 
 def _prepare(scenario, association, initial_powers) -> _Stack:
@@ -354,7 +367,7 @@ def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopRes
     converged = False
     t = 0
     while True:
-        res_inf, res_two, potential, rates = stack.evaluate()
+        res_inf, res_two, potential, rates, _ = stack.evaluate()
         rows.append([potential, float(rates.sum()), res_inf, res_two, math.nan])
         if res_inf <= eps_wf:
             converged = True
@@ -382,6 +395,7 @@ def a_iwf(
     Raises RuntimeError if a step leaves the feasible set (a negative power
     or a budget exceeded by more than 1e-9); a convex combination of feasible
     points cannot, so this flags a faulty water-fill response."""
+    check_solver_settings("a_iwf", eps_wf, max_iters)
     stack = _prepare(scenario, association, initial_powers)
     return _iterate(stack, eps_wf, max_iters, _average_step(schedule or StepsizeSchedule()))
 
@@ -395,8 +409,33 @@ def s_iwf(
 ) -> InnerLoopResult:
     """Sequential iterative water-filling: MUs take exact water-fill steps in
     ascending index order; one iteration is one full round."""
+    check_solver_settings("s_iwf", eps_wf, max_iters)
     stack = _prepare(scenario, association, initial_powers)
     return _iterate(stack, eps_wf, max_iters, _sweep_step)
+
+
+def _distinct_blocks(scenario, associations: np.ndarray):
+    """The distinct (AP, member set) blocks of the rows of ``associations``,
+    as (width, -size, AP, member flags) int32 rows in ascending lexicographic
+    order, and the index of every (profile, AP)'s block, profile-major; an
+    empty AP is a block of size 0. Equal to ``np.unique`` of all the rows with
+    ``axis=0``, which sorts rows far more slowly than a 1-D ``np.unique`` of
+    the rows' packed (AP one-hot, member flags) bits."""
+    profiles, n = associations.shape
+    w = scenario.num_aps
+    member = (associations[:, None, :] == np.arange(w)[:, None]).reshape(-1, n)
+    one_hot = np.tile(np.eye(w, dtype=bool), (profiles, 1))
+    packed = np.packbits(np.concatenate([one_hot, member], axis=1), axis=1)
+    packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    ap, flags = first % w, member[first]
+    size = flags.sum(axis=1)
+    width = np.array([c.size for c in scenario.chan_idx])[ap]
+    order = np.lexsort(np.vstack([flags.T[::-1], ap, -size, width]))
+    keys = np.column_stack([width, -size, ap, flags])[order].astype(np.int32)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return keys, rank[inverse.reshape(-1)]
 
 
 def solve_profiles(
@@ -423,18 +462,11 @@ def solve_profiles(
     step = _average_step(schedule or StepsizeSchedule()) if solver == "a_iwf" else _sweep_step
     profiles, n = associations.shape
     w = scenario.num_aps
-    member = associations[:, None, :] == np.arange(w)[:, None]
-    # Distinct blocks as sorted (width, -size, AP, member flags) rows.
-    keys = np.empty((profiles, w, n + 3), dtype=np.int32)
-    keys[..., 0] = [c.size for c in scenario.chan_idx]
-    keys[..., 1] = -member.sum(axis=2)
-    keys[..., 2] = np.arange(w)
-    keys[..., 3:] = member
-    keys, inverse = np.unique(keys.reshape(-1, n + 3), axis=0, return_inverse=True)
+    keys, inverse = _distinct_blocks(scenario, associations)
     occupied = keys[:, 1] < 0
     count = int(occupied.sum())
     # Block of each (profile, AP); an empty AP points at entry ``count``.
-    block_of = np.where(occupied, np.cumsum(occupied) - 1, count)[inverse.reshape(-1)]
+    block_of = np.where(occupied, np.cumsum(occupied) - 1, count)[inverse]
     block_of = block_of.reshape(profiles, w)
     keys = keys[occupied]
     flags = keys[:, 3:].astype(bool)

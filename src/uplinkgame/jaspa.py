@@ -53,9 +53,10 @@ class JaspaConfig:
     broadcast. selection="best" replaces the uniform draw from the qualifying
     AP set with a deterministic pick of the highest-rate AP (the greedy
     variant used in oscillation regressions). The default schedule is the
-    safeguarded rule: jaspa's a_iwf solves hold a constant step per AP block
-    until the block's potential first falls, while si_jaspa's stay steps and
-    j_jaspa's coalition steps take its polynomial values.
+    safeguarded rule: an averaged step holds a constant 1/2 per (AP, member
+    set) block until the block's potential first falls, then takes the
+    polynomial values. The blocks are the AP blocks of jaspa's a_iwf solves,
+    the unchanged blocks of si_jaspa's stay steps and j_jaspa's coalitions.
     """
 
     memory_len: int = 10
@@ -165,9 +166,10 @@ class RunRecorder:
     detail: list = field(default_factory=list)
 
     def record(self, t, metrics, association, switch_count, powers, beta=None, stay_counts=None):
-        """metrics is evaluate_profile's (res_inf, res_two, potential,
-        sum_rate, per-MU rates); powers, beta and stay_counts are copied."""
-        res_inf, _, potential, total, rates = metrics
+        """metrics starts with evaluate_profile's (res_inf, res_two,
+        potential, sum_rate, per-MU rates); powers, beta and stay_counts are
+        copied."""
+        res_inf, _, potential, total, rates = metrics[:5]
         here = tuple(int(x) for x in association)
         self.rows.append(
             TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
@@ -420,6 +422,21 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     return _run_result("se_jaspa", scenario, config, log, assoc, powers, converged, len(log.rows))
 
 
+def _blocks(association, ap_potential, last: dict, fallen: set) -> dict:
+    """The (AP, member set) blocks of an evaluated profile, AP -> (members,
+    potential). Adds to ``fallen`` every block whose potential fell strictly
+    since ``last``, the previous evaluation's blocks, had the same members at
+    that AP."""
+    now = {}
+    for ap, pot in enumerate(ap_potential.tolist()):
+        members = tuple(np.flatnonzero(association == ap).tolist())
+        if members:
+            now[ap] = (members, pot)
+            if ap in last and last[ap][0] == members and pot < last[ap][1]:
+                fallen.add((ap, members))
+    return now
+
+
 def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Simultaneous variant without intermediate equilibria: every iteration
     each MU records a best reply (JASPA step-3 semantics), resamples its AP
@@ -429,14 +446,28 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     memory_len+1 iterations and the best-response residual is below eps_wf,
     and declared only once the profile verifies as stable under the
     connection costs in force, ``verify_jep`` with those costs (the joint
-    equilibrium test when costs are zero)."""
+    equilibrium test when costs are zero).
+
+    When an AP keeps the same member set from one profile to the next, every
+    member stays and targets its water-fill against the others, so the stay
+    steps are one averaged water-filling step on that (AP, member set) block.
+    Under the safeguarded schedule such a step is 1/2 until the block's
+    potential first falls in this run; every other stay step is
+    ``alpha(stay count)``."""
     _warn_short_memory(config, scenario.num_mus)
     costs, rngs, state, history, log = _start(scenario, config, random_powers=True)
     metrics = evaluate_profile(scenario, state.association, state.powers)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
+    fallen: set = set()
+    blocks = _blocks(state.association, metrics[5], {}, fallen)
     converged = False
     for body in range(config.max_outer):
         nxt, _, br_vecs = _reselect(scenario, state, costs, config, rngs)
+        held = {
+            ap: (ap, members) not in fallen
+            and np.array_equal(np.flatnonzero(nxt == ap), members)
+            for ap, (members, _) in blocks.items()
+        }
         new_powers = []
         for i in range(scenario.num_mus):
             target = br_vecs[int(nxt[i])][i]
@@ -445,13 +476,14 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 new_powers.append(target.copy())
             else:
                 state.stay_counts[i] += 1
-                alpha = config.schedule.alpha(int(state.stay_counts[i]))
+                alpha = config.schedule.block_alpha(int(state.stay_counts[i]), held[int(nxt[i])])
                 new_powers.append((1.0 - alpha) * np.asarray(state.powers[i]) + alpha * target)
         switch_count = int(np.sum(nxt != state.association))
         state.association = nxt
         state.powers = new_powers
         history.append(tuple(int(x) for x in nxt))
         metrics = evaluate_profile(scenario, state.association, state.powers)
+        blocks = _blocks(state.association, metrics[5], blocks, fallen)
         log.record(
             body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,

@@ -4,7 +4,10 @@ while APs remember the last power/interference profile of every coalition
 
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes
-clocked by the coalition's visit count.
+clocked by the coalition's visit count. Under the safeguarded schedule that
+recursion is a_iwf's safeguarded one on the coalition's block: the step is 1/2
+until the coalition's potential first falls between consecutive visits, then
+``alpha(visits)``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ class ApRecord:
     powers: dict  # mu -> power vector at the most recent visit
     interference: dict  # mu -> interference vector at the most recent visit
     visits: int
+    potential: float  # the coalition's block potential at the most recent visit
+    held: bool = True  # no fall of that potential between consecutive visits yet
 
 
 class ApMemory:
@@ -85,7 +90,8 @@ class ApMemory:
     def get(self, ap: int, coalition: tuple):
         return self.tables[ap].get(coalition)
 
-    def update(self, ap: int, coalition: tuple, powers: dict, interference: dict) -> None:
+    def update(self, ap: int, coalition: tuple, powers: dict, interference: dict,
+               potential: float) -> None:
         rec = self.tables[ap].get(coalition)
         if rec is None:
             self.entries += 1
@@ -94,17 +100,23 @@ class ApMemory:
                     f"AP memory exceeded {self.cap} coalition entries; raise "
                     "coalition_cap or reduce churn"
                 )
-            self.tables[ap][coalition] = ApRecord(powers, interference, 1)
+            self.tables[ap][coalition] = ApRecord(powers, interference, 1, potential)
         else:
             rec.powers = powers
             rec.interference = interference
             rec.visits += 1
+            rec.held &= potential >= rec.potential
+            rec.potential = potential
 
 
-def ap_memory_update(memory: ApMemory, ap: int, coalition, powers: dict, interference: dict) -> None:
-    """Overwrite the stored profiles for the coalition key and bump its visit
-    count."""
-    memory.update(int(ap), tuple(sorted(int(i) for i in coalition)), powers, interference)
+def ap_memory_update(memory: ApMemory, ap: int, coalition, powers: dict, interference: dict,
+                     potential: float) -> None:
+    """Overwrite the stored profiles and block potential for the coalition
+    key and bump its visit count; a potential strictly below the stored one
+    releases the coalition's hold."""
+    memory.update(
+        int(ap), tuple(sorted(int(i) for i in coalition)), powers, interference, float(potential)
+    )
 
 
 def ap_memory_summary(memory: ApMemory) -> dict:
@@ -126,11 +138,13 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     samples one remembered snapshot, moves to a uniformly chosen AP among
     those strictly beating the sampled rate (its sampled AP always included),
     and updates its power from the destination AP's stored coalition state
-    with a stepsize indexed by that coalition's visit count - or a uniform
-    random feasible vector for a never-seen coalition. Termination is
-    proposed when the association is constant over memory_len+1 iterations
-    and the best-response residual is below eps_wf, and declared only once
-    the profile verifies as a joint equilibrium."""
+    with a stepsize indexed by that coalition's visit count (1/2 under the
+    safeguarded schedule until the coalition's potential first falls between
+    consecutive visits) - or a uniform random feasible vector for a
+    never-seen coalition. Termination is proposed when the association is
+    constant over memory_len+1 iterations and the best-response residual is
+    below eps_wf, and declared only once the profile verifies as a joint
+    equilibrium."""
     n, w = scenario.num_mus, scenario.num_aps
     _warn_short_memory(config, n)
     rngs = per_mu_rngs(config.seed, n)
@@ -157,6 +171,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 members,
                 {int(i): powers[i] for i in members},
                 {int(i): interf[ap][i] for i in members},
+                metrics[5][ap],
             )
 
         sampled = [sample_mu_memory(memories[i], rngs[i]) for i in range(n)]
@@ -180,7 +195,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                     frac = rngs[i].dirichlet(np.ones(cols.size + 1))[: cols.size]
                     new_powers[i] = scenario.budget[i] * frac
                 continue
-            alpha = config.schedule.alpha(rec.visits)
+            alpha = config.schedule.block_alpha(rec.visits, rec.held)
             interf_rows = np.stack([rec.interference[i] for i in coalition])
             floors = (scenario.noise[cols] + interf_rows) / scenario.gain_sq[np.ix_(members, cols)]
             phi, _ = water_fill_batch(floors, scenario.budget[members])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uplinkgame import NetworkScenario, ScenarioGenParams, generate_scenario, water_fill
+from uplinkgame.inner import SAFEGUARD_ALPHA, evaluate_profile
 
 
 def make_scenario(n, w, k, seed=0):
@@ -54,18 +55,31 @@ def coalition_occurrences(detail, num_aps):
 
 def assert_coalition_replay(scenario, config, result):
     """Replay the averaged water-filling recursion along every coalition's
-    visit subsequence and demand bitwise equality with the recorded powers."""
-    checked = 0
+    visit subsequence and demand bitwise equality with the recorded powers.
+    The step from visit n is alpha(n), or SAFEGUARD_ALPHA under the
+    safeguarded rule until the coalition's potential (``evaluate_profile``'s
+    per-AP potential, the one j_jaspa reads) first falls strictly between
+    consecutive visits. Returns the number of (coalition, step) pairs checked
+    at the held and at the released step."""
+    safeguarded = config.schedule.rule == "safeguarded"
+    ap_potentials = [
+        evaluate_profile(scenario, rec.association, rec.powers)[5] for rec in result.detail
+    ]
+    checked = {True: 0, False: 0}
     for (ap, key), times in coalition_occurrences(result.detail, scenario.num_aps).items():
         if not key:
             continue
         cols = scenario.chan_idx[ap]
+        held = True
         for n, (t1, t2) in enumerate(zip(times, times[1:]), start=1):
+            if n > 1:
+                held &= ap_potentials[t1][ap] >= ap_potentials[times[n - 2]][ap]
             snap = result.detail[t1].powers
             base = np.zeros(cols.size)
             for j in key:
                 base += scenario.gain_sq[j, cols] * snap[j]
-            alpha = config.schedule.alpha(n)
+            held_step = safeguarded and held
+            alpha = SAFEGUARD_ALPHA if held_step else config.schedule.alpha(n)
             for i in key:
                 interf = base - scenario.gain_sq[i, cols] * snap[i]
                 phi = water_fill(
@@ -74,5 +88,6 @@ def assert_coalition_replay(scenario, config, result):
                 ).powers
                 expected = (1.0 - alpha) * snap[i] + alpha * phi
                 assert np.array_equal(expected, result.detail[t2].powers[i])
-                checked += 1
-    assert checked > 0
+            checked[held_step] += 1
+    assert sum(checked.values()) > 0
+    return checked[True], checked[False]

@@ -21,7 +21,7 @@ from uplinkgame import (
     water_fill,
     wf_operator,
 )
-from uplinkgame.game import all_rates
+from uplinkgame.game import all_rates, per_ap_potential
 from uplinkgame.inner import evaluate_profile
 
 from conftest import make_scenario, random_powers
@@ -175,6 +175,14 @@ def test_max_iters_reports_not_converged():
     assert result.iterations == 5
 
 
+@pytest.mark.parametrize("solver", [a_iwf, s_iwf])
+@pytest.mark.parametrize("eps_wf, max_iters", [(math.nan, 200), (-1e-8, 200), (1e-8, 0), (1e-8, -5)])
+def test_direct_solver_calls_validate_their_settings(solver, eps_wf, max_iters):
+    sc = make_scenario(4, 2, 8, seed=0)
+    with pytest.raises(ValidationError):
+        solver(sc, [0, 1, 0, 1], eps_wf=eps_wf, max_iters=max_iters)
+
+
 def test_multi_ap_inner_solves_each_cell():
     sc = make_scenario(4, 2, 6, seed=6)
     assoc = np.array([0, 1, 0, 1])
@@ -196,6 +204,18 @@ def test_safeguarded_schedule_values_and_validation():
     assert all(SAFEGUARDED.alpha(t) == paper.alpha(t) for t in range(1, 500))
     with pytest.raises(ValidationError):
         StepsizeSchedule(rule="safeguarded", exponent=0.4)
+
+
+def test_block_alpha_holds_half_only_under_the_safeguarded_rule():
+    paper = StepsizeSchedule()
+    held = np.array([True, False, True])
+    assert SAFEGUARDED.block_alpha(3, held).tolist() == [0.5, paper.alpha(3), 0.5]
+    assert paper.block_alpha(3, held).tolist() == [paper.alpha(3)] * 3
+    assert SAFEGUARDED.block_alpha(7, True) == inner_module.SAFEGUARD_ALPHA
+    assert SAFEGUARDED.block_alpha(7, False) == paper.alpha(7)
+    assert paper.block_alpha(7, True) == paper.alpha(7)
+    with pytest.raises(ValidationError):
+        SAFEGUARDED.block_alpha(0, True)
 
 
 def _first_drop(potential):
@@ -329,7 +349,7 @@ def test_evaluate_profile_matches_scalar_oracles(n, w, k, assoc):
     sc = make_scenario(n, w, k, seed=12)
     assoc = np.asarray(assoc)
     powers = random_powers(sc, assoc, np.random.default_rng(n + w + k), slack=True)
-    res_inf, res_two, potential, total, rates = evaluate_profile(sc, assoc, powers)
+    res_inf, res_two, potential, total, rates, ap_pot = evaluate_profile(sc, assoc, powers)
     want_inf, want_two = residual_norms(residual(sc, assoc, powers))
     close = dict(rel=1e-12, abs=1e-12)
     assert res_inf == pytest.approx(want_inf, **close)
@@ -337,6 +357,9 @@ def test_evaluate_profile_matches_scalar_oracles(n, w, k, assoc):
     assert potential == pytest.approx(system_potential(sc, assoc, powers), **close)
     assert total == pytest.approx(sum_rate(sc, assoc, powers), **close)
     np.testing.assert_allclose(rates, all_rates(sc, assoc, powers), rtol=1e-12, atol=1e-12)
+    want_ap = [per_ap_potential(sc, assoc, powers, ap) for ap in range(w)]
+    np.testing.assert_allclose(ap_pot, want_ap, rtol=1e-12, atol=1e-12)
+    assert sum(ap_pot.tolist()) == potential  # AP order, from 0.0
 
 
 def _count_water_fills(monkeypatch):

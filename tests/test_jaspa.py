@@ -5,6 +5,7 @@ import pytest
 
 from uplinkgame import (
     JaspaConfig,
+    StepsizeSchedule,
     ValidationError,
     a_iwf,
     game,
@@ -12,13 +13,16 @@ from uplinkgame import (
     jaspa,
     se_jaspa,
     si_jaspa,
+    uniform_powers,
     update_beta,
     verify_jep,
     verify_power_ne,
     waterfill,
     wf_operator,
 )
+from uplinkgame.inner import SAFEGUARD_ALPHA, evaluate_profile
 from uplinkgame.jaspa import new_state, sample_association
+from uplinkgame.waterfill import best_reply_table
 
 from conftest import footnote_network, make_scenario
 
@@ -250,22 +254,65 @@ def test_si_duration_bookkeeping():
                 assert cur.stay_counts[i] == prev.stay_counts[i] + 1
 
 
-def test_si_single_ap_reduces_to_a_iwf():
-    sc = make_scenario(3, 1, 4, seed=7)
-    assoc = np.zeros(3, dtype=int)
-    from uplinkgame import uniform_powers
-
+def _si_and_a_iwf_at_one_ap(si_schedule, a_iwf_schedule, n=3, k=4, seed=7, steps=12):
+    sc = make_scenario(n, 1, k, seed=seed)
+    assoc = np.zeros(n, dtype=int)
     p0 = uniform_powers(sc, assoc)
-    steps = 12
-    ref = a_iwf(sc, assoc, eps_wf=0.0, max_iters=steps, initial_powers=p0)
+    ref = a_iwf(sc, assoc, schedule=a_iwf_schedule, eps_wf=0.0, max_iters=steps, initial_powers=p0)
     cfg = JaspaConfig(
-        memory_len=3, seed=1, max_outer=steps, eps_wf=0.0,
+        memory_len=n, seed=1, max_outer=steps, eps_wf=0.0, schedule=si_schedule,
         initial_association=assoc, initial_powers=p0,
     )
-    run = si_jaspa(sc, cfg)
-    final = run.detail[-1].powers
+    return si_jaspa(sc, cfg).detail[-1].powers, ref
+
+
+def test_si_single_ap_reduces_to_a_iwf():
+    # The paper's rule on both sides: every stay step is alpha(stay count).
+    final, ref = _si_and_a_iwf_at_one_ap(StepsizeSchedule(), StepsizeSchedule())
     for i in range(3):
         np.testing.assert_allclose(final[i], ref.powers[i], atol=1e-12)
+
+
+def test_si_single_ap_reduces_to_safeguarded_a_iwf():
+    # One AP keeps one block, so si_jaspa's default stay steps are a_iwf's
+    # safeguarded ones. Here a_iwf's potential first falls at evaluation 77,
+    # by 2.8e-17: a rounding-level fall, which si_jaspa's differently summed
+    # interference meets at another evaluation. So the two agree while both
+    # hold 1/2, through step 77; the block replay below covers the release.
+    final, ref = _si_and_a_iwf_at_one_ap(
+        JaspaConfig().schedule, StepsizeSchedule(rule="safeguarded"), n=10, k=16, seed=0, steps=77
+    )
+    assert np.all(ref.trace.alpha[:-1] == SAFEGUARD_ALPHA)
+    for i in range(10):
+        np.testing.assert_allclose(final[i], ref.powers[i], atol=1e-12)
+
+
+def test_si_unchanged_blocks_replay_the_safeguarded_step():
+    # Whenever an AP keeps its member set, each member moves alpha of the way
+    # to its best reply, alpha = 1/2 until that block's potential has fallen
+    # strictly between consecutive evaluations, else alpha(stay count). This
+    # run takes 148 held and 22 released block steps.
+    sc = make_scenario(8, 2, 16, seed=2)
+    run = si_jaspa(sc, JaspaConfig(memory_len=8, seed=2))
+    assert run.converged
+    fallen, steps = set(), {True: 0, False: 0}
+    for prev, cur in zip(run.detail, run.detail[1:]):
+        before = evaluate_profile(sc, prev.association, prev.powers)[5]
+        after = evaluate_profile(sc, cur.association, cur.powers)[5]
+        _, br_vecs = best_reply_table(sc, np.asarray(prev.association), prev.powers)
+        for ap in range(sc.num_aps):
+            members = tuple(i for i, a in enumerate(prev.association) if a == ap)
+            if not members or members != tuple(i for i, a in enumerate(cur.association) if a == ap):
+                continue
+            held = (ap, members) not in fallen
+            for i in members:
+                alpha = SAFEGUARD_ALPHA if held else StepsizeSchedule().alpha(cur.stay_counts[i])
+                want = (1.0 - alpha) * prev.powers[i] + alpha * br_vecs[ap][i]
+                assert np.array_equal(cur.powers[i], want)
+            steps[held] += 1
+            if after[ap] < before[ap]:
+                fallen.add((ap, members))
+    assert steps[True] > 0 and steps[False] > 0
 
 
 def test_si_seeded_runs_reach_equilibria():

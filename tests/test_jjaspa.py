@@ -5,6 +5,7 @@ import uplinkgame.jjaspa as jjaspa_module
 from uplinkgame import (
     JaspaConfig,
     ResourceError,
+    StepsizeSchedule,
     j_jaspa,
     sample_mu_memory,
     water_fill,
@@ -26,20 +27,32 @@ def base_config(**kw):
 
 def test_ap_memory_first_visit_and_revisit():
     mem = ApMemory(num_aps=2, cap=100)
-    ap_memory_update(mem, 0, (1, 3), {1: np.array([0.5]), 3: np.array([0.2])}, {1: np.zeros(1), 3: np.zeros(1)})
+    ap_memory_update(mem, 0, (1, 3), {1: np.array([0.5]), 3: np.array([0.2])}, {1: np.zeros(1), 3: np.zeros(1)}, 0.0)
     rec = mem.get(0, (1, 3))
     assert rec.visits == 1
     np.testing.assert_allclose(rec.powers[1], [0.5])
-    ap_memory_update(mem, 0, (3, 1), {1: np.array([0.9]), 3: np.array([0.1])}, {1: np.zeros(1), 3: np.zeros(1)})
+    ap_memory_update(mem, 0, (3, 1), {1: np.array([0.9]), 3: np.array([0.1])}, {1: np.zeros(1), 3: np.zeros(1)}, 0.0)
     rec = mem.get(0, (1, 3))  # keys are canonical sorted tuples
     assert rec.visits == 2
     np.testing.assert_allclose(rec.powers[1], [0.9])
 
 
+def test_ap_memory_holds_a_coalition_until_its_potential_first_falls():
+    mem = ApMemory(num_aps=1, cap=100)
+    powers, interf = {0: np.zeros(1)}, {0: np.zeros(1)}
+    held = []
+    for potential in (0.5, 0.5, 0.7, 0.6, 0.9):
+        ap_memory_update(mem, 0, (0,), powers, interf, potential)
+        held.append(mem.get(0, (0,)).held)
+    # Equal potentials keep the hold; the first strict fall ends it for good.
+    assert held == [True, True, True, False, False]
+    assert mem.get(0, (0,)).potential == 0.9
+
+
 def test_ap_memory_coalitions_are_independent():
     mem = ApMemory(num_aps=1, cap=100)
-    ap_memory_update(mem, 0, (0,), {0: np.array([1.0])}, {0: np.zeros(1)})
-    ap_memory_update(mem, 0, (0, 1), {0: np.array([0.3]), 1: np.array([0.7])}, {0: np.zeros(1), 1: np.zeros(1)})
+    ap_memory_update(mem, 0, (0,), {0: np.array([1.0])}, {0: np.zeros(1)}, 0.0)
+    ap_memory_update(mem, 0, (0, 1), {0: np.array([0.3]), 1: np.array([0.7])}, {0: np.zeros(1), 1: np.zeros(1)}, 0.0)
     assert mem.get(0, (0,)).visits == 1
     assert mem.get(0, (0, 1)).visits == 1
     summary = ap_memory_summary(mem)
@@ -48,10 +61,10 @@ def test_ap_memory_coalitions_are_independent():
 
 def test_ap_memory_cap_is_enforced():
     mem = ApMemory(num_aps=1, cap=2)
-    ap_memory_update(mem, 0, (0,), {0: np.zeros(1)}, {0: np.zeros(1)})
-    ap_memory_update(mem, 0, (1,), {1: np.zeros(1)}, {1: np.zeros(1)})
+    ap_memory_update(mem, 0, (0,), {0: np.zeros(1)}, {0: np.zeros(1)}, 0.0)
+    ap_memory_update(mem, 0, (1,), {1: np.zeros(1)}, {1: np.zeros(1)}, 0.0)
     with pytest.raises(ResourceError):
-        ap_memory_update(mem, 0, (0, 1), {0: np.zeros(1), 1: np.zeros(1)}, {0: np.zeros(1), 1: np.zeros(1)})
+        ap_memory_update(mem, 0, (0, 1), {0: np.zeros(1), 1: np.zeros(1)}, {0: np.zeros(1), 1: np.zeros(1)}, 0.0)
 
 
 def test_singleton_memory_sample_is_forced():
@@ -127,11 +140,22 @@ def test_unseen_coalition_powers_are_random_feasible():
 
 def test_coalition_subsequences_replay_averaged_water_filling():
     # Restricted to one coalition's visits, the power updates must follow the
-    # averaged recursion with the visit-count stepsize clock, bit for bit.
-    sc = make_scenario(4, 2, 4, seed=11)
-    cfg = base_config(seed=7)
-    result = j_jaspa(sc, cfg)
-    assert_coalition_replay(sc, cfg, result)
+    # averaged recursion with the visit-count stepsize clock, bit for bit:
+    # under the paper's rule alpha(visits) throughout; under the default 1/2
+    # until the coalition's potential first falls, then alpha(visits). The
+    # second run releases coalitions under the default, so both steps replay.
+    runs = [((4, 2, 4, 11), dict(seed=7)), ((5, 2, 8, 2), dict(memory_len=5, seed=2))]
+    default_steps = np.zeros(2, dtype=int)
+    for (n, w, k, scenario_seed), kw in runs:
+        sc = make_scenario(n, w, k, seed=scenario_seed)
+        for schedule in (StepsizeSchedule(), JaspaConfig().schedule):
+            cfg = base_config(schedule=schedule, **kw)
+            held, released = assert_coalition_replay(sc, cfg, j_jaspa(sc, cfg))
+            if schedule.rule == "polynomial":
+                assert held == 0 and released > 0
+            else:
+                default_steps += (held, released)
+    assert np.all(default_steps > 0)
 
 
 def test_residual_decays_along_dominant_association():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import uplinkgame as ug
 from uplinkgame import JaspaConfig, StepsizeSchedule, jaspa, load_scenario
 from uplinkgame.cli import main
 from uplinkgame.trace import TraceRow, read_trace, write_trace
@@ -242,6 +243,31 @@ def test_jaspa_defaults_to_the_safeguarded_schedule(tmp_path, scenario_file):
         runs[flags] = result
     # The default writes fewer inner rows than the paper's rule.
     assert len(runs[()].rows) < len(runs[("--schedule", "polynomial")].rows)
+
+
+@pytest.mark.parametrize("algo", ["si_jaspa", "j_jaspa"])
+def test_simultaneous_dynamics_default_to_the_safeguarded_schedule(tmp_path, scenario_file, algo):
+    sc = load_scenario(scenario_file)
+    configs = {
+        (): JaspaConfig(memory_len=4, seed=2),
+        ("--schedule", "polynomial"): JaspaConfig(memory_len=4, seed=2, schedule=StepsizeSchedule()),
+    }
+    rows = {}
+    for flags, config in configs.items():
+        trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        assert run_cli(
+            "run", "--algo", algo, "--scenario", scenario_file, "--m", 4, "--seed", 2,
+            "--out-trace", trace, "--out-summary", summary, *flags,
+        ) == 0
+        doc = json.loads(summary.read_text())
+        assert doc["converged"] and doc["jep"]["is_equilibrium"]
+        result = getattr(ug, algo)(sc, config)
+        assert doc["final_sum_rate"] == result.rows[-1].sum_rate
+        assert doc["outer_iterations"] == result.outer_iterations
+        rows[flags] = read_trace(trace)
+        assert rows[flags] == result.rows
+    # The default writes fewer rows than the paper's rule.
+    assert len(rows[()]) < len(rows[("--schedule", "polynomial")])
 
 
 @pytest.mark.parametrize("schedule", ["safeguarded", "polynomial"])
