@@ -6,31 +6,40 @@ exact responses one MU at a time. Both stop when the
 best-response residual drops below ``eps_wf`` in inf-norm.
 
 APs own disjoint channel blocks, so a profile's power game is a set of
-independent blocks, one per (AP, member set). The solvers run on stacked
-rows: each block member is a row of one matrix per block width
-(``partition_channels`` yields at most two), rows ordered by block, then MU
-index, blocks largest first. A stack holds one profile's blocks
-(``a_iwf``, ``s_iwf``, ``evaluate_profile``) or the distinct blocks of many
-profiles (``solve_profiles``, where an MU has a row in each of its blocks).
-An evaluation makes one ``G*P``, one water-fill call, one residual and one
-set of ``log2``s per width. An s_iwf round makes one water-fill call per
-member slot: the j-th member of every block moves at once, which equals
-stepping MU by MU because blocks are independent and a block's members move
-in ascending MU order.
+independent blocks, one per (AP, member set). The solvers run on one padded
+layout of stacked rows, whatever the blocks' widths (``partition_channels``
+yields at most two): each block member is a row of one (rows, C) matrix, C
+the widest block's width, rows ordered by block, then MU index, blocks
+largest first. A narrower block's pad channels have gain 1.0, power 0.0 and
+noise +inf, so their totals and water-fill floors are +inf, which
+``water_fill_batch`` reads as absent channels (power 0.0) without moving a
+bit of the real ones. A stack holds one profile's blocks (``a_iwf``,
+``s_iwf``, ``evaluate_profile``) or the distinct blocks of many profiles
+(``solve_profiles``, where an MU has a row in each of its blocks). An
+evaluation makes one ``G*P``, one water-fill call, one residual and one set
+of ``log2``s. An s_iwf round runs on ``Z``, the (block, member slot,
+channel) scatter of ``G*P``: because blocks come largest first, slot j of
+every block with more than j members is the basic slice ``Z[:nb, j]``, and
+one water-fill call moves it. Moving the j-th member of every block at once
+equals stepping MU by MU, because blocks are independent and a block's
+members move in ascending MU order.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
 because every sum keeps numpy's per-block order:
-- block totals are ``noise + Z.sum(axis=1)``, ``Z`` the zero-padded (blocks,
-  members, width) scatter of ``G*P``: a sequential member-order sum, where
-  trailing zeros add exactly. A lone block needs no ``Z``, and width-1 blocks
-  are summed block by block: numpy sums an (m, 1) column pairwise, and padding
-  would move its bits;
-- a profile's squared residual sums each block's contiguous slice, and its
-  potential adds the block potentials in AP order, from 0.0 (an empty AP
-  adds 0.0, which is exact);
-- rates are row sums over each MU's own block columns, and a profile's sum
-  rate sums its N MU rates in MU order (a row sum of a (profiles, N) gather
-  has the bits of the 1-D sum);
+- block totals are ``noise + Z.sum(axis=1)``: a sequential member-order sum,
+  where the zero rows of pad members add exactly (a lone block's ``Z`` holds
+  just its rows, so this is its slice sum). Width-1 blocks are summed block
+  by block: numpy sums an (m, 1) column pairwise, and padding would move its
+  bits;
+- every channel-axis sum runs over each block's own width: block
+  potentials, rates, squared residuals and the budget check of a_iwf's
+  step. numpy's pairwise row sum regroups when a row's length changes, so a
+  sum over the pad columns would move bits;
+- a profile's squared residual sums each block's contiguous (members, width)
+  slice, and its potential adds the block potentials in AP order, from 0.0
+  (an empty AP adds 0.0, which is exact);
+- a profile's sum rate sums its N MU rates in MU order (a row sum of a
+  (profiles, N) gather has the bits of the 1-D sum);
 - a block's safeguarded step reads only that block's own potentials, and
   a per-AP potential of ``evaluate_profile`` is its block's own potential.
 """
@@ -161,60 +170,102 @@ class InnerDiagnostics:
     stepsize_weighted_residual: float
 
 
-class _Group:
-    """Stacked rows of independent AP blocks that share one channel width.
+class _Blocks:
+    """Independent AP blocks of any channel widths in one padded layout.
 
     A block is the power game of one (AP, member set): the blocks of one
     profile's APs, or the distinct blocks of many profiles, where an MU has a
-    row in every block it belongs to. ``cols`` holds each block's channel
-    columns, largest block first; ``block`` and ``mus`` name each row's block
-    and MU, rows sorted by block, then MU index; ``pmat`` holds the rows'
-    powers. ``ids`` and ``rows`` are the caller's labels for the blocks and
-    the rows. Per block, ``potential`` is the last evaluation's potential and
-    ``held`` stays True until a potential falls below the previous one."""
+    row in every block it belongs to. Blocks come largest first, ``aps``
+    naming each block's AP; ``block`` and ``mus`` name each row's block and
+    MU, rows sorted by block, then MU index. Every block's channels are padded
+    out to the widest block's width C: ``pmat`` (rows, C) holds the rows'
+    powers, 0.0 on the pads (the caller's array may have more zero columns).
+    A pad channel has gain 1.0 and noise +inf, so its total and its floor are
+    +inf and its water-fill power is 0.0. ``ids`` and ``rows`` are the
+    caller's labels for the blocks and the rows. Per block, ``potential`` is
+    the last evaluation's potential and ``held`` stays True until a potential
+    falls below the previous one."""
 
-    def __init__(self, scenario, cols, block, mus, pmat, ids, rows):
-        self.scenario, self.cols = scenario, cols
-        self.block, self.mus, self.pmat, self.ids, self.rows = block, mus, pmat, ids, rows
+    def __init__(self, scenario, aps, block, mus, pmat, ids, rows):
+        widths = [cols.size for cols in scenario.chan_idx]
+        table = np.zeros((len(widths), max(widths)), dtype=np.intp)
+        for ap, cols in enumerate(scenario.chan_idx):
+            table[ap, : cols.size] = cols
+        self.scenario, self.aps, self.width = scenario, aps, np.array(widths)[aps]
+        self.block, self.mus, self.ids, self.rows = block, mus, ids, rows
+        self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
+        c, narrowest = self.widths[-1], self.widths[0]
+        self.mixed = narrowest < c  # blocks of more than one width: pad channels
+        cols = table[aps, :c]
+        self.pmat = np.ascontiguousarray(pmat[:, :c])
         self.num_channels = scenario.num_channels
-        self.sizes = np.bincount(block, minlength=len(cols))
+        self.sizes = np.bincount(block, minlength=aps.size)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
         self.gain = scenario.gain_sq[mus[:, None], cols[block]]
         self.noise = scenario.noise[cols]
+        if self.mixed:
+            pad = np.arange(c) >= self.width[:, None]
+            self.gain[pad[block]] = 1.0
+            self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
-        self.lone = len(cols) == 1
-        wide = not self.lone and cols.shape[1] > 1
-        self.z = np.zeros((len(cols), self.sizes[0], cols.shape[1])) if wide else None
-        self.potential = np.full(len(cols), -np.inf)
-        self.held = np.ones(len(cols), dtype=bool)
+        # Z: the (block, member slot, channel) scatter of G*P, zero-padded.
+        self.z = np.zeros((aps.size, self.sizes[0], c))
+        # (block, size) of each width-1 block, in block order.
+        self.singles = []
+        if narrowest == 1:
+            self.singles = [(b, int(self.sizes[b])) for b in np.flatnonzero(self.width == 1)]
+        self.potential = np.full(aps.size, -np.inf)
+        self.held = np.ones(aps.size, dtype=bool)
 
     @cached_property
-    def bounds(self) -> list:
-        """Each block's row range (start, end)."""
-        return list(zip(self.starts.tolist(), (self.starts + self.sizes).tolist()))
+    def parts(self) -> list:
+        """Per channel width w, narrowest first: (w, its blocks, its rows,
+        (block, start, end) of each of its blocks' rows within its rows);
+        slices, not index arrays, when every block has width w."""
+        out = []
+        for w in self.widths:
+            blocks = rows = slice(None)
+            if self.mixed:
+                blocks = np.flatnonzero(self.width == w)
+                rows = np.flatnonzero(self.width[self.block] == w)
+            sizes = self.sizes[blocks]
+            ends = np.cumsum(sizes)
+            ids = np.arange(self.width.size)[blocks].tolist()
+            bounds = list(zip(ids, (ends - sizes).tolist(), ends.tolist()))
+            out.append((w, blocks, rows, bounds))
+        return out
 
     @cached_property
     def slots(self) -> list:
-        """Member slot j as (rows, nb): the j-th rows of the first ``nb``
-        blocks, all blocks with more than j members."""
-        out = []
-        for j in range(int(self.sizes[0])):
-            nb = int(np.count_nonzero(self.sizes > j))
-            out.append((slice(j, j + 1) if nb == 1 else self.starts[:nb] + j, nb))
-        return out
+        """Per member slot j, the number of blocks with more than j members:
+        the first ones, since blocks come largest first."""
+        return [int(np.count_nonzero(self.sizes > j)) for j in range(int(self.sizes[0]))]
 
-    def totals(self, gp, nb=None):
-        """Received totals, noise plus every member's ``gp`` row, of the first
-        ``nb`` blocks (default all), one row each; ``Z`` must hold ``gp``."""
-        if self.lone:
-            return self.noise + gp.sum(axis=0)
-        if self.z is None:
-            sums = [gp[lo:hi].sum(axis=0) for lo, hi in self.bounds[:nb]]
-            return self.noise[:nb] + np.stack(sums)
-        return self.noise[:nb] + self.z[:nb].sum(axis=1)
+    @cached_property
+    def padded(self):
+        """The rows' gains (1.0 on pads) and budgets in Z's layout, and a
+        power array of that layout for s_iwf's round."""
+        shape = self.z.shape
+        gain = np.ones(shape)
+        gain[self.block, self.slot] = self.gain
+        budgets = np.zeros(shape[:2])
+        budgets[self.block, self.slot] = self.budgets
+        return gain, budgets, np.zeros(shape)
+
+    def totals(self, nb=None):
+        """Received totals, noise plus every member's ``G*P`` row, of the
+        first ``nb`` blocks (default all), one row each, from ``Z``. A
+        width-1 block sums its own (members, 1) column: numpy sums a column
+        pairwise, so the padded member-order sum would move its bits."""
+        tot = self.noise[:nb] + self.z[:nb].sum(axis=1)
+        for b, m in self.singles:
+            if nb is not None and b >= nb:
+                break
+            tot[b, :1] = self.noise[b, :1] + self.z[b, :m, :1].sum(axis=0)
+        return tot
 
     def evaluate(self):
         """One synchronous evaluation: per block the potential, per row the
@@ -222,120 +273,139 @@ class _Group:
         potentials, and releases every held block whose potential fell."""
         k = self.num_channels
         gp = self.gain * self.pmat
-        if self.z is not None:
-            self.z[self.block, self.slot] = gp
-        tot = self.totals(gp)
+        self.z[self.block, self.slot] = gp
+        tot = self.totals()
         others = tot[self.block] - gp
         phi, _ = water_fill_batch(others / self.gain, self.budgets)
         self.residual = phi - self.pmat
         log_tot = np.log2(tot)
-        potential = (log_tot - self.log_noise).sum(axis=1) / k
-        rates = (log_tot[self.block] - np.log2(others)).sum(axis=1) / k
+        if not self.mixed:  # no pad channels
+            potential = (log_tot - self.log_noise).sum(axis=1) / k
+            rates = (log_tot[self.block] - np.log2(others)).sum(axis=1) / k
+        else:  # channel sums over each block's own width
+            potential, rates = np.empty(self.width.size), np.empty(self.mus.size)
+            for w, blocks, rows, _ in self.parts:
+                own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
+                potential[blocks] = own.sum(axis=1) / k
+                own = log_tot[self.block[rows], :w] - np.log2(others[rows, :w])
+                rates[rows] = own.sum(axis=1) / k
         self.held &= potential >= self.potential
         self.potential = potential
         return potential, rates
+
+    def squared_residuals(self) -> list:
+        """Each block's squared residual, summed over its (members, width)
+        slice of the last evaluation's residual rows."""
+        out = [0.0] * self.width.size
+        for w, _, rows, bounds in self.parts:
+            r = self.residual[rows, :w]
+            s2 = r * r
+            for b, lo, hi in bounds:
+                out[b] = float(s2[lo:hi].sum())
+        return out
 
     def average(self, alpha, t):
         """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
         Raises RuntimeError if that leaves the feasible set."""
         self.pmat += alpha[:, None] * self.residual
-        if not (np.all(self.pmat >= 0.0) and np.all(self.pmat.sum(axis=1) <= self.limits)):
+        if not self.mixed:
+            within = (self.pmat.sum(axis=1) <= self.limits).all()
+        else:  # budget sums over each row's own width
+            within = all(
+                (self.pmat[rows, :w].sum(axis=1) <= self.limits[rows]).all()
+                for w, _, rows, _ in self.parts
+            )
+        if not ((self.pmat >= 0.0).all() and within):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
     def sweep(self):
         """s_iwf's round: for slot j = 0, 1, ..., the j-th member of every
-        block takes its exact water-fill response, in one call. A block's
-        members move in ascending MU order and blocks are independent, so
-        this equals stepping MU by MU."""
-        gp = self.gain * self.pmat
-        if self.z is not None:
-            self.z[self.block, self.slot] = gp
-        for j, (rows, nb) in enumerate(self.slots):
-            floors = (self.totals(gp, nb) - gp[rows]) / self.gain[rows]
-            phi, _ = water_fill_batch(floors, self.budgets[rows])
-            self.pmat[rows] = phi
-            gp[rows] = self.gain[rows] * phi
-            if self.z is not None:
-                self.z[:nb, j] = gp[rows]
+        block takes its exact water-fill response, in one call on the slice
+        ``[:nb, j]`` of the padded layout. A block's members move in ascending
+        MU order and blocks are independent, so this equals stepping MU by
+        MU."""
+        gain, budgets, powers = self.padded
+        self.z[self.block, self.slot] = self.gain * self.pmat
+        for j, nb in enumerate(self.slots):
+            g = gain[:nb, j]
+            phi, _ = water_fill_batch((self.totals(nb) - self.z[:nb, j]) / g, budgets[:nb, j])
+            powers[:nb, j] = phi
+            np.multiply(g, phi, out=self.z[:nb, j])
+        self.pmat = powers[self.block, self.slot]
 
     def subset(self, keep):
         """The blocks where ``keep`` holds, in order, with their rows' powers
         and residuals and their potentials and held flags."""
         rows = keep[self.block]
         block = (np.cumsum(keep) - 1)[self.block[rows]]
-        sub = _Group(
-            self.scenario, self.cols[keep], block, self.mus[rows], self.pmat[rows],
+        sub = _Blocks(
+            self.scenario, self.aps[keep], block, self.mus[rows], self.pmat[rows],
             self.ids[keep], self.rows[rows],
         )
-        sub.residual = self.residual[rows]
+        sub.residual = self.residual[rows, : sub.pmat.shape[1]]
         sub.potential, sub.held = self.potential[keep], self.held[keep]
         return sub
 
 
 def _average_step(schedule: StepsizeSchedule):
-    """a_iwf's iteration t on every group; returns the largest stepsize
+    """a_iwf's iteration t on every block; returns the largest stepsize
     applied. Each block steps ``schedule.block_alpha(t, held)``."""
 
-    def step(t, groups):
-        top = 0.0
-        for g in groups:
-            block_alpha = schedule.block_alpha(t, g.held)
-            g.average(block_alpha[g.block], t)
-            top = max(top, *block_alpha.tolist())
-        return top
+    def step(t, blocks):
+        block_alpha = schedule.block_alpha(t, blocks.held)
+        blocks.average(block_alpha[blocks.block], t)
+        return max(block_alpha.tolist())
 
     return step
 
 
-def _sweep_step(t, groups):
-    """s_iwf's round on every group; an exact step has no stepsize (nan)."""
-    for g in groups:
-        g.sweep()
+def _sweep_step(t, blocks):
+    """s_iwf's round on every block; an exact step has no stepsize (nan)."""
+    blocks.sweep()
     return math.nan
 
 
 class _Stack:
     """Stacked-row state of one association profile: its nonempty AP blocks,
-    one _Group per block width, narrowest first, largest block first within."""
+    largest first (then by AP), in one _Blocks."""
 
     def __init__(self, scenario, association, powers):
         self.num_mus, self.num_aps = scenario.num_mus, scenario.num_aps
-        by_width: dict = {}
+        found = []
         for ap in range(scenario.num_aps):
             members = np.flatnonzero(association == ap)
             if members.size:
-                block = (-members.size, ap, members)
-                by_width.setdefault(scenario.chan_idx[ap].size, []).append(block)
-        self.groups = []
-        for w in sorted(by_width):
-            _, aps, members = zip(*sorted(by_width[w], key=lambda b: b[:2]))
-            cols = np.stack([scenario.chan_idx[ap] for ap in aps])
-            mus = np.concatenate(members)
-            block = np.repeat(np.arange(len(aps)), [m.size for m in members])
-            pmat = np.array([powers[i] for i in mus], dtype=float)
-            self.groups.append(_Group(scenario, cols, block, mus, pmat, aps, mus))
-        # (MU, group, row) in ascending MU order.
-        self.rows = sorted((mu, g, r) for g in self.groups for r, mu in enumerate(g.mus.tolist()))
+                found.append((-members.size, ap, members))
+        _, aps, members = zip(*sorted(found, key=lambda b: b[:2]))
+        aps, mus = np.array(aps), np.concatenate(members)
+        block = np.repeat(np.arange(aps.size), [m.size for m in members])
+        pmat = np.zeros((mus.size, max(len(powers[i]) for i in mus.tolist())))
+        for r, i in enumerate(mus.tolist()):
+            pmat[r, : len(powers[i])] = powers[i]
+        self.blocks = _Blocks(scenario, aps, block, mus, pmat, aps, mus)
 
     def evaluate(self):
         """One synchronous evaluation: residual inf- and 2-norms, potential,
         per-MU rates and per-AP potentials (0.0 at an empty AP)."""
-        res_inf = 0.0
-        blocks = []  # (AP, squared residual, potential)
+        b = self.blocks
+        block_pot, row_rates = b.evaluate()
         rates = np.empty(self.num_mus)
-        for g in self.groups:
-            block_pot, rates[g.mus] = g.evaluate()
-            res_inf = max(res_inf, float(np.max(np.abs(g.residual))))
-            s2 = g.residual * g.residual
-            block_sq = [float(s2[lo:hi].sum()) for lo, hi in g.bounds]
-            blocks += zip(g.ids, block_sq, block_pot.tolist())
+        rates[b.mus] = row_rates
+        res_inf = float(np.abs(b.residual).max())  # NaN stays NaN: never converged
         sq = potential = 0.0
         ap_potential = np.zeros(self.num_aps)
-        for ap, sq_b, pot_b in sorted(blocks):
+        blocks = sorted(zip(b.ids.tolist(), b.squared_residuals(), block_pot.tolist()))
+        for ap, sq_b, pot_b in blocks:
             sq += sq_b
             potential += pot_b
             ap_potential[ap] = pot_b
         return res_inf, math.sqrt(sq), potential, rates, ap_potential
+
+    def powers(self) -> list:
+        """Each MU's power vector over its own block's channels, in MU order."""
+        b = self.blocks
+        width = b.width[b.block]
+        return [b.pmat[r, : width[r]].copy() for r in np.argsort(b.mus).tolist()]
 
 
 def evaluate_profile(scenario, association, powers):
@@ -361,7 +431,7 @@ def _prepare(scenario, association, initial_powers) -> _Stack:
 
 def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopResult:
     """Evaluate and record a trace row; stop at ``eps_wf`` or ``max_iters``,
-    else call ``step(t, groups)``, which updates the powers and returns the
+    else call ``step(t, blocks)``, which updates the powers and returns the
     stepsize it applied (nan for exact steps)."""
     rows = []
     converged = False
@@ -375,10 +445,9 @@ def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopRes
         if t >= max_iters:
             break
         t += 1
-        rows[-1][4] = step(t, stack.groups)
+        rows[-1][4] = step(t, stack.blocks)
     trace = InnerTrace(*(np.asarray(col) for col in zip(*rows)))
-    powers = [g.pmat[r].copy() for _, g, r in stack.rows]
-    return InnerLoopResult(powers, t, converged, trace)
+    return InnerLoopResult(stack.powers(), t, converged, trace)
 
 
 def a_iwf(
@@ -468,18 +537,20 @@ def solve_profiles(
     # Block of each (profile, AP); an empty AP points at entry ``count``.
     block_of = np.where(occupied, np.cumsum(occupied) - 1, count)[inverse]
     block_of = block_of.reshape(profiles, w)
-    keys = keys[occupied]
+    # Layout order: largest block first, then the keys' order.
+    order = np.argsort(keys[occupied, 1], kind="stable")
+    rank = np.empty(count + 1, dtype=np.intp)
+    rank[order], rank[count] = np.arange(count), count
+    block_of = rank[block_of]
+    keys = keys[occupied][order]
     flags = keys[:, 3:].astype(bool)
     blk, mus = np.nonzero(flags)
     row_id = (np.cumsum(flags) - 1).reshape(flags.shape)
     row_of = row_id[np.take_along_axis(block_of, associations, axis=1), np.arange(n)]
-    groups = []
-    for width in np.unique(keys[:, 0]).tolist():
-        ids = np.flatnonzero(keys[:, 0] == width)
-        rows = np.flatnonzero(keys[blk, 0] == width)
-        cols = np.stack([scenario.chan_idx[ap] for ap in keys[ids, 2].tolist()])
-        pmat = np.repeat((scenario.budget[mus[rows]] / width)[:, None], width, axis=1)
-        groups.append(_Group(scenario, cols, blk[rows] - ids[0], mus[rows], pmat, ids, rows))
+    width = keys[blk, 0]
+    real = np.arange(width.max()) < width[:, None]
+    pmat = np.where(real, (scenario.budget[mus] / width)[:, None], 0.0)
+    blocks = _Blocks(scenario, keys[:, 2], blk, mus, pmat, np.arange(count), np.arange(mus.size))
 
     total, potential = np.empty(profiles), np.zeros(profiles)
     converged = np.zeros(profiles, dtype=bool)
@@ -488,9 +559,9 @@ def solve_profiles(
     live = np.arange(profiles)
     t = 0
     while True:
-        for g in groups:
-            block_pot[g.ids], rates[g.rows] = g.evaluate()
-            block_inf[g.ids] = np.maximum.reduceat(np.abs(g.residual).max(axis=1), g.starts)
+        block_pot[blocks.ids], rates[blocks.rows] = blocks.evaluate()
+        row_inf = np.abs(blocks.residual).max(axis=1)
+        block_inf[blocks.ids] = np.maximum.reduceat(row_inf, blocks.starts)
         done = block_inf[block_of[live]].max(axis=1) <= eps_wf
         stop = done | (t >= max_iters)
         end = live[stop]
@@ -503,13 +574,10 @@ def solve_profiles(
             return total, potential, converged
         needed = np.zeros(count + 1, dtype=bool)
         needed[block_of[live]] = True
-        groups = [
-            g if needed[g.ids].all() else g.subset(needed[g.ids])
-            for g in groups
-            if needed[g.ids].any()
-        ]
+        if not needed[blocks.ids].all():
+            blocks = blocks.subset(needed[blocks.ids])
         t += 1
-        step(t, groups)
+        step(t, blocks)
 
 
 def convergence_diagnostics(

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ValidationError
 
 
+_LARGEST = np.finfo(float).max
+
+
 @dataclass(frozen=True)
 class WaterFillResult:
     powers: np.ndarray
@@ -38,6 +41,10 @@ def water_fill_batch(floors: np.ndarray, budgets: np.ndarray):
     The level for m active channels is (P + sum of m smallest floors)/m; the
     valid m is the largest one whose level still covers the m-th floor (the
     validity predicate is monotone in m, so the largest match is unique).
+
+    A +inf floor is an absent channel: it is never active and gets power 0.0,
+    so padding a row with +inf columns leaves its other powers and its level
+    bit for bit unchanged. Every row needs at least one finite floor.
     """
     floors = np.atleast_2d(np.asarray(floors, dtype=float))
     budgets = np.asarray(budgets, dtype=float)
@@ -46,9 +53,11 @@ def water_fill_batch(floors: np.ndarray, budgets: np.ndarray):
     cum = np.cumsum(sorted_f, axis=1)
     counts = np.arange(1, c + 1, dtype=float)
     levels_m = (budgets[:, None] + cum) / counts
-    ok = levels_m >= sorted_f  # always true at m=1
-    m_star = c - np.argmax(ok[:, ::-1], axis=1)  # largest valid m per row
-    levels = levels_m[np.arange(r), m_star - 1]
+    # Clipping at the largest float keeps every finite level, and a +inf
+    # floor then fails the test: it is never active.
+    ok = np.minimum(levels_m, _LARGEST) >= sorted_f  # true at m=1 for finite floors
+    last = (c - 1) - np.argmax(ok[:, ::-1], axis=1)  # largest valid m per row, less 1
+    levels = levels_m[np.arange(r), last]
     powers = np.maximum(levels[:, None] - floors, 0.0)
     return powers, levels
 
@@ -59,7 +68,8 @@ def water_fill(gain_sq, noise_plus_interf, budget: float) -> WaterFillResult:
     gain_sq and noise_plus_interf are positive vectors of equal length;
     budget is positive. The returned powers sum to the budget exactly (up to
     roundoff): the rate is strictly increasing in every channel power, so the
-    constraint is always tight.
+    constraint is always tight. A gain so small that its floor overflows to
+    +inf is an absent channel and gets power 0.0.
     """
     g = np.asarray(gain_sq, dtype=float)
     ni = np.asarray(noise_plus_interf, dtype=float)
@@ -78,7 +88,11 @@ def water_fill(gain_sq, noise_plus_interf, budget: float) -> WaterFillResult:
     if not np.isfinite(budget) or budget <= 0.0:
         raise ValidationError("water_fill: budget must be positive")
 
-    powers, levels = water_fill_batch((ni / g)[None, :], np.asarray([budget]))
+    with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+        floors = ni / g
+    if not np.any(floors < np.inf):
+        raise ValidationError("water_fill: every gain is too small to carry power")
+    powers, levels = water_fill_batch(floors[None, :], np.asarray([budget]))
     p = powers[0]
     return WaterFillResult(
         powers=p, water_level=float(levels[0]), active_set=np.flatnonzero(p > 0.0)

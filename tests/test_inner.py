@@ -183,6 +183,20 @@ def test_direct_solver_calls_validate_their_settings(solver, eps_wf, max_iters):
         solver(sc, [0, 1, 0, 1], eps_wf=eps_wf, max_iters=max_iters)
 
 
+def test_a_nan_residual_never_reads_as_converged():
+    # Every gain of MU 0 at its AP underflows: no finite floor, so its
+    # response and the residual are NaN, which must not stop the solve.
+    sc = make_scenario(4, 2, 6, seed=0)
+    gain = sc.gain_sq.copy()
+    gain[0, sc.chan_idx[0]] = 1e-320
+    sc = dataclasses.replace(sc, gain_sq=gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = s_iwf(sc, [0, 1, 0, 1], max_iters=3)
+        res_inf = evaluate_profile(sc, [0, 1, 0, 1], uniform_powers(sc, [0, 1, 0, 1]))[0]
+    assert not result.converged and result.iterations == 3
+    assert math.isnan(res_inf)
+
+
 def test_multi_ap_inner_solves_each_cell():
     sc = make_scenario(4, 2, 6, seed=6)
     assoc = np.array([0, 1, 0, 1])
@@ -374,16 +388,20 @@ def _count_water_fills(monkeypatch):
     return calls
 
 
+def _block_widths(scenario, association):
+    return {scenario.chan_idx[ap].size for ap in np.unique(association)}
+
+
 @pytest.mark.parametrize("n, w, k, widths", [(16, 4, 48, 1), (10, 3, 16, 2)])
-def test_a_iwf_makes_one_water_fill_per_block_width_per_iteration(
-    monkeypatch, n, w, k, widths
-):
+def test_a_iwf_makes_one_water_fill_per_iteration(monkeypatch, n, w, k, widths):
+    # Blocks of every width share one padded evaluation.
     sc = make_scenario(n, w, k, seed=13)
     assoc = np.arange(n) % w
+    assert len(_block_widths(sc, assoc)) == widths
     calls = _count_water_fills(monkeypatch)
     result = a_iwf(sc, assoc, eps_wf=1e-6)
     assert result.iterations > 0
-    assert len(calls) == widths * (result.iterations + 1)
+    assert len(calls) == result.iterations + 1
     assert sum(rows for rows, _ in calls) == n * (result.iterations + 1)
 
 
@@ -396,6 +414,114 @@ def test_s_iwf_makes_one_water_fill_per_member_slot(monkeypatch):
     assert result.iterations > 0
     assert len(calls) == (result.iterations + 1) + 4 * result.iterations
     assert sum(rows for rows, _ in calls) == 16 * (2 * result.iterations + 1)
+
+
+@pytest.mark.parametrize("n, w, k, eps_wf", [(30, 3, 50, 1e-10), (200, 10, 256, 1e-8)])
+def test_mixed_width_s_iwf_makes_one_water_fill_per_member_slot(monkeypatch, n, w, k, eps_wf):
+    # Closest-AP blocks of two widths: a round makes one call per member slot
+    # of the largest block, whatever its width, and no evaluation water-fills
+    # a pad member's row.
+    sc = make_scenario(n, w, k, seed=1)
+    assoc = closest_ap(sc)
+    assert len(_block_widths(sc, assoc)) == 2
+    largest = int(np.bincount(assoc).max())
+    calls = _count_water_fills(monkeypatch)
+    result = s_iwf(sc, assoc, eps_wf=eps_wf)
+    assert result.converged and result.iterations > 0
+    assert len(calls) == (result.iterations + 1) + largest * result.iterations
+    assert sum(rows for rows, _ in calls) == n * (2 * result.iterations + 1)
+    assert {cols for _, cols in calls} == {max(_block_widths(sc, assoc))}
+
+
+def gauss_seidel_reference(scenario, association, eps_wf=1e-8, max_iters=100_000):
+    """Sequential iterative water-filling written MU by MU: each MU's floor
+    is its AP block's received total minus its own received power, divided
+    by its gain. Returns the trace rows (potential, sum rate, residual inf-
+    and 2-norm) of s_iwf's evaluations, the final powers and the converged
+    flag."""
+    assoc = np.asarray(association)
+    powers = uniform_powers(scenario, assoc)
+    rows = []
+    for t in range(max_iters + 1):
+        res_inf, res_two = residual_norms(residual(scenario, assoc, powers))
+        rows.append([system_potential(scenario, assoc, powers), sum_rate(scenario, assoc, powers),
+                     res_inf, res_two])
+        if res_inf <= eps_wf or t == max_iters:
+            return np.array(rows), powers, res_inf <= eps_wf
+        for mu in range(scenario.num_mus):
+            cols = scenario.chan_idx[assoc[mu]]
+            gain = scenario.gain_sq[:, cols]
+            members = np.flatnonzero(assoc == assoc[mu])
+            total = scenario.noise[cols] + np.sum([gain[j] * powers[j] for j in members], axis=0)
+            others = total - gain[mu] * powers[mu]
+            powers[mu] = water_fill(gain[mu], others, scenario.budget[mu]).powers
+
+
+@pytest.mark.parametrize(
+    "n, w, k, seed, assoc",
+    [
+        (9, 2, 31, 5, [1, 1, 0, 1, 0, 0, 1, 1, 1]),  # widths 16 and 15, 24 rounds
+        (12, 5, 9, 7, [3, 1, 4, 2, 2, 2, 2, 2, 2, 4, 4, 3]),  # width 1 beside width 2, 4 rounds
+        (10, 4, 6, 5, [2, 2, 0, 3, 2, 1, 0, 2, 3, 3]),  # width-1 blocks of 3 and 4 members
+    ],
+)
+def test_mixed_width_s_iwf_follows_the_mu_by_mu_reference(n, w, k, seed, assoc):
+    sc = make_scenario(n, w, k, seed=seed)
+    assert len(_block_widths(sc, assoc)) == 2
+    result = s_iwf(sc, assoc, eps_wf=1e-10)
+    rows, powers, converged = gauss_seidel_reference(sc, assoc, eps_wf=1e-10)
+    assert result.converged and converged and result.iterations == len(rows) - 1
+    tr = result.trace
+    got = np.column_stack([tr.potential, tr.sum_rate, tr.residual_inf, tr.residual_two])
+    np.testing.assert_allclose(got, rows, rtol=1e-12, atol=1e-12)
+    for mine, want in zip(result.powers, powers):
+        np.testing.assert_allclose(mine, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, w, k, seed",
+    [
+        (31, 2, 31, 0),  # widths 16 and 15
+        (20, 2, 3, 2),  # a width-1 block of 10 members beside a width-2 block
+    ],
+)
+def test_mixed_width_s_iwf_equals_each_block_solved_alone(n, w, k, seed):
+    # Bit for bit: pad channels and pad members move no bit of a block's
+    # powers or potential, whatever the other blocks' widths.
+    sc = make_scenario(n, w, k, seed=seed)
+    assoc = np.arange(n) % w
+    assert len(_block_widths(sc, assoc)) == 2
+    joint = s_iwf(sc, assoc, eps_wf=0.0, max_iters=6)
+    rounds = joint.iterations
+    potential, res_inf = np.zeros(rounds + 1), np.zeros(rounds + 1)
+    for ap in range(w):
+        mus = np.flatnonzero(assoc == ap)
+        alone = dataclasses.replace(
+            sc, num_mus=mus.size, gain_sq=sc.gain_sq[mus], budget=sc.budget[mus],
+            mu_positions=sc.mu_positions[mus], connection_cost=sc.connection_cost[mus],
+        )
+        own = s_iwf(alone, assoc[mus], eps_wf=0.0, max_iters=rounds)
+        # A block that reaches residual 0 stops early; its later rounds would
+        # repeat its last evaluation.
+        tail = (0, rounds - own.iterations)
+        potential += np.pad(own.trace.potential, tail, mode="edge")  # AP order, from 0.0
+        res_inf = np.maximum(res_inf, np.pad(own.trace.residual_inf, tail, mode="edge"))
+        for j, i in enumerate(mus):
+            assert np.array_equal(joint.powers[i], own.powers[j])
+    assert np.array_equal(joint.trace.potential, potential)
+    assert np.array_equal(joint.trace.residual_inf, res_inf)
+
+
+@pytest.mark.parametrize("n, w, k", [(6, 2, 31), (6, 3, 5)])
+def test_solve_profiles_on_a_mixed_width_batch_follows_the_reference(n, w, k):
+    sc = make_scenario(n, w, k, seed=6)
+    batch = np.random.default_rng(0).integers(0, w, (24, n))
+    total, potential, converged = inner_module.solve_profiles(sc, batch, eps_wf=1e-10)
+    for i, assoc in enumerate(batch):
+        rows, _, done = gauss_seidel_reference(sc, assoc, eps_wf=1e-10)
+        assert converged[i] == done
+        assert potential[i] == pytest.approx(rows[-1, 0], rel=1e-12, abs=1e-12)
+        assert total[i] == pytest.approx(rows[-1, 1], rel=1e-12, abs=1e-12)
 
 
 def test_a_iwf_raises_on_infeasible_step(monkeypatch):

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from uplinkgame import ValidationError, best_response_rate, water_fill, wf_operator
 from uplinkgame.game import interference_at, rate
-from uplinkgame.waterfill import best_reply_table, current_rates, interference_table
+from uplinkgame.waterfill import (
+    best_reply_table,
+    current_rates,
+    interference_table,
+    water_fill_batch,
+)
 
 from conftest import footnote_network, make_scenario, random_powers
 
@@ -155,6 +160,38 @@ def test_output_beats_random_feasible_perturbations():
 def test_domain_errors(g, ni, budget):
     with pytest.raises(ValidationError):
         water_fill(g, ni, budget)
+
+
+def test_vanishing_gain_is_an_absent_channel():
+    # A subnormal gain passes the positivity check, but its floor overflows to
+    # +inf: that channel gets no power and the other two split the budget.
+    res = water_fill(np.array([1.0, 1.0, 1e-320]), np.ones(3), 1.0)
+    assert res.powers.tolist() == [0.5, 0.5, 0.0]
+    assert res.water_level == 1.5
+    assert res.active_set.tolist() == [0, 1]
+    with pytest.raises(ValidationError):
+        water_fill(np.array([1e-320, 1e-320]), np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("width, padded", [(1, 2), (1, 4), (7, 8), (15, 16), (16, 17), (25, 26)])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 6])
+def test_inf_padding_leaves_powers_and_levels_bit_identical(width, padded, rows):
+    rng = np.random.default_rng(100 * width + rows)
+    floors = rng.uniform(0.05, 5.0, (rows, width)) * 10.0 ** rng.integers(-3, 3, (rows, 1))
+    floors[0, -1] = floors[0, 0]  # a tie
+    budgets = rng.uniform(0.01, 10.0, rows)
+    want_p, want_levels = water_fill_batch(floors, budgets)
+    pads = np.full((rows, padded - width), np.inf)
+    got_p, got_levels = water_fill_batch(np.hstack([floors, pads]), budgets)
+    assert np.array_equal(got_p[:, :width], want_p)
+    assert np.all(got_p[:, width:] == 0.0)
+    assert np.array_equal(got_levels, want_levels)
+    # Pads anywhere in the row, as a vanishing gain's floor would be.
+    cols = rng.permutation(padded)
+    mixed = np.hstack([floors, pads])[:, cols]
+    got_p, got_levels = water_fill_batch(mixed, budgets)
+    assert np.array_equal(got_p[:, np.argsort(cols)][:, :width], want_p)
+    assert np.array_equal(got_levels, want_levels)
 
 
 # ---------------------------------------------------------------------------
