@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .waterfill import best_reply_table, current_rates, water_fill, wf_operator
+from .waterfill import best_reply_table, profile_table, water_fill, wf_operator
 
 LN2 = math.log(2.0)
 
@@ -139,7 +139,7 @@ def all_rates(scenario, association, powers) -> np.ndarray:
 
 def sum_rate(scenario, association, powers) -> float:
     a = validate_association(scenario, association)
-    return float(current_rates(scenario, a, powers).sum())
+    return float(profile_table(scenario, a, powers)[0].sum())
 
 
 def received_totals(scenario, association, powers, ap: int) -> np.ndarray:
@@ -243,11 +243,11 @@ class EquilibriumReport:
 
 def _table_report(scenario, association, powers, eps: float):
     """Power-equilibrium report of a validated profile, and its best-reply
-    rate table. The residual and the own-AP best rate come from the table's
-    own-AP column; current rates come from ``current_rates``."""
+    rate table, from one ``best_reply_table`` call: the residual and the
+    own-AP best rate come from its own-AP column, the current rates from it."""
     a = validate_association(scenario, association)
     validate_powers(scenario, a, powers)
-    br, vecs = best_reply_table(scenario, a, powers)
+    cur, br, vecs = best_reply_table(scenario, a, powers)
     viol = np.array([np.max(np.abs(vecs[a[i]][i] - powers[i])) for i in range(scenario.num_mus)])
     ok = bool(np.all(viol <= eps))
     worst = None
@@ -255,7 +255,6 @@ def _table_report(scenario, association, powers, eps: float):
         i = int(np.argmax(viol))
         worst = (i, int(a[i]), float(viol[i]))
     own = br[np.arange(scenario.num_mus), a]
-    cur = current_rates(scenario, a, powers)
     return EquilibriumReport(ok, eps, viol, cur, own, worst), br
 
 

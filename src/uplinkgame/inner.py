@@ -276,7 +276,9 @@ class _Blocks:
         self.z[self.block, self.slot] = gp
         tot = self.totals()
         others = tot[self.block] - gp
-        phi, _ = water_fill_batch(others / self.gain, self.budgets)
+        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+            floors = others / self.gain
+        phi, _ = water_fill_batch(floors, self.budgets)
         self.residual = phi - self.pmat
         log_tot = np.log2(tot)
         if not self.mixed:  # no pad channels
@@ -326,11 +328,12 @@ class _Blocks:
         MU."""
         gain, budgets, powers = self.padded
         self.z[self.block, self.slot] = self.gain * self.pmat
-        for j, nb in enumerate(self.slots):
-            g = gain[:nb, j]
-            phi, _ = water_fill_batch((self.totals(nb) - self.z[:nb, j]) / g, budgets[:nb, j])
-            powers[:nb, j] = phi
-            np.multiply(g, phi, out=self.z[:nb, j])
+        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+            for j, nb in enumerate(self.slots):
+                g = gain[:nb, j]
+                phi, _ = water_fill_batch((self.totals(nb) - self.z[:nb, j]) / g, budgets[:nb, j])
+                powers[:nb, j] = phi
+                np.multiply(g, phi, out=self.z[:nb, j])
         self.pmat = powers[self.block, self.slot]
 
     def subset(self, keep):

@@ -34,7 +34,7 @@ from .inner import (
     InnerLoopResult, StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
 )
 from .trace import TraceRow, association_label, inner_rows
-from .waterfill import best_reply_table, current_rates, water_fill_batch
+from .waterfill import best_reply_table, water_fill_batch
 
 # Unused all_rates, verify_power_ne and water_fill_batch stay bound for perfbench's hooks.
 
@@ -279,8 +279,7 @@ def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
     its probability vector is refreshed and its next AP sampled. Returns the
     next association, the current rates and the best-reply power vectors."""
     a = state.association
-    cur_rates = current_rates(scenario, a, state.powers)
-    br_rates, br_vecs = best_reply_table(scenario, a, state.powers)
+    cur_rates, br_rates, br_vecs = best_reply_table(scenario, a, state.powers)
     if config.selection == "best":
         picks = br_rates.argmax(axis=1)
     else:
@@ -399,7 +398,7 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     quiet = 0
     for body in range(config.max_outer):
         i = body % n
-        br_rates, br_vecs = best_reply_table(scenario, assoc, powers)
+        _, br_rates, br_vecs = best_reply_table(scenario, assoc, powers)
         best = br_rates[i].max()
         ties = np.flatnonzero(br_rates[i] == best)
         pick = int(ties[int(rngs[i].integers(ties.size))])

@@ -2,6 +2,10 @@
 while APs remember the last power/interference profile of every coalition
 (exact MU set) that visited them.
 
+An MU's memory is a FIFO deque of (AP, interference row, rate) snapshots, the
+row taken from ``profile_table``'s (N, K) matrix; an AP keeps, per coalition,
+the members' (members, K_w) power and interference rows in ascending MU order.
+
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes
 clocked by the coalition's visit count. Under the safeguarded schedule that
@@ -13,7 +17,7 @@ until the coalition's potential first falls between consecutive visits, then
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,48 +34,23 @@ from .jaspa import (
     _warn_short_memory,
     per_mu_rngs,
 )
-from .waterfill import best_replies, interference_table, water_fill_batch
+from .waterfill import best_replies, profile_table, water_fill_batch
 
 
-@dataclass
-class MuMemory:
-    """Aligned FIFO buffers of one MU's last observations: its AP, the full
-    per-AP interference snapshot, and its realized rate."""
-
-    maxlen: int
-    associations: deque = field(default_factory=deque)
-    interference: deque = field(default_factory=deque)  # list of per-AP vectors
-    rates: deque = field(default_factory=deque)
-
-    def push(self, ap: int, interf: list, realized_rate: float) -> None:
-        if len(self.associations) == self.maxlen:
-            self.associations.popleft()
-            self.interference.popleft()
-            self.rates.popleft()
-        self.associations.append(int(ap))
-        self.interference.append(interf)
-        self.rates.append(float(realized_rate))
-
-    def __len__(self) -> int:
-        return len(self.associations)
-
-
-def sample_mu_memory(memory: MuMemory, rng: np.random.Generator):
-    """Read one uniformly sampled snapshot; the three buffers share the index."""
+def sample_mu_memory(memory: deque, rng: np.random.Generator):
+    """Read one uniformly sampled (AP, interference row, rate) snapshot."""
     if len(memory) == 0:
         raise ValidationError("cannot sample an empty memory")
-    idx = int(rng.integers(len(memory)))
-    return (
-        memory.associations[idx],
-        memory.interference[idx],
-        memory.rates[idx],
-    )
+    return memory[int(rng.integers(len(memory)))]
 
 
 @dataclass
 class ApRecord:
-    powers: dict  # mu -> power vector at the most recent visit
-    interference: dict  # mu -> interference vector at the most recent visit
+    """A coalition's state at its most recent visit: its members' (members,
+    K_w) power and interference rows, in ascending MU order."""
+
+    powers: np.ndarray
+    interference: np.ndarray
     visits: int
     potential: float  # the coalition's block potential at the most recent visit
     held: bool = True  # no fall of that potential between consecutive visits yet
@@ -90,33 +69,33 @@ class ApMemory:
     def get(self, ap: int, coalition: tuple):
         return self.tables[ap].get(coalition)
 
-    def update(self, ap: int, coalition: tuple, powers: dict, interference: dict,
-               potential: float) -> None:
-        rec = self.tables[ap].get(coalition)
-        if rec is None:
-            self.entries += 1
-            if self.entries > self.cap:
-                raise ResourceError(
-                    f"AP memory exceeded {self.cap} coalition entries; raise "
-                    "coalition_cap or reduce churn"
-                )
-            self.tables[ap][coalition] = ApRecord(powers, interference, 1, potential)
-        else:
-            rec.powers = powers
-            rec.interference = interference
-            rec.visits += 1
-            rec.held &= potential >= rec.potential
-            rec.potential = potential
 
-
-def ap_memory_update(memory: ApMemory, ap: int, coalition, powers: dict, interference: dict,
+def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
                      potential: float) -> None:
-    """Overwrite the stored profiles and block potential for the coalition
+    """Overwrite the stored profile and block potential for the coalition
     key and bump its visit count; a potential strictly below the stored one
-    releases the coalition's hold."""
-    memory.update(
-        int(ap), tuple(sorted(int(i) for i in coalition)), powers, interference, float(potential)
-    )
+    releases the coalition's hold. Row r of the (members, K_w) ``powers``
+    and ``interference`` belongs to ``coalition[r]``; the rows are stored in
+    the sorted key's order."""
+    coalition = np.asarray(coalition, dtype=np.intp)
+    order = np.argsort(coalition, kind="stable")
+    key = tuple(coalition[order].tolist())
+    powers, interference = np.asarray(powers)[order], np.asarray(interference)[order]
+    potential = float(potential)
+    table = memory.tables[int(ap)]
+    rec = table.get(key)
+    if rec is None:
+        memory.entries += 1
+        if memory.entries > memory.cap:
+            raise ResourceError(
+                f"AP memory exceeded {memory.cap} coalition entries; raise "
+                "coalition_cap or reduce churn"
+            )
+        table[key] = ApRecord(powers, interference, 1, potential)
+        return
+    rec.held &= potential >= rec.potential
+    rec.powers, rec.interference, rec.potential = powers, interference, potential
+    rec.visits += 1
 
 
 def ap_memory_summary(memory: ApMemory) -> dict:
@@ -133,7 +112,7 @@ def ap_memory_summary(memory: ApMemory) -> dict:
 def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Run the joint-strategy dynamics.
 
-    Per iteration: push (AP, interference snapshot, rate) into each MU's FIFO
+    Per iteration: push (AP, interference row, rate) into each MU's FIFO
     memory; refresh every AP's record for its current coalition; each MU
     samples one remembered snapshot, moves to a uniformly chosen AP among
     those strictly beating the sampled rate (its sampled AP always included),
@@ -149,7 +128,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     _warn_short_memory(config, n)
     rngs = per_mu_rngs(config.seed, n)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
-    memories = [MuMemory(config.memory_len) for _ in range(n)]
+    memories = [deque(maxlen=config.memory_len) for _ in range(n)]
     apmem = ApMemory(w, config.coalition_cap)
     history = [tuple(int(x) for x in assoc)]
     log = RunRecorder()
@@ -158,24 +137,19 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     converged = False
     aps = np.arange(w)
     for body in range(config.max_outer):
-        # Snapshots are views: neither the table nor a power vector is
-        # written after it is made.
-        interf = interference_table(scenario, assoc, powers)
+        # Snapshot rows are views of a matrix that is never written again.
+        interf = profile_table(scenario, assoc, powers)[1]
         for i in range(n):
-            memories[i].push(int(assoc[i]), [interf[ap][i] for ap in range(w)], metrics[4][i])
-        for ap in range(w):
+            memories[i].append((int(assoc[i]), interf[i], float(metrics[4][i])))
+        for ap, cols in enumerate(scenario.chan_idx):
             members = np.flatnonzero(assoc == ap)
+            stacked = np.reshape([powers[i] for i in members], (-1, cols.size))
             ap_memory_update(
-                apmem,
-                ap,
-                members,
-                {int(i): powers[i] for i in members},
-                {int(i): interf[ap][i] for i in members},
-                metrics[5][ap],
+                apmem, ap, members, stacked, interf[members].take(cols, axis=1), metrics[5][ap]
             )
 
         sampled = [sample_mu_memory(memories[i], rngs[i]) for i in range(n)]
-        best, _ = best_replies(scenario, [np.stack([s[1][ap] for s in sampled]) for ap in range(w)])
+        best, _ = best_replies(scenario, np.stack([s[1] for s in sampled]))
         nxt = np.empty(n, dtype=np.intp)
         for i, (a_hat, _, r_hat) in enumerate(sampled):
             options = np.flatnonzero((best[i] > r_hat) | (aps == a_hat))
@@ -196,11 +170,12 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                     new_powers[i] = scenario.budget[i] * frac
                 continue
             alpha = config.schedule.block_alpha(rec.visits, rec.held)
-            interf_rows = np.stack([rec.interference[i] for i in coalition])
-            floors = (scenario.noise[cols] + interf_rows) / scenario.gain_sq[np.ix_(members, cols)]
+            gains = scenario.gain_sq[np.ix_(members, cols)]
+            with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+                floors = (scenario.noise[cols] + rec.interference) / gains
             phi, _ = water_fill_batch(floors, scenario.budget[members])
-            for i, row in zip(coalition, phi):
-                new_powers[i] = (1.0 - alpha) * rec.powers[i] + alpha * row
+            for i, row in zip(coalition, (1.0 - alpha) * rec.powers + alpha * phi):
+                new_powers[i] = row
 
         switch_count = int(np.sum(nxt != assoc))
         assoc = nxt

@@ -6,10 +6,12 @@ sum(p) <= budget. The optimum has the form p_k = max(level - f_k, 0) with
 effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
 
-``best_reply_table`` is the one kernel behind the joint dynamics' best
-replies and the equilibrium verifiers, and ``current_rates`` their one source
-of current rates; ``wf_operator`` and the scalar functions in ``game`` are
-the reference oracles both are tested against.
+``profile_table`` is the one per-AP pass over a profile: it gives every MU's
+current rate and the (N, K) interference matrix, which ``best_replies``
+water-fills at every AP. ``best_reply_table`` chains the two; it is the one
+kernel behind the joint dynamics' best replies and the equilibrium
+verifiers. ``wf_operator`` and the scalar functions in ``game`` are the
+reference oracles both are tested against.
 """
 
 from __future__ import annotations
@@ -115,67 +117,69 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
     ).powers
 
 
-def interference_table(scenario, association, powers) -> list[np.ndarray]:
-    """Interference every MU would see on every AP's channels with the
-    profile held fixed: per AP an (N, K_w) array. Each row is the AP's block
-    total (summed from zero in member order) minus the MU's own received
-    power, which is zero for non-members."""
-    out = []
-    for ap in range(scenario.num_aps):
-        cols = scenario.chan_idx[ap]
-        members = np.flatnonzero(np.asarray(association) == ap)
-        own = [scenario.gain_sq[j, cols] * np.asarray(powers[j]) for j in members]
-        base = np.zeros(cols.size)
-        for term in own:
-            base += term
-        interf = np.tile(base, (scenario.num_mus, 1))
-        for j, term in zip(members, own):
-            interf[j] -= term
-        out.append(interf)
-    return out
-
-
-def current_rates(scenario, association, powers) -> np.ndarray:
-    """Every MU's rate at its own AP, bit for bit equal to ``game.rate``.
-
-    Per AP, member slot s adds its received-power row to every other
-    member's row, so each row's interference is summed from zero in member
-    order, skipping itself, exactly as ``game.interference_at`` sums it."""
+def profile_table(scenario, association, powers):
+    """The current rates (N,) and interference (N, K) of a profile, from one
+    pass per AP. APs own disjoint channels, so on AP w's columns MU i's row
+    holds w's block total less i's own received power (zero for
+    non-members): what i sees, or would see, there. Every sum runs from zero
+    in member order: the block total is the members' cumulative sum, and
+    each member's interferers are its predecessors' cumulative sum plus its
+    successors one by one, as ``game.interference_at`` sums them, so the
+    current rates equal ``game.rate`` bit for bit."""
     a = np.asarray(association)
     rates = np.zeros(scenario.num_mus)
+    received = np.zeros((scenario.num_mus, scenario.num_channels))
+    total = np.zeros(scenario.num_channels)
     for ap in range(scenario.num_aps):
         members = np.flatnonzero(a == ap)
         if members.size == 0:
             continue
         cols = scenario.chan_idx[ap]
-        p = np.array([powers[j] for j in members], dtype=float)
-        rx = scenario.gain_sq[np.ix_(members, cols)] * p
+        rows = members[:, None]
+        p = np.array([powers[j] for j in members.tolist()], dtype=float)
+        rx = scenario.gain_sq[rows, cols] * p
+        cum = np.cumsum(rx, axis=0)
         interf = np.zeros_like(rx)
-        for s in range(members.size):
+        interf[1:] = cum[:-1]
+        for s in range(1, members.size):
             interf[:s] += rx[s]
-            interf[s + 1:] += rx[s]
+        received[rows, cols] = rx
+        total[cols] = cum[-1]
         sinr = rx / (scenario.noise[cols] + interf)
         rates[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
-    return rates
+    return rates, total - received
 
 
-def best_replies(scenario, interference: list):
+def best_replies(scenario, interference: np.ndarray):
     """The batched ``wf_operator``: every MU's water-fill at every AP against
-    the given per-AP (N, K_w) interference rows, one ``water_fill_batch``
-    call per AP. Returns (rates (N, W), per-AP list of (N, K_w) powers)."""
+    the given (N, K) interference rows, one ``water_fill_batch`` call per AP;
+    an AP where a row has no finite floor gets power 0 and rate 0. Returns
+    (rates (N, W), per-AP list of (N, K_w) powers)."""
     rates = np.empty((scenario.num_mus, scenario.num_aps))
     vecs = []
     for ap in range(scenario.num_aps):
+        # take, not [:, cols]: the fancy gather is F-ordered, and the channel
+        # sum below would then run sequentially instead of pairwise.
         cols = scenario.chan_idx[ap]
-        gains = scenario.gain_sq[:, cols]
-        floors_phys = scenario.noise[cols] + interference[ap]
-        phi, _ = water_fill_batch(floors_phys / gains, scenario.budget)
+        gains = scenario.gain_sq.take(cols, axis=1)
+        floors_phys = scenario.noise[cols] + interference.take(cols, axis=1)
+        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+            floors = floors_phys / gains
+        # A row without a finite floor (every gain underflowing) is an AP its MU
+        # cannot use: power 0, rate 0. Most tables have none: [:0] is no row.
+        dead = np.isinf(floors).all(axis=1) if floors.max() == np.inf else slice(0)
+        floors[dead] = 1.0
+        phi, _ = water_fill_batch(floors, scenario.budget)
+        phi[dead] = 0.0
         rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
         vecs.append(phi)
     return rates, vecs
 
 
 def best_reply_table(scenario, association, powers):
-    """Best-response rates and power vectors for every (MU, AP) pair, holding
-    the current profile fixed: ``best_replies`` on ``interference_table``."""
-    return best_replies(scenario, interference_table(scenario, association, powers))
+    """Current rates, and best-response rates and power vectors for every
+    (MU, AP) pair holding the profile fixed: ``best_replies`` on
+    ``profile_table``'s interference. Returns (current (N,), rates (N, W),
+    per-AP list of (N, K_w) powers)."""
+    current, interference = profile_table(scenario, association, powers)
+    return (current, *best_replies(scenario, interference))

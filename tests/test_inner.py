@@ -190,7 +190,7 @@ def test_a_nan_residual_never_reads_as_converged():
     gain = sc.gain_sq.copy()
     gain[0, sc.chan_idx[0]] = 1e-320
     sc = dataclasses.replace(sc, gain_sq=gain)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         result = s_iwf(sc, [0, 1, 0, 1], max_iters=3)
         res_inf = evaluate_profile(sc, [0, 1, 0, 1], uniform_powers(sc, [0, 1, 0, 1]))[0]
     assert not result.converged and result.iterations == 3

@@ -299,7 +299,7 @@ def test_si_unchanged_blocks_replay_the_safeguarded_step():
     for prev, cur in zip(run.detail, run.detail[1:]):
         before = evaluate_profile(sc, prev.association, prev.powers)[5]
         after = evaluate_profile(sc, cur.association, cur.powers)[5]
-        _, br_vecs = best_reply_table(sc, np.asarray(prev.association), prev.powers)
+        _, _, br_vecs = best_reply_table(sc, np.asarray(prev.association), prev.powers)
         for ap in range(sc.num_aps):
             members = tuple(i for i, a in enumerate(prev.association) if a == ap)
             if not members or members != tuple(i for i, a in enumerate(cur.association) if a == ap):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from uplinkgame import (
     sample_mu_memory,
     water_fill,
 )
-from uplinkgame.jjaspa import ApMemory, MuMemory, ap_memory_summary, ap_memory_update
+from uplinkgame.jjaspa import ApMemory, ap_memory_summary, ap_memory_update
 
 from conftest import assert_coalition_replay, make_scenario
 
@@ -27,19 +29,33 @@ def base_config(**kw):
 
 def test_ap_memory_first_visit_and_revisit():
     mem = ApMemory(num_aps=2, cap=100)
-    ap_memory_update(mem, 0, (1, 3), {1: np.array([0.5]), 3: np.array([0.2])}, {1: np.zeros(1), 3: np.zeros(1)}, 0.0)
+    ap_memory_update(mem, 0, (1, 3), np.array([[0.5], [0.2]]), np.zeros((2, 1)), 0.0)
     rec = mem.get(0, (1, 3))
     assert rec.visits == 1
-    np.testing.assert_allclose(rec.powers[1], [0.5])
-    ap_memory_update(mem, 0, (3, 1), {1: np.array([0.9]), 3: np.array([0.1])}, {1: np.zeros(1), 3: np.zeros(1)}, 0.0)
-    rec = mem.get(0, (1, 3))  # keys are canonical sorted tuples
+    np.testing.assert_allclose(rec.powers, [[0.5], [0.2]])
+    ap_memory_update(mem, 0, (1, 3), np.array([[0.9], [0.1]]), np.zeros((2, 1)), 0.0)
+    rec = mem.get(0, (1, 3))
     assert rec.visits == 2
-    np.testing.assert_allclose(rec.powers[1], [0.9])
+    np.testing.assert_allclose(rec.powers, [[0.9], [0.1]])
+
+
+def test_ap_memory_sorts_an_unsorted_coalition_with_its_rows():
+    mem = ApMemory(num_aps=1, cap=100)
+    powers = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    interf = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    ap_memory_update(mem, 0, [5, 1, 3], powers, interf, 0.0)
+    rec = mem.get(0, (1, 3, 5))  # keys are canonical sorted tuples
+    assert np.array_equal(rec.powers, powers[[1, 2, 0]])
+    assert np.array_equal(rec.interference, interf[[1, 2, 0]])
+    ap_memory_update(mem, 0, [3, 5, 1], powers, interf, 0.0)
+    assert rec.visits == 2
+    assert np.array_equal(rec.powers, powers[[2, 0, 1]])
+    assert np.array_equal(rec.interference, interf[[2, 0, 1]])
 
 
 def test_ap_memory_holds_a_coalition_until_its_potential_first_falls():
     mem = ApMemory(num_aps=1, cap=100)
-    powers, interf = {0: np.zeros(1)}, {0: np.zeros(1)}
+    powers, interf = np.zeros((1, 1)), np.zeros((1, 1))
     held = []
     for potential in (0.5, 0.5, 0.7, 0.6, 0.9):
         ap_memory_update(mem, 0, (0,), powers, interf, potential)
@@ -51,8 +67,8 @@ def test_ap_memory_holds_a_coalition_until_its_potential_first_falls():
 
 def test_ap_memory_coalitions_are_independent():
     mem = ApMemory(num_aps=1, cap=100)
-    ap_memory_update(mem, 0, (0,), {0: np.array([1.0])}, {0: np.zeros(1)}, 0.0)
-    ap_memory_update(mem, 0, (0, 1), {0: np.array([0.3]), 1: np.array([0.7])}, {0: np.zeros(1), 1: np.zeros(1)}, 0.0)
+    ap_memory_update(mem, 0, (0,), np.array([[1.0]]), np.zeros((1, 1)), 0.0)
+    ap_memory_update(mem, 0, (0, 1), np.array([[0.3], [0.7]]), np.zeros((2, 1)), 0.0)
     assert mem.get(0, (0,)).visits == 1
     assert mem.get(0, (0, 1)).visits == 1
     summary = ap_memory_summary(mem)
@@ -61,15 +77,14 @@ def test_ap_memory_coalitions_are_independent():
 
 def test_ap_memory_cap_is_enforced():
     mem = ApMemory(num_aps=1, cap=2)
-    ap_memory_update(mem, 0, (0,), {0: np.zeros(1)}, {0: np.zeros(1)}, 0.0)
-    ap_memory_update(mem, 0, (1,), {1: np.zeros(1)}, {1: np.zeros(1)}, 0.0)
+    ap_memory_update(mem, 0, (0,), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+    ap_memory_update(mem, 0, (1,), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
     with pytest.raises(ResourceError):
-        ap_memory_update(mem, 0, (0, 1), {0: np.zeros(1), 1: np.zeros(1)}, {0: np.zeros(1), 1: np.zeros(1)}, 0.0)
+        ap_memory_update(mem, 0, (0, 1), np.zeros((2, 1)), np.zeros((2, 1)), 0.0)
 
 
 def test_singleton_memory_sample_is_forced():
-    mem = MuMemory(maxlen=10)
-    mem.push(1, [np.zeros(2), np.zeros(2)], 0.25)
+    mem = deque([(1, np.zeros(4), 0.25)], maxlen=10)
     rng = np.random.default_rng(0)
     for _ in range(5):
         ap, interf, r = sample_mu_memory(mem, rng)
@@ -77,17 +92,17 @@ def test_singleton_memory_sample_is_forced():
 
 
 def test_identical_snapshots_sample_deterministically():
-    mem = MuMemory(maxlen=5)
+    mem = deque(maxlen=5)
     for _ in range(5):
-        mem.push(2, [np.ones(1)], 0.5)
+        mem.append((2, np.ones(1), 0.5))
     rng = np.random.default_rng(1)
     assert all(sample_mu_memory(mem, rng)[0] == 2 for _ in range(20))
 
 
 def test_sampling_is_uniform_over_buffer():
-    mem = MuMemory(maxlen=10)
+    mem = deque(maxlen=10)
     for j in range(10):
-        mem.push(j % 3, [np.zeros(1)], float(j))  # rate identifies the slot
+        mem.append((j % 3, np.zeros(1), float(j)))  # rate identifies the slot
     rng = np.random.default_rng(42)
     draws = 100_000
     counts = np.zeros(10)
@@ -99,12 +114,12 @@ def test_sampling_is_uniform_over_buffer():
 
 
 def test_fifo_eviction_keeps_buffers_aligned():
-    mem = MuMemory(maxlen=3)
+    mem = deque(maxlen=3)
     for j in range(5):
-        mem.push(j, [np.full(1, float(j))], float(j))
-    assert list(mem.associations) == [2, 3, 4]
-    assert [r for r in mem.rates] == [2.0, 3.0, 4.0]
-    assert [v[0][0] for v in mem.interference] == [2.0, 3.0, 4.0]
+        mem.append((j, np.full(1, float(j)), float(j)))
+    assert [ap for ap, _, _ in mem] == [2, 3, 4]
+    assert [r for _, _, r in mem] == [2.0, 3.0, 4.0]
+    assert [v[0] for _, v, _ in mem] == [2.0, 3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uplinkgame import ValidationError, best_response_rate, water_fill, wf_operator
-from uplinkgame.game import interference_at, rate
-from uplinkgame.waterfill import (
-    best_reply_table,
-    current_rates,
-    interference_table,
-    water_fill_batch,
+from uplinkgame import (
+    ValidationError, best_response_rate, s_iwf, verify_jep, water_fill, wf_operator
 )
+from uplinkgame.game import interference_at, rate
+from uplinkgame.waterfill import best_reply_table, profile_table, water_fill_batch
 
 from conftest import footnote_network, make_scenario, random_powers
 
@@ -241,13 +240,14 @@ def test_operator_composes_interference_and_water_fill():
         (1, 3, 8, [1]),  # N = 1
         (9, 4, 6, [0, 1, 2, 3, 3, 2, 1, 0, 3]),  # width-1 blocks beside width-2
         (2, 2, 2, [0, 0]),  # footnote network, stacked
+        (12, 1, 32, [0] * 12),  # W = 1, channel sums long enough to run pairwise
     ],
 )
 def test_best_reply_table_matches_best_response_rate(n, w, k, assoc):
     sc = footnote_network() if (n, w, k) == (2, 2, 2) else make_scenario(n, w, k, seed=12)
     assoc = np.asarray(assoc)
     powers = random_powers(sc, assoc, np.random.default_rng(n + w + k), slack=True)
-    rates, vecs = best_reply_table(sc, assoc, powers)
+    current, rates, vecs = best_reply_table(sc, assoc, powers)
     assert rates.shape == (n, w)
     for i in range(n):
         for ap in range(w):
@@ -257,19 +257,62 @@ def test_best_reply_table_matches_best_response_rate(n, w, k, assoc):
     # Current rates sum each interferer in member order, as interference_at
     # does, so they match the scalar rate bit for bit.
     want_cur = [rate(sc, assoc, powers, i) for i in range(n)]
-    assert np.array_equal(current_rates(sc, assoc, powers), want_cur)
+    assert np.array_equal(current, want_cur)
+    # Bit for bit a per-AP computation on C-ordered floors: the block total
+    # summed from zero in member order, less each member's own term.
+    for ap in range(w):
+        cols = sc.chan_idx[ap]
+        members = np.flatnonzero(assoc == ap)
+        total = np.zeros(cols.size)
+        for j in members:
+            total += sc.gain_sq[j, cols] * powers[j]
+        interf = np.tile(total, (n, 1))
+        for j in members:
+            interf[j] = total - sc.gain_sq[j, cols] * powers[j]
+        floors_phys = sc.noise[cols] + interf
+        gains = np.ascontiguousarray(sc.gain_sq[:, cols])
+        phi, _ = water_fill_batch(floors_phys / gains, sc.budget)
+        want = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / sc.num_channels
+        assert np.array_equal(vecs[ap], phi)
+        assert np.array_equal(rates[:, ap], want)
 
 
 def test_interference_table_rows_exclude_only_the_own_term():
     sc = make_scenario(9, 4, 6, seed=3)
     assoc = np.array([0, 1, 2, 3, 3, 2, 1, 0, 3])
     powers = random_powers(sc, assoc, np.random.default_rng(1))
-    table = interference_table(sc, assoc, powers)
+    table = profile_table(sc, assoc, powers)[1]
+    assert table.shape == (9, sc.num_channels)
     for ap in range(4):
         cols = sc.chan_idx[ap]
+        total = np.zeros(cols.size)
+        for j in np.flatnonzero(assoc == ap):
+            total += sc.gain_sq[j, cols] * powers[j]
         for i in range(9):
-            want = sum(
+            own = sc.gain_sq[i, cols] * powers[i] if assoc[i] == ap else 0.0
+            assert np.array_equal(table[i, cols], total - own)
+            others = sum(
                 (sc.gain_sq[j, cols] * powers[j] for j in range(9) if assoc[j] == ap and j != i),
                 np.zeros(cols.size),
             )
-            np.testing.assert_allclose(table[ap][i], want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(table[i, cols], others, rtol=1e-12, atol=1e-15)
+
+
+def test_an_ap_without_a_usable_channel_reads_power_and_rate_zero():
+    # MU 0's gains underflow on every channel but channel 0, so it has no
+    # finite floor at AP 1: its best reply there is power 0 at rate 0, not NaN.
+    sc = make_scenario(4, 2, 6, seed=0)
+    gain = sc.gain_sq.copy()
+    gain[0, 1:] = 1e-320
+    sc = dataclasses.replace(sc, gain_sq=gain)
+    for assoc in ([0, 1, 0, 1], [0, 0, 0, 0]):
+        powers = s_iwf(sc, assoc).powers
+        np.testing.assert_array_equal(powers[0], [1.0, 0.0, 0.0])
+        _, rates, vecs = best_reply_table(sc, np.asarray(assoc), powers)
+        assert rates[0, 0] > 0.0 and rates[0, 1] == 0.0
+        assert np.array_equal(vecs[1][0], np.zeros(3))
+        report = verify_jep(sc, assoc, powers)
+        assert report.violations[0] == 0.0
+    # All four at AP 0 is a joint equilibrium; at [0, 1, 0, 1], MUs 1 and 3
+    # gain by moving to AP 0.
+    assert report.is_equilibrium
