@@ -13,15 +13,17 @@ the widest block's width, rows ordered by block, then MU index, blocks
 largest first. A narrower block's pad channels have gain 1.0, power 0.0 and
 noise +inf, so their totals and water-fill floors are +inf, which
 ``water_fill_batch`` reads as absent channels (power 0.0) without moving a
-bit of the real ones. A stack holds one profile's blocks (``a_iwf``,
-``s_iwf``, ``evaluate_profile``) or the distinct blocks of many profiles
-(``solve_profiles``, where an MU has a row in each of its blocks). An
-evaluation makes one ``G*P``, one water-fill call, one residual and one set
-of ``log2``s. An s_iwf round runs on ``Z``, the (block, member slot,
-channel) scatter of ``G*P``: because blocks come largest first, slot j of
-every block with more than j members is the basic slice ``Z[:nb, j]``, and
-one water-fill call moves it. Moving the j-th member of every block at once
-equals stepping MU by MU, because blocks are independent and a block's
+bit of the real ones. The solvers pass it the rows' gains and noise plus
+interference; it forms the floors, so an MU whose every gain at its AP
+vanishes has no finite floor and gets power 0.0. A stack holds one profile's
+blocks (``a_iwf``, ``s_iwf``, ``evaluate_profile``) or the distinct blocks
+of many profiles (``solve_profiles``, where an MU has a row in each of its
+blocks). An evaluation makes one ``G*P``, one water-fill call, one residual
+and one set of ``log2``s. An s_iwf round runs on ``Z``, the (block, member
+slot, channel) scatter of ``G*P``: because blocks come largest first, slot j
+of every block with more than j members is the basic slice ``Z[:nb, j]``,
+and one water-fill call moves it. Moving the j-th member of every block at
+once equals stepping MU by MU, because blocks are independent and a block's
 members move in ascending MU order.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
@@ -181,10 +183,12 @@ class _Blocks:
     out to the widest block's width C: ``pmat`` (rows, C) holds the rows'
     powers, 0.0 on the pads (the caller's array may have more zero columns).
     A pad channel has gain 1.0 and noise +inf, so its total and its floor are
-    +inf and its water-fill power is 0.0. ``ids`` and ``rows`` are the
-    caller's labels for the blocks and the rows. Per block, ``potential`` is
-    the last evaluation's potential and ``held`` stays True until a potential
-    falls below the previous one."""
+    +inf and its water-fill power is 0.0; with one width there are no pads.
+    Every channel sum runs over each block's own width, per width in
+    ``parts``. ``ids`` and ``rows`` are the caller's labels for the blocks
+    and the rows. Per block, ``potential`` is the last evaluation's potential
+    and ``held`` stays True until a potential falls below the previous
+    one."""
 
     def __init__(self, scenario, aps, block, mus, pmat, ids, rows):
         widths = [cols.size for cols in scenario.chan_idx]
@@ -195,7 +199,6 @@ class _Blocks:
         self.block, self.mus, self.ids, self.rows = block, mus, ids, rows
         self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
         c, narrowest = self.widths[-1], self.widths[0]
-        self.mixed = narrowest < c  # blocks of more than one width: pad channels
         cols = table[aps, :c]
         self.pmat = np.ascontiguousarray(pmat[:, :c])
         self.num_channels = scenario.num_channels
@@ -204,10 +207,9 @@ class _Blocks:
         self.slot = np.arange(mus.size) - self.starts[block]
         self.gain = scenario.gain_sq[mus[:, None], cols[block]]
         self.noise = scenario.noise[cols]
-        if self.mixed:
-            pad = np.arange(c) >= self.width[:, None]
-            self.gain[pad[block]] = 1.0
-            self.noise[pad] = np.inf
+        pad = np.arange(c) >= self.width[:, None]  # all False for one width
+        self.gain[pad[block]] = 1.0
+        self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
@@ -228,7 +230,7 @@ class _Blocks:
         out = []
         for w in self.widths:
             blocks = rows = slice(None)
-            if self.mixed:
+            if len(self.widths) > 1:
                 blocks = np.flatnonzero(self.width == w)
                 rows = np.flatnonzero(self.width[self.block] == w)
             sizes = self.sizes[blocks]
@@ -276,21 +278,16 @@ class _Blocks:
         self.z[self.block, self.slot] = gp
         tot = self.totals()
         others = tot[self.block] - gp
-        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-            floors = others / self.gain
-        phi, _ = water_fill_batch(floors, self.budgets)
+        phi, _ = water_fill_batch(self.gain, others, self.budgets)
         self.residual = phi - self.pmat
         log_tot = np.log2(tot)
-        if not self.mixed:  # no pad channels
-            potential = (log_tot - self.log_noise).sum(axis=1) / k
-            rates = (log_tot[self.block] - np.log2(others)).sum(axis=1) / k
-        else:  # channel sums over each block's own width
-            potential, rates = np.empty(self.width.size), np.empty(self.mus.size)
-            for w, blocks, rows, _ in self.parts:
-                own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
-                potential[blocks] = own.sum(axis=1) / k
-                own = log_tot[self.block[rows], :w] - np.log2(others[rows, :w])
-                rates[rows] = own.sum(axis=1) / k
+        # Channel sums over each block's own width.
+        potential, rates = np.empty(self.width.size), np.empty(self.mus.size)
+        for w, blocks, rows, _ in self.parts:
+            own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
+            potential[blocks] = own.sum(axis=1) / k
+            own = log_tot[self.block[rows], :w] - np.log2(others[rows, :w])
+            rates[rows] = own.sum(axis=1) / k
         self.held &= potential >= self.potential
         self.potential = potential
         return potential, rates
@@ -310,13 +307,10 @@ class _Blocks:
         """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
         Raises RuntimeError if that leaves the feasible set."""
         self.pmat += alpha[:, None] * self.residual
-        if not self.mixed:
-            within = (self.pmat.sum(axis=1) <= self.limits).all()
-        else:  # budget sums over each row's own width
-            within = all(
-                (self.pmat[rows, :w].sum(axis=1) <= self.limits[rows]).all()
-                for w, _, rows, _ in self.parts
-            )
+        within = all(  # budget sums over each row's own width
+            (self.pmat[rows, :w].sum(axis=1) <= self.limits[rows]).all()
+            for w, _, rows, _ in self.parts
+        )
         if not ((self.pmat >= 0.0).all() and within):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
@@ -328,12 +322,11 @@ class _Blocks:
         MU."""
         gain, budgets, powers = self.padded
         self.z[self.block, self.slot] = self.gain * self.pmat
-        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-            for j, nb in enumerate(self.slots):
-                g = gain[:nb, j]
-                phi, _ = water_fill_batch((self.totals(nb) - self.z[:nb, j]) / g, budgets[:nb, j])
-                powers[:nb, j] = phi
-                np.multiply(g, phi, out=self.z[:nb, j])
+        for j, nb in enumerate(self.slots):
+            g = gain[:nb, j]
+            phi, _ = water_fill_batch(g, self.totals(nb) - self.z[:nb, j], budgets[:nb, j])
+            powers[:nb, j] = phi
+            np.multiply(g, phi, out=self.z[:nb, j])
         self.pmat = powers[self.block, self.slot]
 
     def subset(self, keep):

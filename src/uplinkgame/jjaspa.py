@@ -171,9 +171,9 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 continue
             alpha = config.schedule.block_alpha(rec.visits, rec.held)
             gains = scenario.gain_sq[np.ix_(members, cols)]
-            with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-                floors = (scenario.noise[cols] + rec.interference) / gains
-            phi, _ = water_fill_batch(floors, scenario.budget[members])
+            phi, _ = water_fill_batch(
+                gains, scenario.noise[cols] + rec.interference, scenario.budget[members]
+            )
             for i, row in zip(coalition, (1.0 - alpha) * rec.powers + alpha * phi):
                 new_powers[i] = row
 

@@ -33,31 +33,35 @@ class WaterFillResult:
     active_set: np.ndarray  # channel indices with positive power
 
 
-def water_fill_batch(floors: np.ndarray, budgets: np.ndarray):
-    """Row-wise exact water-filling.
+def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: np.ndarray):
+    """Row-wise exact water-filling over the floors (n + I) / g.
 
-    floors: (R, C) effective noise-plus-interference floors, all positive.
-    budgets: (R,) positive budgets.
-    Returns (powers, levels) with powers (R, C) and levels (R,).
+    gains, noise_plus_interf: (R, C) positive float arrays; budgets: (R,)
+    positive array. Returns (powers, levels) with powers (R, C) and levels
+    (R,).
 
     The level for m active channels is (P + sum of m smallest floors)/m; the
     valid m is the largest one whose level still covers the m-th floor (the
     validity predicate is monotone in m, so the largest match is unique).
 
-    A +inf floor is an absent channel: it is never active and gets power 0.0,
-    so padding a row with +inf columns leaves its other powers and its level
-    bit for bit unchanged. Every row needs at least one finite floor.
+    A floor that overflows to +inf (a vanishing gain, or +inf noise) is an
+    absent channel: it is never active and gets power 0.0, so padding a row
+    with +inf columns leaves its other powers and its level bit for bit
+    unchanged. A row with no finite floor is an AP its MU cannot use: power
+    0.0 on every channel, and the largest float as its level.
     """
-    floors = np.atleast_2d(np.asarray(floors, dtype=float))
-    budgets = np.asarray(budgets, dtype=float)
+    with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
+        floors = noise_plus_interf / gains
     r, c = floors.shape
     sorted_f = np.sort(floors, axis=1)
     cum = np.cumsum(sorted_f, axis=1)
     counts = np.arange(1, c + 1, dtype=float)
-    levels_m = (budgets[:, None] + cum) / counts
     # Clipping at the largest float keeps every finite level, and a +inf
-    # floor then fails the test: it is never active.
-    ok = np.minimum(levels_m, _LARGEST) >= sorted_f  # true at m=1 for finite floors
+    # floor then fails the test: it is never active. A row without a valid m
+    # keeps the clipped level of its last m, the largest float, and
+    # max(largest - inf, 0) is 0.0; a NaN stays NaN.
+    levels_m = np.minimum((budgets[:, None] + cum) / counts, _LARGEST)
+    ok = levels_m >= sorted_f  # true at m=1 for finite floors
     last = (c - 1) - np.argmax(ok[:, ::-1], axis=1)  # largest valid m per row, less 1
     levels = levels_m[np.arange(r), last]
     powers = np.maximum(levels[:, None] - floors, 0.0)
@@ -90,11 +94,10 @@ def water_fill(gain_sq, noise_plus_interf, budget: float) -> WaterFillResult:
     if not np.isfinite(budget) or budget <= 0.0:
         raise ValidationError("water_fill: budget must be positive")
 
-    with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-        floors = ni / g
-    if not np.any(floors < np.inf):
-        raise ValidationError("water_fill: every gain is too small to carry power")
-    powers, levels = water_fill_batch(floors[None, :], np.asarray([budget]))
+    with np.errstate(over="ignore"):
+        if not np.any(ni / g < np.inf):
+            raise ValidationError("water_fill: every gain is too small to carry power")
+    powers, levels = water_fill_batch(g[None, :], ni[None, :], np.asarray([budget]))
     p = powers[0]
     return WaterFillResult(
         powers=p, water_level=float(levels[0]), active_set=np.flatnonzero(p > 0.0)
@@ -153,8 +156,8 @@ def profile_table(scenario, association, powers):
 def best_replies(scenario, interference: np.ndarray):
     """The batched ``wf_operator``: every MU's water-fill at every AP against
     the given (N, K) interference rows, one ``water_fill_batch`` call per AP;
-    an AP where a row has no finite floor gets power 0 and rate 0. Returns
-    (rates (N, W), per-AP list of (N, K_w) powers)."""
+    an AP where every gain of an MU vanishes gets power 0 and rate 0 from it.
+    Returns (rates (N, W), per-AP list of (N, K_w) powers)."""
     rates = np.empty((scenario.num_mus, scenario.num_aps))
     vecs = []
     for ap in range(scenario.num_aps):
@@ -163,14 +166,7 @@ def best_replies(scenario, interference: np.ndarray):
         cols = scenario.chan_idx[ap]
         gains = scenario.gain_sq.take(cols, axis=1)
         floors_phys = scenario.noise[cols] + interference.take(cols, axis=1)
-        with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-            floors = floors_phys / gains
-        # A row without a finite floor (every gain underflowing) is an AP its MU
-        # cannot use: power 0, rate 0. Most tables have none: [:0] is no row.
-        dead = np.isinf(floors).all(axis=1) if floors.max() == np.inf else slice(0)
-        floors[dead] = 1.0
-        phi, _ = water_fill_batch(floors, scenario.budget)
-        phi[dead] = 0.0
+        phi, _ = water_fill_batch(gains, floors_phys, scenario.budget)
         rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
         vecs.append(phi)
     return rates, vecs

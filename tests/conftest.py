@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ def footnote_network() -> NetworkScenario:
         ap_positions=np.array([[0.0, 0.0], [3.0, 0.0]]),
         connection_cost=np.zeros(2),
     )
+
+
+def unusable_ap_scenario() -> NetworkScenario:
+    """(4, 2, 6), seed 0, with MU 0's gains vanishing (1e-320) on every
+    channel but channel 0: MU 0 has no finite floor at AP 1."""
+    sc = make_scenario(4, 2, 6, seed=0)
+    gain = sc.gain_sq.copy()
+    gain[0, 1:] = 1e-320
+    return dataclasses.replace(sc, gain_sq=gain)
 
 
 def random_powers(scenario, association, rng, slack=False):

@@ -24,7 +24,7 @@ from uplinkgame import (
 from uplinkgame.game import all_rates, per_ap_potential
 from uplinkgame.inner import evaluate_profile
 
-from conftest import make_scenario, random_powers
+from conftest import make_scenario, random_powers, unusable_ap_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +183,39 @@ def test_direct_solver_calls_validate_their_settings(solver, eps_wf, max_iters):
         solver(sc, [0, 1, 0, 1], eps_wf=eps_wf, max_iters=max_iters)
 
 
-def test_a_nan_residual_never_reads_as_converged():
-    # Every gain of MU 0 at its AP underflows: no finite floor, so its
-    # response and the residual are NaN, which must not stop the solve.
+def test_a_nan_residual_never_reads_as_converged(monkeypatch):
+    # A water-fill whose first row comes back NaN makes the residual NaN,
+    # which must not stop the solve.
+    real = inner_module.water_fill_batch
+
+    def nan_rows(*args):
+        phi, levels = real(*args)
+        phi[0] = np.nan
+        return phi, levels
+
+    monkeypatch.setattr(inner_module, "water_fill_batch", nan_rows)
     sc = make_scenario(4, 2, 6, seed=0)
-    gain = sc.gain_sq.copy()
-    gain[0, sc.chan_idx[0]] = 1e-320
-    sc = dataclasses.replace(sc, gain_sq=gain)
-    with np.errstate(invalid="ignore"):
-        result = s_iwf(sc, [0, 1, 0, 1], max_iters=3)
-        res_inf = evaluate_profile(sc, [0, 1, 0, 1], uniform_powers(sc, [0, 1, 0, 1]))[0]
+    result = s_iwf(sc, [0, 1, 0, 1], max_iters=3)
+    res_inf = evaluate_profile(sc, [0, 1, 0, 1], uniform_powers(sc, [0, 1, 0, 1]))[0]
     assert not result.converged and result.iterations == 3
     assert math.isnan(res_inf)
+
+
+def test_inner_solvers_give_an_unusable_ap_zero_power():
+    # MU 0 at AP 1, where every one of its gains vanishes: both solvers
+    # converge, s_iwf's exact step gives it power 0.0 and a_iwf's steps take
+    # it toward 0; the profile's metrics stay finite.
+    sc = unusable_ap_scenario()
+    assoc = [1, 0, 0, 0]
+    exact = s_iwf(sc, assoc)
+    assert exact.converged
+    assert np.array_equal(exact.powers[0], np.zeros(3))
+    metrics = evaluate_profile(sc, assoc, exact.powers)
+    assert np.isfinite(metrics[:4]).all() and np.isfinite(metrics[4]).all()
+    assert metrics[4][0] == 0.0
+    averaged = a_iwf(sc, assoc)
+    assert averaged.converged
+    assert averaged.powers[0].max() <= 1e-8
 
 
 def test_multi_ap_inner_solves_each_cell():
@@ -380,9 +401,9 @@ def _count_water_fills(monkeypatch):
     calls = []
     real = inner_module.water_fill_batch
 
-    def counted(floors, budgets):
-        calls.append(floors.shape)
-        return real(floors, budgets)
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real(*args)
 
     monkeypatch.setattr(inner_module, "water_fill_batch", counted)
     return calls
@@ -528,8 +549,8 @@ def test_a_iwf_raises_on_infeasible_step(monkeypatch):
     sc = make_scenario(6, 2, 8, seed=14)
     real = inner_module.water_fill_batch
 
-    def over_budget(floors, budgets):
-        phi, levels = real(floors, budgets)
+    def over_budget(*args):
+        phi, levels = real(*args)
         return 3.0 * phi, levels
 
     monkeypatch.setattr(inner_module, "water_fill_batch", over_budget)

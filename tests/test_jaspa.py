@@ -24,7 +24,7 @@ from uplinkgame.inner import SAFEGUARD_ALPHA, evaluate_profile
 from uplinkgame.jaspa import new_state, sample_association
 from uplinkgame.waterfill import best_reply_table
 
-from conftest import footnote_network, make_scenario
+from conftest import footnote_network, make_scenario, unusable_ap_scenario
 
 
 def fresh_state(n=3, w=3, m=4):
@@ -157,6 +157,17 @@ def test_seeded_runs_reach_verified_equilibria():
         result = jaspa(sc, JaspaConfig(memory_len=4, seed=seed, max_outer=5000))
         assert result.converged
         assert result.jep_report.is_equilibrium
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_jaspa_with_an_unusable_ap_reaches_a_verified_equilibrium(seed):
+    # MU 0 cannot use AP 1 (every gain there vanishes). An a_iwf solve that
+    # puts it there gives it power 0.0 instead of a NaN response and an
+    # infeasible step.
+    result = jaspa(unusable_ap_scenario(), JaspaConfig(memory_len=4, seed=seed))
+    assert result.converged
+    assert result.jep_report.is_equilibrium
+    assert result.association.tolist() == [0, 0, 0, 0]
 
 
 def test_identical_seeds_give_identical_runs():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -179,18 +180,56 @@ def test_inf_padding_leaves_powers_and_levels_bit_identical(width, padded, rows)
     floors = rng.uniform(0.05, 5.0, (rows, width)) * 10.0 ** rng.integers(-3, 3, (rows, 1))
     floors[0, -1] = floors[0, 0]  # a tie
     budgets = rng.uniform(0.01, 10.0, rows)
-    want_p, want_levels = water_fill_batch(floors, budgets)
+    # Unit gains: x / 1.0 == x, so the floors are these values exactly.
+    gains = np.ones((rows, padded))
+    want_p, want_levels = water_fill_batch(gains[:, :width], floors, budgets)
     pads = np.full((rows, padded - width), np.inf)
-    got_p, got_levels = water_fill_batch(np.hstack([floors, pads]), budgets)
+    got_p, got_levels = water_fill_batch(gains, np.hstack([floors, pads]), budgets)
     assert np.array_equal(got_p[:, :width], want_p)
     assert np.all(got_p[:, width:] == 0.0)
     assert np.array_equal(got_levels, want_levels)
-    # Pads anywhere in the row, as a vanishing gain's floor would be.
+    # Pads anywhere in the row.
     cols = rng.permutation(padded)
     mixed = np.hstack([floors, pads])[:, cols]
-    got_p, got_levels = water_fill_batch(mixed, budgets)
+    got_p, got_levels = water_fill_batch(gains, mixed, budgets)
     assert np.array_equal(got_p[:, np.argsort(cols)][:, :width], want_p)
     assert np.array_equal(got_levels, want_levels)
+    # Vanishing gains in place of the +inf floors: their floors overflow to
+    # +inf, the same absent channels.
+    vanishing = np.hstack([gains[:, :width], np.full(pads.shape, 1e-320)])[:, cols]
+    noise = np.hstack([floors, np.ones(pads.shape)])[:, cols]
+    got_p, got_levels = water_fill_batch(vanishing, noise, budgets)
+    assert np.array_equal(got_p[:, np.argsort(cols)][:, :width], want_p)
+    assert np.all(got_p[:, np.argsort(cols)][:, width:] == 0.0)
+    assert np.array_equal(got_levels, want_levels)
+
+
+def test_a_row_without_a_finite_floor_gets_zero_power():
+    # Row 1's gains all vanish: no finite floor, so no usable channel. It gets
+    # power 0.0 everywhere, with no RuntimeWarning (tier-1 makes them errors),
+    # and the other rows are bit for bit those of a call without it.
+    rng = np.random.default_rng(5)
+    gains = rng.uniform(0.1, 2.0, (4, 6))
+    noise = rng.uniform(0.1, 2.0, (4, 6))
+    budgets = rng.uniform(0.5, 3.0, 4)
+    gains[1] = 1e-320
+    powers, levels = water_fill_batch(gains, noise, budgets)
+    assert np.array_equal(powers[1], np.zeros(6))
+    assert levels[1] == np.finfo(float).max
+    live = [0, 2, 3]
+    want_p, want_levels = water_fill_batch(gains[live], noise[live], budgets[live])
+    assert np.array_equal(powers[live], want_p)
+    assert np.array_equal(levels[live], want_levels)
+
+
+def test_a_nan_floor_stays_nan():
+    # NaN is not read as an absent channel: it reaches the powers, so a
+    # solver's residual reads NaN and never converges.
+    noise = np.array([[np.nan] * 3, [1.0, np.nan, 2.0], [1.0, 1.0, 2.0]])
+    powers, levels = water_fill_batch(np.ones((3, 3)), noise, np.ones(3))
+    assert np.isnan(powers[0]).all() and math.isnan(levels[0])
+    assert math.isnan(powers[1, 1])
+    assert np.isfinite(powers[2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +310,7 @@ def test_best_reply_table_matches_best_response_rate(n, w, k, assoc):
             interf[j] = total - sc.gain_sq[j, cols] * powers[j]
         floors_phys = sc.noise[cols] + interf
         gains = np.ascontiguousarray(sc.gain_sq[:, cols])
-        phi, _ = water_fill_batch(floors_phys / gains, sc.budget)
+        phi, _ = water_fill_batch(gains, floors_phys, sc.budget)
         want = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / sc.num_channels
         assert np.array_equal(vecs[ap], phi)
         assert np.array_equal(rates[:, ap], want)
