@@ -96,7 +96,7 @@ def exhaustive_search(
             f"{w}^{n} = {count} association profiles exceed the enumeration cap "
             f"({enumeration_cap}); sample profiles instead of enumerating"
         )
-    width = max(cols.size for cols in scenario.chan_idx)
+    width = int(scenario.chan_width.max())
     chunk = max(1, CHUNK_CELLS // (n * width))
     parts = []
     for lo in range(0, count, chunk):

@@ -18,13 +18,24 @@ interference; it forms the floors, so an MU whose every gain at its AP
 vanishes has no finite floor and gets power 0.0. A stack holds one profile's
 blocks (``a_iwf``, ``s_iwf``, ``evaluate_profile``) or the distinct blocks
 of many profiles (``solve_profiles``, where an MU has a row in each of its
-blocks). An evaluation makes one ``G*P``, one water-fill call, one residual
-and one set of ``log2``s. An s_iwf round runs on ``Z``, the (block, member
-slot, channel) scatter of ``G*P``: because blocks come largest first, slot j
-of every block with more than j members is the basic slice ``Z[:nb, j]``,
-and one water-fill call moves it. Moving the j-th member of every block at
-once equals stepping MU by MU, because blocks are independent and a block's
+blocks). An s_iwf round runs on ``Z``, the (block, member slot, channel)
+scatter of ``G*P``: because blocks come largest first, slot j of every block
+with more than j members is the basic slice ``Z[:nb, j]``, and one
+water-fill call moves it. Moving the j-th member of every block at once
+equals stepping MU by MU, because blocks are independent and a block's
 members move in ascending MU order.
+
+An evaluation computes only what a step and the stop test read: one ``G*P``,
+scattered into ``Z`` through one flat row index, the totals and the noise
+plus interference, one water-fill call, the residual, the ``log2`` of the
+totals and the block potentials (which the safeguarded rule reads). The
+trace columns no step reads, per-MU rates and the sum rate, per-block
+squared residuals and their 2-norm, and the potential summed over the
+blocks, are functions of the kept log totals, noise plus interference,
+residual rows and block potentials that accept any leading axes. a_iwf and
+s_iwf write their evaluations into a buffer of at most ``_TRACE_CELLS``
+cells and turn each full buffer into trace rows in one batched pass;
+``evaluate_profile`` calls the same functions on one evaluation's arrays.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
 because every sum keeps numpy's per-block order:
@@ -44,6 +55,18 @@ because every sum keeps numpy's per-block order:
   (profiles, N) gather has the bits of the 1-D sum);
 - a block's safeguarded step reads only that block's own potentials, and
   a per-AP potential of ``evaluate_profile`` is its block's own potential.
+
+Batching the trace columns over F buffered evaluations moves no bit either,
+because each batched sum is the sum it replaces:
+- a last-axis reduce of an (F, rows, w) array sums each row pairwise, as the
+  (rows, w) reduce of one evaluation does: every rate is the same sum;
+- a block's squared residual is the (F, m*w) view of its contiguous (m, w)
+  slice, reduced on the last axis: per evaluation the flat pairwise sum of
+  the same m*w squares;
+- the sum rate is a row sum of an (F, N) array, the 1-D sum of each row;
+- adding the blocks' (F,) columns in AP order, from zeros, makes the same
+  IEEE additions as a float loop over one evaluation's blocks, and
+  ``np.sqrt`` rounds as ``math.sqrt`` does (both are correctly rounded).
 """
 
 from __future__ import annotations
@@ -56,7 +79,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .game import copy_powers, uniform_powers, validate_association, validate_powers
+from .game import uniform_powers, validate_association, validate_powers
 from .waterfill import water_fill_batch
 
 
@@ -191,30 +214,30 @@ class _Blocks:
     one."""
 
     def __init__(self, scenario, aps, block, mus, pmat, ids, rows):
-        widths = [cols.size for cols in scenario.chan_idx]
-        table = np.zeros((len(widths), max(widths)), dtype=np.intp)
-        for ap, cols in enumerate(scenario.chan_idx):
-            table[ap, : cols.size] = cols
-        self.scenario, self.aps, self.width = scenario, aps, np.array(widths)[aps]
+        self.scenario, self.aps, self.width = scenario, aps, scenario.chan_width[aps]
         self.block, self.mus, self.ids, self.rows = block, mus, ids, rows
-        self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
+        self.widths = sorted(set(self.width.tolist()))
         c, narrowest = self.widths[-1], self.widths[0]
-        cols = table[aps, :c]
+        cols = scenario.chan_table[aps, :c]
         self.pmat = np.ascontiguousarray(pmat[:, :c])
         self.num_channels = scenario.num_channels
         self.sizes = np.bincount(block, minlength=aps.size)
-        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.starts = np.add.accumulate(self.sizes) - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
         self.gain = scenario.gain_sq[mus[:, None], cols[block]]
         self.noise = scenario.noise[cols]
-        pad = np.arange(c) >= self.width[:, None]  # all False for one width
-        self.gain[pad[block]] = 1.0
-        self.noise[pad] = np.inf
+        if len(self.widths) > 1:
+            pad = np.arange(c) >= self.width[:, None]
+            self.gain[pad[block]] = 1.0
+            self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
-        # Z: the (block, member slot, channel) scatter of G*P, zero-padded.
+        # Z: the (block, member slot, channel) scatter of G*P, zero-padded;
+        # ``flat`` is each row's row of Z viewed as (blocks * slots, C).
         self.z = np.zeros((aps.size, self.sizes[0], c))
+        self.z_rows = self.z.reshape(-1, c)
+        self.flat = block * self.sizes[0] + self.slot
         # (block, size) of each width-1 block, in block order.
         self.singles = []
         if narrowest == 1:
@@ -234,11 +257,16 @@ class _Blocks:
                 blocks = np.flatnonzero(self.width == w)
                 rows = np.flatnonzero(self.width[self.block] == w)
             sizes = self.sizes[blocks]
-            ends = np.cumsum(sizes)
+            ends = np.add.accumulate(sizes)
             ids = np.arange(self.width.size)[blocks].tolist()
             bounds = list(zip(ids, (ends - sizes).tolist(), ends.tolist()))
             out.append((w, blocks, rows, bounds))
         return out
+
+    @cached_property
+    def id_order(self) -> list:
+        """The blocks in ascending ``ids`` order."""
+        return np.argsort(self.ids).tolist()
 
     @cached_property
     def slots(self) -> list:
@@ -269,39 +297,61 @@ class _Blocks:
             tot[b, :1] = self.noise[b, :1] + self.z[b, :m, :1].sum(axis=0)
         return tot
 
-    def evaluate(self):
-        """One synchronous evaluation: per block the potential, per row the
-        rate; keeps the residual rows (response minus powers) and the block
-        potentials, and releases every held block whose potential fell."""
-        k = self.num_channels
+    def evaluate(self, out=None):
+        """One synchronous evaluation of what a step and the stop test read.
+        Keeps the log totals ``log_tot`` (blocks, C), the noise plus
+        interference ``others`` and the residual rows ``residual`` (rows, C;
+        response minus powers), written into the three arrays of ``out`` if
+        given, and the block potentials; releases every held block whose
+        potential fell."""
+        log_tot, others, residual = out or (None, None, None)
         gp = self.gain * self.pmat
-        self.z[self.block, self.slot] = gp
+        self.z_rows[self.flat] = gp
         tot = self.totals()
-        others = tot[self.block] - gp
-        phi, _ = water_fill_batch(self.gain, others, self.budgets)
-        self.residual = phi - self.pmat
-        log_tot = np.log2(tot)
-        # Channel sums over each block's own width.
-        potential, rates = np.empty(self.width.size), np.empty(self.mus.size)
-        for w, blocks, rows, _ in self.parts:
-            own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
-            potential[blocks] = own.sum(axis=1) / k
-            own = log_tot[self.block[rows], :w] - np.log2(others[rows, :w])
-            rates[rows] = own.sum(axis=1) / k
+        self.others = np.subtract(tot[self.block], gp, out=others)
+        phi, _ = water_fill_batch(self.gain, self.others, self.budgets)
+        self.residual = np.subtract(phi, self.pmat, out=residual)
+        self.log_tot = np.log2(tot, out=log_tot)
+        potential = np.empty(self.width.size)
+        for w, blocks, _, _ in self.parts:  # over each block's own width
+            own = self.log_tot[blocks, :w] - self.log_noise[blocks, :w]
+            potential[blocks] = own.sum(axis=1) / self.num_channels
         self.held &= potential >= self.potential
         self.potential = potential
-        return potential, rates
 
-    def squared_residuals(self) -> list:
-        """Each block's squared residual, summed over its (members, width)
-        slice of the last evaluation's residual rows."""
-        out = [0.0] * self.width.size
+    # The trace-only columns. Each takes the arrays of evaluations with any
+    # leading axes, one evaluation's or a buffer of them, and sums every
+    # row, block and channel width as one evaluation would.
+
+    def rates(self, log_tot, others):
+        """Per-row rates (..., rows) from the log totals (..., blocks, C) and
+        the noise plus interference (..., rows, C)."""
+        rates = np.empty(others.shape[:-1])
+        for w, _, rows, _ in self.parts:
+            own = log_tot[..., self.block[rows], :w] - np.log2(others[..., rows, :w])
+            rates[..., rows] = own.sum(axis=-1) / self.num_channels
+        return rates
+
+    def squared_residuals(self, residual):
+        """Each block's squared residual (..., blocks), the sum of its
+        contiguous (members, width) slice of the residual rows (..., rows, C)
+        as one flat run."""
+        lead = residual.shape[:-2]
+        out = np.empty(lead + self.width.shape)
         for w, _, rows, bounds in self.parts:
-            r = self.residual[rows, :w]
+            r = residual[..., rows, :w]
             s2 = r * r
             for b, lo, hi in bounds:
-                out[b] = float(s2[lo:hi].sum())
+                out[..., b] = s2[..., lo:hi, :].reshape(lead + (-1,)).sum(axis=-1)
         return out
+
+    def id_sum(self, values):
+        """(..., blocks) values added block by block in ``ids`` order, from
+        0.0, as a float loop would add them."""
+        total = np.zeros(values.shape[:-1])
+        for b in self.id_order:
+            total += values[..., b]
+        return total
 
     def average(self, alpha, t):
         """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
@@ -321,7 +371,7 @@ class _Blocks:
         MU order and blocks are independent, so this equals stepping MU by
         MU."""
         gain, budgets, powers = self.padded
-        self.z[self.block, self.slot] = self.gain * self.pmat
+        self.z_rows[self.flat] = self.gain * self.pmat
         for j, nb in enumerate(self.slots):
             g = gain[:nb, j]
             phi, _ = water_fill_batch(g, self.totals(nb) - self.z[:nb, j], budgets[:nb, j])
@@ -367,35 +417,28 @@ class _Stack:
 
     def __init__(self, scenario, association, powers):
         self.num_mus, self.num_aps = scenario.num_mus, scenario.num_aps
-        found = []
-        for ap in range(scenario.num_aps):
-            members = np.flatnonzero(association == ap)
-            if members.size:
-                found.append((-members.size, ap, members))
-        _, aps, members = zip(*sorted(found, key=lambda b: b[:2]))
-        aps, mus = np.array(aps), np.concatenate(members)
-        block = np.repeat(np.arange(aps.size), [m.size for m in members])
-        pmat = np.zeros((mus.size, max(len(powers[i]) for i in mus.tolist())))
-        for r, i in enumerate(mus.tolist()):
-            pmat[r, : len(powers[i])] = powers[i]
-        self.blocks = _Blocks(scenario, aps, block, mus, pmat, aps, mus)
+        sizes = np.bincount(association, minlength=self.num_aps)
+        aps = np.lexsort((np.arange(self.num_aps), -sizes))[: np.count_nonzero(sizes)]
+        rank = np.empty(self.num_aps, dtype=np.intp)
+        rank[aps] = np.arange(aps.size)
+        rank = rank[association]
+        mus = np.argsort(rank, kind="stable")  # by block, then MU index
+        width = scenario.chan_width[association]
+        pmat = np.zeros((self.num_mus, width.max()))
+        pmat[np.arange(pmat.shape[1]) < width[:, None]] = np.concatenate(powers)
+        self.blocks = _Blocks(scenario, aps, rank[mus], mus, pmat[mus], aps, mus)
 
-    def evaluate(self):
-        """One synchronous evaluation: residual inf- and 2-norms, potential,
-        per-MU rates and per-AP potentials (0.0 at an empty AP)."""
+    def metrics(self, log_tot, others, residual, potential):
+        """(potential, sum rate, residual 2-norm, per-MU rates) of
+        evaluations with any leading axes, from ``_Blocks.evaluate``'s arrays
+        and the block potentials (..., blocks). The potential and the squared
+        residual add the blocks in AP order, from 0.0; the sum rate sums the
+        N MU rates in MU order."""
         b = self.blocks
-        block_pot, row_rates = b.evaluate()
-        rates = np.empty(self.num_mus)
-        rates[b.mus] = row_rates
-        res_inf = float(np.abs(b.residual).max())  # NaN stays NaN: never converged
-        sq = potential = 0.0
-        ap_potential = np.zeros(self.num_aps)
-        blocks = sorted(zip(b.ids.tolist(), b.squared_residuals(), block_pot.tolist()))
-        for ap, sq_b, pot_b in blocks:
-            sq += sq_b
-            potential += pot_b
-            ap_potential[ap] = pot_b
-        return res_inf, math.sqrt(sq), potential, rates, ap_potential
+        rates = np.empty(others.shape[:-2] + (self.num_mus,))
+        rates[..., b.mus] = b.rates(log_tot, others)
+        res_two = np.sqrt(b.id_sum(b.squared_residuals(residual)))
+        return b.id_sum(potential), rates.sum(axis=-1), res_two, rates
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""
@@ -406,13 +449,17 @@ class _Stack:
 
 def evaluate_profile(scenario, association, powers):
     """Batch metrics of one profile: (residual inf-norm, residual 2-norm,
-    system potential, sum rate, per-MU rates, per-AP potentials). The system
-    potential adds the per-AP potentials in AP order."""
-    association = np.asarray(association, dtype=np.intp)
-    res_inf, res_two, potential, rates, ap_potential = _Stack(
-        scenario, association, powers
-    ).evaluate()
-    return res_inf, res_two, potential, float(rates.sum()), rates, ap_potential
+    system potential, sum rate, per-MU rates, per-AP potentials, 0.0 at an
+    empty AP). The system potential adds the per-AP potentials in AP
+    order."""
+    stack = _Stack(scenario, np.asarray(association, dtype=np.intp), powers)
+    b = stack.blocks
+    b.evaluate()
+    potential, total, res_two, rates = stack.metrics(b.log_tot, b.others, b.residual, b.potential)
+    ap_potential = np.zeros(stack.num_aps)
+    ap_potential[b.ids] = b.potential
+    res_inf = float(np.abs(b.residual).max())
+    return res_inf, float(res_two), float(potential), float(total), rates, ap_potential
 
 
 def _prepare(scenario, association, initial_powers) -> _Stack:
@@ -421,28 +468,54 @@ def _prepare(scenario, association, initial_powers) -> _Stack:
         powers = uniform_powers(scenario, association)
     else:
         validate_powers(scenario, association, initial_powers)
-        powers = copy_powers(initial_powers)
+        powers = initial_powers
     return _Stack(scenario, association, powers)
 
 
+# Cells of buffered evaluations (log totals, noise plus interference, residual
+# rows and block potentials) that _iterate holds before it computes their
+# trace columns in one batched pass.
+_TRACE_CELLS = 2**15
+
+
 def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopResult:
-    """Evaluate and record a trace row; stop at ``eps_wf`` or ``max_iters``,
+    """Evaluate and test the residual; stop at ``eps_wf`` or ``max_iters``,
     else call ``step(t, blocks)``, which updates the powers and returns the
-    stepsize it applied (nan for exact steps)."""
-    rows = []
+    stepsize it applied (nan for exact steps). Evaluations are written into
+    a preallocated buffer of at most _TRACE_CELLS cells (one evaluation at
+    least); each full buffer, and the last, becomes trace rows in one
+    ``_Stack.metrics`` pass."""
+    b = stack.blocks
+    (rows, c), nb = b.pmat.shape, b.aps.size
+    room = max(1, min(_TRACE_CELLS // (2 * rows * c + nb * c + nb), max_iters + 1))
+    log_tot, others, residual = (np.empty((room, n, c)) for n in (nb, rows, rows))
+    potential = np.empty((room, nb))
+    chunks, res_inf, alpha = [], [], []
+
+    def flush(f):
+        chunks.append(stack.metrics(log_tot[:f], others[:f], residual[:f], potential[:f])[:3])
+
     converged = False
-    t = 0
+    t = f = 0
     while True:
-        res_inf, res_two, potential, rates, _ = stack.evaluate()
-        rows.append([potential, float(rates.sum()), res_inf, res_two, math.nan])
-        if res_inf <= eps_wf:
+        if f == room:
+            flush(f)
+            f = 0
+        b.evaluate((log_tot[f], others[f], residual[f]))
+        potential[f] = b.potential
+        f += 1
+        res_inf.append(float(np.abs(b.residual).max()))  # NaN stays NaN: never converged
+        alpha.append(math.nan)
+        if res_inf[-1] <= eps_wf:
             converged = True
             break
         if t >= max_iters:
             break
         t += 1
-        rows[-1][4] = step(t, stack.blocks)
-    trace = InnerTrace(*(np.asarray(col) for col in zip(*rows)))
+        alpha[-1] = step(t, b)
+    flush(f)
+    pot, total, res_two = (np.concatenate(col) for col in zip(*chunks))
+    trace = InnerTrace(pot, total, np.array(res_inf), res_two, np.array(alpha))
     return InnerLoopResult(stack.powers(), t, converged, trace)
 
 
@@ -495,7 +568,7 @@ def _distinct_blocks(scenario, associations: np.ndarray):
     _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
     ap, flags = first % w, member[first]
     size = flags.sum(axis=1)
-    width = np.array([c.size for c in scenario.chan_idx])[ap]
+    width = scenario.chan_width[ap]
     order = np.lexsort(np.vstack([flags.T[::-1], ap, -size, width]))
     keys = np.column_stack([width, -size, ap, flags])[order].astype(np.int32)
     rank = np.empty_like(order)
@@ -555,13 +628,16 @@ def solve_profiles(
     live = np.arange(profiles)
     t = 0
     while True:
-        block_pot[blocks.ids], rates[blocks.rows] = blocks.evaluate()
+        blocks.evaluate()
+        block_pot[blocks.ids] = blocks.potential
         row_inf = np.abs(blocks.residual).max(axis=1)
         block_inf[blocks.ids] = np.maximum.reduceat(row_inf, blocks.starts)
         done = block_inf[block_of[live]].max(axis=1) <= eps_wf
         stop = done | (t >= max_iters)
         end = live[stop]
         converged[end] = done[stop]
+        if end.size:
+            rates[blocks.rows] = blocks.rates(blocks.log_tot, blocks.others)
         total[end] = rates[row_of[end]].sum(axis=1)
         for ap in range(w):
             potential[end] += block_pot[block_of[end, ap]]

@@ -78,6 +78,9 @@ class NetworkScenario:
     connection_cost: np.ndarray  # (N,)
     seed: Optional[int] = None
     chan_idx: tuple = field(init=False, repr=False)  # per-AP 0-based columns
+    # chan_idx as one (W, widest) array, zero-padded, and each AP's width.
+    chan_table: np.ndarray = field(init=False, repr=False)
+    chan_width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, w, k = self.num_mus, self.num_aps, self.num_channels
@@ -129,9 +132,15 @@ class NetworkScenario:
             raise ValidationError("connection_cost: entries must be nonnegative")
 
         object.__setattr__(self, "ap_channels", tuple(tuple(int(c) for c in b) for b in self.ap_channels))
-        for a in idx:
+        width = np.array([a.size for a in idx])
+        table = np.zeros((w, width.max()), dtype=np.intp)
+        for ap, a in enumerate(idx):
+            table[ap, : a.size] = a
+        for a in (*idx, table, width):
             a.setflags(write=False)
         object.__setattr__(self, "chan_idx", tuple(idx))
+        object.__setattr__(self, "chan_table", table)
+        object.__setattr__(self, "chan_width", width)
 
 
 @dataclass(frozen=True)

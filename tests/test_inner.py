@@ -556,3 +556,74 @@ def test_a_iwf_raises_on_infeasible_step(monkeypatch):
     monkeypatch.setattr(inner_module, "water_fill_batch", over_budget)
     with pytest.raises(RuntimeError, match="infeasible"):
         a_iwf(sc, np.arange(6) % 2)
+
+
+# ---------------------------------------------------------------------------
+# The trace buffer: _iterate computes the trace columns of buffered
+# evaluations in batched passes, which must not move a bit.
+
+BUFFER_SIZES = [(12, 5, 23), (6, 4, 5), (16, 4, 48), (10, 1, 16)]
+BUFFER_SOLVERS = {
+    "a_iwf": lambda sc, assoc, **kw: a_iwf(sc, assoc, SAFEGUARDED, **kw),
+    "s_iwf": s_iwf,
+}
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def assert_same_run(run, ref):
+    assert (run.iterations, run.converged) == (ref.iterations, ref.converged)
+    for name in ("potential", "sum_rate", "residual_inf", "residual_two", "alpha"):
+        assert same_bits(getattr(run.trace, name), getattr(ref.trace, name)), name
+    assert all(same_bits(p, q) for p, q in zip(run.powers, ref.powers))
+
+
+def buffer_case(n, w, k):
+    sc = make_scenario(n, w, k, seed=3)
+    return sc, np.random.default_rng(n).integers(0, w, n)
+
+
+def evaluation_cells(sc, assoc) -> int:
+    """Cells of one buffered evaluation: log totals and block potentials per
+    nonempty AP, noise plus interference and residual rows per MU."""
+    aps = np.unique(assoc)
+    c = max(sc.chan_idx[ap].size for ap in aps)
+    return 2 * sc.num_mus * c + aps.size * c + aps.size
+
+
+@pytest.mark.parametrize("solver", sorted(BUFFER_SOLVERS))
+@pytest.mark.parametrize("n, w, k", BUFFER_SIZES)
+def test_trace_chunks_do_not_move_a_bit(monkeypatch, n, w, k, solver):
+    sc, assoc = buffer_case(n, w, k)
+    run = BUFFER_SOLVERS[solver]
+    ref = run(sc, assoc, max_iters=40)
+    cells = evaluation_cells(sc, assoc)
+    real = inner_module._Stack.metrics
+    for per_chunk in (1, 2, 7):
+        budget = per_chunk * cells + cells - 1  # room for per_chunk evaluations, not one more
+        chunks = []
+
+        def spy(stack, *arrays):
+            chunks.append((arrays[0].shape[0], sum(a.size for a in arrays)))
+            return real(stack, *arrays)
+
+        monkeypatch.setattr(inner_module, "_TRACE_CELLS", budget)
+        monkeypatch.setattr(inner_module._Stack, "metrics", spy)
+        assert_same_run(run(sc, assoc, max_iters=40), ref)
+        assert [f for f, _ in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+        assert sum(f for f, _ in chunks) == ref.iterations + 1
+        assert max(size for _, size in chunks) <= budget
+
+
+@pytest.mark.parametrize("solver", sorted(BUFFER_SOLVERS))
+@pytest.mark.parametrize("n, w, k", BUFFER_SIZES)
+def test_last_trace_row_is_evaluate_profile_of_the_powers(n, w, k, solver):
+    sc, assoc = buffer_case(n, w, k)
+    for cap in (1, 2, 5, 17):
+        result = BUFFER_SOLVERS[solver](sc, assoc, max_iters=cap)
+        res_inf, res_two, potential, total, _, _ = evaluate_profile(sc, assoc, result.powers)
+        tr = result.trace
+        last = (tr.potential[-1], tr.sum_rate[-1], tr.residual_inf[-1], tr.residual_two[-1])
+        assert same_bits(last, (potential, total, res_inf, res_two)), cap
