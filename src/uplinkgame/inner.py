@@ -64,8 +64,11 @@ because each batched sum is the sum it replaces:
   slice, reduced on the last axis: per evaluation the flat pairwise sum of
   the same m*w squares;
 - the sum rate is a row sum of an (F, N) array, the 1-D sum of each row;
-- adding the blocks' (F,) columns in AP order, from zeros, makes the same
-  IEEE additions as a float loop over one evaluation's blocks, and
+- a last-axis ``cumsum`` of the (F, blocks) values in AP order makes the
+  same IEEE additions, in sequence, as a float loop over one evaluation's
+  blocks from 0.0: that loop's first add, 0.0 + x, is x for every x but
+  -0.0, which neither a squared residual (a sum of squares) nor a potential
+  (a sum of log2(total) - log2(noise) with total >= noise) can be; and
   ``np.sqrt`` rounds as ``math.sqrt`` does (both are correctly rounded).
 """
 
@@ -216,20 +219,19 @@ class _Blocks:
     def __init__(self, scenario, aps, block, mus, pmat, ids, rows):
         self.scenario, self.aps, self.width = scenario, aps, scenario.chan_width[aps]
         self.block, self.mus, self.ids, self.rows = block, mus, ids, rows
-        self.widths = sorted(set(self.width.tolist()))
+        self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
         c, narrowest = self.widths[-1], self.widths[0]
         cols = scenario.chan_table[aps, :c]
         self.pmat = np.ascontiguousarray(pmat[:, :c])
         self.num_channels = scenario.num_channels
         self.sizes = np.bincount(block, minlength=aps.size)
-        self.starts = np.add.accumulate(self.sizes) - self.sizes
+        self.starts = np.cumsum(self.sizes) - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
         self.gain = scenario.gain_sq[mus[:, None], cols[block]]
         self.noise = scenario.noise[cols]
-        if len(self.widths) > 1:
-            pad = np.arange(c) >= self.width[:, None]
-            self.gain[pad[block]] = 1.0
-            self.noise[pad] = np.inf
+        pad = np.arange(c) >= self.width[:, None]  # all False for one width
+        self.gain[pad[block]] = 1.0
+        self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
@@ -257,16 +259,11 @@ class _Blocks:
                 blocks = np.flatnonzero(self.width == w)
                 rows = np.flatnonzero(self.width[self.block] == w)
             sizes = self.sizes[blocks]
-            ends = np.add.accumulate(sizes)
+            ends = np.cumsum(sizes)
             ids = np.arange(self.width.size)[blocks].tolist()
             bounds = list(zip(ids, (ends - sizes).tolist(), ends.tolist()))
             out.append((w, blocks, rows, bounds))
         return out
-
-    @cached_property
-    def id_order(self) -> list:
-        """The blocks in ascending ``ids`` order."""
-        return np.argsort(self.ids).tolist()
 
     @cached_property
     def slots(self) -> list:
@@ -345,14 +342,6 @@ class _Blocks:
                 out[..., b] = s2[..., lo:hi, :].reshape(lead + (-1,)).sum(axis=-1)
         return out
 
-    def id_sum(self, values):
-        """(..., blocks) values added block by block in ``ids`` order, from
-        0.0, as a float loop would add them."""
-        total = np.zeros(values.shape[:-1])
-        for b in self.id_order:
-            total += values[..., b]
-        return total
-
     def average(self, alpha, t):
         """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
         Raises RuntimeError if that leaves the feasible set."""
@@ -418,15 +407,16 @@ class _Stack:
     def __init__(self, scenario, association, powers):
         self.num_mus, self.num_aps = scenario.num_mus, scenario.num_aps
         sizes = np.bincount(association, minlength=self.num_aps)
-        aps = np.lexsort((np.arange(self.num_aps), -sizes))[: np.count_nonzero(sizes)]
-        rank = np.empty(self.num_aps, dtype=np.intp)
-        rank[aps] = np.arange(aps.size)
-        rank = rank[association]
-        mus = np.argsort(rank, kind="stable")  # by block, then MU index
+        order = np.argsort(-sizes, kind="stable")  # largest first, then by AP
+        place = np.argsort(order)  # each AP's place in order
+        block = place[association]
+        mus = np.argsort(block, kind="stable")  # by block, then MU
+        aps = order[: np.count_nonzero(sizes)]  # the empty APs come last
+        self.ap_order = place[sizes > 0]  # the blocks in AP order
         width = scenario.chan_width[association]
         pmat = np.zeros((self.num_mus, width.max()))
         pmat[np.arange(pmat.shape[1]) < width[:, None]] = np.concatenate(powers)
-        self.blocks = _Blocks(scenario, aps, rank[mus], mus, pmat[mus], aps, mus)
+        self.blocks = _Blocks(scenario, aps, block[mus], mus, pmat[mus], aps, mus)
 
     def metrics(self, log_tot, others, residual, potential):
         """(potential, sum rate, residual 2-norm, per-MU rates) of
@@ -437,8 +427,13 @@ class _Stack:
         b = self.blocks
         rates = np.empty(others.shape[:-2] + (self.num_mus,))
         rates[..., b.mus] = b.rates(log_tot, others)
-        res_two = np.sqrt(b.id_sum(b.squared_residuals(residual)))
-        return b.id_sum(potential), rates.sum(axis=-1), res_two, rates
+        res_two = np.sqrt(self.ap_sum(b.squared_residuals(residual)))
+        return self.ap_sum(potential), rates.sum(axis=-1), res_two, rates
+
+    def ap_sum(self, values):
+        """(..., blocks) values added block by block in AP order, as a
+        float loop from 0.0 would add them (see the module docstring)."""
+        return np.cumsum(values[..., self.ap_order], axis=-1)[..., -1]
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""

@@ -17,7 +17,6 @@ reference oracles both are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,15 +24,6 @@ from .errors import ValidationError
 
 
 _LARGEST = np.finfo(float).max
-
-
-@lru_cache(maxsize=128, typed=True)
-def _arange(n: int, start):
-    """Read-only ``arange(start, start + n)``: the float counts 1..c of a
-    width-c call (start 1.0), or the row indices of an r-row one (start 0)."""
-    out = np.arange(start, start + n)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -63,8 +53,7 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
         floors = noise_plus_interf / gains
     r, c = floors.shape
-    sorted_f = floors.copy()
-    sorted_f.sort(axis=1)
+    sorted_f = np.sort(floors, axis=1)
     # (P + sum of the m smallest floors) / m for every m, in place. Clipping
     # at the largest float keeps every finite level, and a +inf floor then
     # fails the test: it is never active. A row without a valid m keeps the
@@ -72,11 +61,11 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     # 0) is 0.0; a NaN stays NaN.
     levels_m = np.add.accumulate(sorted_f, axis=1)
     levels_m += budgets[:, None]
-    levels_m /= _arange(c, 1.0)
+    levels_m /= np.arange(1, c + 1, dtype=float)
     np.minimum(levels_m, _LARGEST, out=levels_m)
     ok = levels_m >= sorted_f  # true at m=1 for finite floors
-    last = (c - 1) - ok[:, ::-1].argmax(axis=1)  # largest valid m per row, less 1
-    levels = levels_m[_arange(r, 0), last]
+    last = (c - 1) - np.argmax(ok[:, ::-1], axis=1)  # largest valid m per row, less 1
+    levels = levels_m[np.arange(r), last]
     powers = np.subtract(levels[:, None], floors, out=floors)
     np.maximum(powers, 0.0, out=powers)
     return powers, levels
