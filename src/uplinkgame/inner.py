@@ -32,10 +32,11 @@ totals and the block potentials (which the safeguarded rule reads). The
 trace columns no step reads, per-MU rates and the sum rate, per-block
 squared residuals and their 2-norm, and the potential summed over the
 blocks, are functions of the kept log totals, noise plus interference,
-residual rows and block potentials that accept any leading axes. a_iwf and
-s_iwf write their evaluations into a buffer of at most ``_TRACE_CELLS``
-cells and turn each full buffer into trace rows in one batched pass;
-``evaluate_profile`` calls the same functions on one evaluation's arrays.
+residual rows and block potentials, of one evaluation or of F buffered
+ones (a leading axis F). a_iwf and s_iwf write their evaluations into a
+buffer of at most ``_TRACE_CELLS`` cells and turn each full buffer into
+trace rows in one batched pass; ``evaluate_profile`` calls the same
+functions on one evaluation's arrays.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
 because every sum keeps numpy's per-block order:
@@ -64,11 +65,8 @@ because each batched sum is the sum it replaces:
   slice, reduced on the last axis: per evaluation the flat pairwise sum of
   the same m*w squares;
 - the sum rate is a row sum of an (F, N) array, the 1-D sum of each row;
-- a last-axis ``cumsum`` of the (F, blocks) values in AP order makes the
-  same IEEE additions, in sequence, as a float loop over one evaluation's
-  blocks from 0.0: that loop's first add, 0.0 + x, is x for every x but
-  -0.0, which neither a squared residual (a sum of squares) nor a potential
-  (a sum of log2(total) - log2(noise) with total >= noise) can be; and
+- adding the blocks' (F,) columns in AP order, from 0.0, makes the same
+  IEEE additions as a float loop over one evaluation's blocks, and
   ``np.sqrt`` rounds as ``math.sqrt`` does (both are correctly rounded).
 """
 
@@ -316,9 +314,9 @@ class _Blocks:
         self.held &= potential >= self.potential
         self.potential = potential
 
-    # The trace-only columns. Each takes the arrays of evaluations with any
-    # leading axes, one evaluation's or a buffer of them, and sums every
-    # row, block and channel width as one evaluation would.
+    # The trace-only columns. Each takes the arrays of one evaluation or of
+    # F buffered ones (a leading axis F) and sums every row, block and
+    # channel width as one evaluation would.
 
     def rates(self, log_tot, others):
         """Per-row rates (..., rows) from the log totals (..., blocks, C) and
@@ -419,9 +417,9 @@ class _Stack:
         self.blocks = _Blocks(scenario, aps, block[mus], mus, pmat[mus], aps, mus)
 
     def metrics(self, log_tot, others, residual, potential):
-        """(potential, sum rate, residual 2-norm, per-MU rates) of
-        evaluations with any leading axes, from ``_Blocks.evaluate``'s arrays
-        and the block potentials (..., blocks). The potential and the squared
+        """(potential, sum rate, residual 2-norm, per-MU rates) of one
+        evaluation or of F (a leading axis F), from ``_Blocks.evaluate``'s
+        arrays and the block potentials (..., blocks). The potential and the squared
         residual add the blocks in AP order, from 0.0; the sum rate sums the
         N MU rates in MU order."""
         b = self.blocks
@@ -431,9 +429,12 @@ class _Stack:
         return self.ap_sum(potential), rates.sum(axis=-1), res_two, rates
 
     def ap_sum(self, values):
-        """(..., blocks) values added block by block in AP order, as a
-        float loop from 0.0 would add them (see the module docstring)."""
-        return np.cumsum(values[..., self.ap_order], axis=-1)[..., -1]
+        """Values (blocks,) of one evaluation, or (F, blocks) of F, added
+        block by block in AP order from 0.0."""
+        total = 0.0
+        for column in values.T[self.ap_order]:
+            total = total + column
+        return total
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""
