@@ -419,9 +419,9 @@ class _Stack:
     def metrics(self, log_tot, others, residual, potential):
         """(potential, sum rate, residual 2-norm, per-MU rates) of one
         evaluation or of F (a leading axis F), from ``_Blocks.evaluate``'s
-        arrays and the block potentials (..., blocks). The potential and the squared
-        residual add the blocks in AP order, from 0.0; the sum rate sums the
-        N MU rates in MU order."""
+        arrays and the block potentials (..., blocks). The potential and the
+        squared residual add the blocks in AP order, from 0.0; the sum rate
+        sums the N MU rates in MU order."""
         b = self.blocks
         rates = np.empty(others.shape[:-2] + (self.num_mus,))
         rates[..., b.mus] = b.rates(log_tot, others)
