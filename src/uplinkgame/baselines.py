@@ -28,22 +28,10 @@ class InnerConfig:
         check_solver_settings(self.solver, self.eps_wf, self.max_iters)
 
     def run(self, scenario, association, initial_powers=None) -> InnerLoopResult:
+        settings = dict(eps_wf=self.eps_wf, max_iters=self.max_iters, initial_powers=initial_powers)
         if self.solver == "a_iwf":
-            return a_iwf(
-                scenario,
-                association,
-                schedule=self.schedule,
-                eps_wf=self.eps_wf,
-                max_iters=self.max_iters,
-                initial_powers=initial_powers,
-            )
-        return s_iwf(
-            scenario,
-            association,
-            eps_wf=self.eps_wf,
-            max_iters=self.max_iters,
-            initial_powers=initial_powers,
-        )
+            return a_iwf(scenario, association, schedule=self.schedule, **settings)
+        return s_iwf(scenario, association, **settings)
 
 
 @dataclass(frozen=True)

@@ -45,22 +45,33 @@ def validate_association(scenario, association) -> np.ndarray:
 
 
 def validate_powers(scenario, association, powers, tol: float = 1e-12) -> None:
-    """Check shapes, finiteness, nonnegativity and per-MU budget feasibility."""
+    """Check shapes, finiteness, nonnegativity and per-MU budget feasibility;
+    report the first MU that fails a check, with the first check it fails.
+    The vectors of one length and dtype are checked as one stack, whose row
+    sums are the vectors' own ``p.sum()``, bit for bit (both pairwise)."""
     if len(powers) != scenario.num_mus:
         raise ValidationError(f"powers: expected {scenario.num_mus} vectors")
-    for i, p in enumerate(powers):
-        cols = scenario.chan_idx[int(association[i])]
+    width = scenario.chan_width[np.asarray(association, dtype=np.intp)].tolist()
+    faults, groups = [], {}  # faults: (MU, message), the first of each stack
+    for i, (p, k) in enumerate(zip(powers, width)):
         p = np.asarray(p)
-        if p.shape != cols.shape:
-            raise ValidationError(
-                f"powers[{i}]: expected length {cols.size}, got {p.shape}"
-            )
-        if not np.all(np.isfinite(p)):
-            raise ValidationError(f"powers[{i}]: non-finite entry")
-        if np.any(p < 0.0):
-            raise ValidationError(f"powers[{i}]: negative entry")
-        if p.sum() > scenario.budget[i] + tol:
-            raise ValidationError(f"powers[{i}]: budget exceeded")
+        if p.shape != (k,):  # no later MU can fail first
+            faults.append((i, f"expected length {k}, got {p.shape}"))
+            break
+        groups.setdefault((k, p.dtype), []).append((i, p))
+    for group in groups.values():
+        mus, vectors = zip(*group)
+        stack = np.stack(vectors)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum over budget
+            over = stack.sum(axis=1) > scenario.budget[list(mus)] + tol
+        checks = np.array([~np.isfinite(stack).all(axis=1), (stack < 0.0).any(axis=1), over])
+        if checks.any():
+            r = int(checks.any(axis=0).argmax())
+            names = ("non-finite entry", "negative entry", "budget exceeded")
+            faults.append((mus[r], names[checks[:, r].argmax()]))
+    if faults:
+        i, message = min(faults)
+        raise ValidationError(f"powers[{i}]: {message}")
 
 
 def validate_costs(scenario, costs) -> np.ndarray:
@@ -81,23 +92,14 @@ def validate_costs(scenario, costs) -> np.ndarray:
 
 def uniform_powers(scenario, association) -> list[np.ndarray]:
     """Spread each budget evenly over the channels of the MU's AP."""
-    return [
-        np.full(
-            scenario.chan_idx[int(association[i])].size,
-            scenario.budget[i] / scenario.chan_idx[int(association[i])].size,
-        )
-        for i in range(scenario.num_mus)
-    ]
+    width = scenario.chan_width[np.asarray(association, dtype=np.intp)].tolist()
+    return [np.full(k, b / k) for k, b in zip(width, scenario.budget.tolist(), strict=True)]
 
 
 def random_feasible_powers(scenario, association, rngs) -> list[np.ndarray]:
     """Draw each MU's power uniformly from its solid simplex {p>=0, sum<=P}."""
-    out = []
-    for i in range(scenario.num_mus):
-        k = scenario.chan_idx[int(association[i])].size
-        frac = rngs[i].dirichlet(np.ones(k + 1))[:k]
-        out.append(scenario.budget[i] * frac)
-    return out
+    width = scenario.chan_width[np.asarray(association, dtype=np.intp)].tolist()
+    return [scenario.budget[i] * rngs[i].dirichlet(np.ones(k + 1))[:k] for i, k in enumerate(width)]
 
 
 def copy_powers(powers) -> list[np.ndarray]:

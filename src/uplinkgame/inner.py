@@ -18,9 +18,9 @@ interference; it forms the floors, so an MU whose every gain at its AP
 vanishes has no finite floor and gets power 0.0. A stack holds one profile's
 blocks (``a_iwf``, ``s_iwf``, ``evaluate_profile``) or the distinct blocks
 of many profiles (``solve_profiles``, where an MU has a row in each of its
-blocks). An s_iwf round runs on ``Z``, the (block, member slot, channel)
+blocks). An s_iwf round runs on ``Z``, the (member slot, block, channel)
 scatter of ``G*P``: because blocks come largest first, slot j of every block
-with more than j members is the basic slice ``Z[:nb, j]``, and one
+with more than j members is the contiguous slice ``Z[j, :nb]``, and one
 water-fill call moves it. Moving the j-th member of every block at once
 equals stepping MU by MU, because blocks are independent and a block's
 members move in ascending MU order.
@@ -40,11 +40,13 @@ functions on one evaluation's arrays.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
 because every sum keeps numpy's per-block order:
-- block totals are ``noise + Z.sum(axis=1)``: a sequential member-order sum,
-  where the zero rows of pad members add exactly (a lone block's ``Z`` holds
-  just its rows, so this is its slice sum). Width-1 blocks are summed block
-  by block: numpy sums an (m, 1) column pairwise, and padding would move its
-  bits;
+- block totals are ``noise + Z[:, :nb].sum(axis=0)``: numpy adds the slots'
+  contiguous (nb, C) slabs elementwise in slot order, so a block's total is
+  its members' rows added one by one in member order (the adds a (block,
+  slot) ``Z`` makes over its middle axis), where the zero rows of pad
+  members add exactly (a lone block's ``Z`` holds just its rows, so this is
+  its slice sum). Width-1 blocks are summed block by block: numpy sums an
+  (m, 1) column pairwise, and padding would move its bits;
 - every channel-axis sum runs over each block's own width: block
   potentials, rates, squared residuals and the budget check of a_iwf's
   step. numpy's pairwise row sum regroups when a row's length changes, so a
@@ -233,11 +235,11 @@ class _Blocks:
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
-        # Z: the (block, member slot, channel) scatter of G*P, zero-padded;
-        # ``flat`` is each row's row of Z viewed as (blocks * slots, C).
-        self.z = np.zeros((aps.size, self.sizes[0], c))
+        # Z: the (member slot, block, channel) scatter of G*P, zero-padded;
+        # ``flat`` is each row's row of Z viewed as (slots * blocks, C).
+        self.z = np.zeros((self.sizes[0], aps.size, c))
         self.z_rows = self.z.reshape(-1, c)
-        self.flat = block * self.sizes[0] + self.slot
+        self.flat = self.slot * aps.size + block
         # (block, size) of each width-1 block, in block order.
         self.singles = []
         if narrowest == 1:
@@ -275,9 +277,9 @@ class _Blocks:
         power array of that layout for s_iwf's round."""
         shape = self.z.shape
         gain = np.ones(shape)
-        gain[self.block, self.slot] = self.gain
+        gain[self.slot, self.block] = self.gain
         budgets = np.zeros(shape[:2])
-        budgets[self.block, self.slot] = self.budgets
+        budgets[self.slot, self.block] = self.budgets
         return gain, budgets, np.zeros(shape)
 
     def totals(self, nb=None):
@@ -285,11 +287,11 @@ class _Blocks:
         first ``nb`` blocks (default all), one row each, from ``Z``. A
         width-1 block sums its own (members, 1) column: numpy sums a column
         pairwise, so the padded member-order sum would move its bits."""
-        tot = self.noise[:nb] + self.z[:nb].sum(axis=1)
+        tot = self.noise[:nb] + self.z[:, :nb].sum(axis=0)
         for b, m in self.singles:
             if nb is not None and b >= nb:
                 break
-            tot[b, :1] = self.noise[b, :1] + self.z[b, :m, :1].sum(axis=0)
+            tot[b, :1] = self.noise[b, :1] + self.z[:m, b, :1].sum(axis=0)
         return tot
 
     def evaluate(self, out=None):
@@ -360,11 +362,11 @@ class _Blocks:
         gain, budgets, powers = self.padded
         self.z_rows[self.flat] = self.gain * self.pmat
         for j, nb in enumerate(self.slots):
-            g = gain[:nb, j]
-            phi, _ = water_fill_batch(g, self.totals(nb) - self.z[:nb, j], budgets[:nb, j])
-            powers[:nb, j] = phi
-            np.multiply(g, phi, out=self.z[:nb, j])
-        self.pmat = powers[self.block, self.slot]
+            g = gain[j, :nb]
+            phi, _ = water_fill_batch(g, self.totals(nb) - self.z[j, :nb], budgets[j, :nb])
+            powers[j, :nb] = phi
+            np.multiply(g, phi, out=self.z[j, :nb])
+        self.pmat = powers[self.slot, self.block]
 
     def subset(self, keep):
         """The blocks where ``keep`` holds, in order, with their rows' powers

@@ -181,19 +181,21 @@ def generate_scenario(params: ScenarioGenParams) -> NetworkScenario:
     gains with mean 1/d^2, unit noise and unit budgets.
 
     Deterministic for a fixed seed: draw order is AP positions, MU positions,
-    then gains in (MU, AP) order.
+    then gains in (MU, AP) order. The gains are ``sample_gains``' draws in
+    one call: its per-link scale on each channel of the (N, K) matrix, whose
+    row-major order is (MU, AP) order since each AP's channels are one
+    contiguous block. Each scale is a Python float, because CPython's
+    ``d ** 2`` and numpy's square can round differently.
     """
     rng = np.random.default_rng(params.seed)
     n, w, k = params.num_mus, params.num_aps, params.num_channels
     ap_pos = rng.uniform(0.0, params.area_side, size=(w, 2))
     mu_pos = rng.uniform(0.0, params.area_side, size=(n, 2))
     blocks = partition_channels(k, w)
-    cols = [np.asarray(b, dtype=np.intp) - 1 for b in blocks]
-    gain = np.empty((n, k))
-    for i in range(n):
-        for ap in range(w):
-            d = float(np.hypot(*(mu_pos[i] - ap_pos[ap])))
-            gain[i, cols[ap]] = sample_gains(rng, d, len(cols[ap]))
+    dist = np.hypot(mu_pos[:, None, 0] - ap_pos[:, 0], mu_pos[:, None, 1] - ap_pos[:, 1])
+    scale = [[1.0 / max(d, MIN_DISTANCE) ** 2 for d in row] for row in dist.tolist()]
+    owner = np.repeat(np.arange(w), [len(b) for b in blocks])
+    gain = np.maximum(rng.exponential(scale=np.array(scale)[:, owner]), 1e-300)
     return NetworkScenario(
         num_mus=n,
         num_aps=w,

@@ -49,11 +49,17 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     with +inf columns leaves its other powers and its level bit for bit
     unchanged. A row with no finite floor is an AP its MU cannot use: power
     0.0 on every channel, and the largest float as its level.
+
+    Solvers call it once per step on small arrays, so it calls methods, not
+    numpy's wrappers, with the same arithmetic: ``.sort`` on a copy is
+    ``np.sort``, ``.argmax`` is ``np.argmax``, and a flat ``take`` at
+    row * c + m reads entry (row, m).
     """
     with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
         floors = noise_plus_interf / gains
     r, c = floors.shape
-    sorted_f = np.sort(floors, axis=1)
+    sorted_f = floors.copy()
+    sorted_f.sort(axis=1)
     # (P + sum of the m smallest floors) / m for every m, in place. Clipping
     # at the largest float keeps every finite level, and a +inf floor then
     # fails the test: it is never active. A row without a valid m keeps the
@@ -64,8 +70,8 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     levels_m /= np.arange(1, c + 1, dtype=float)
     np.minimum(levels_m, _LARGEST, out=levels_m)
     ok = levels_m >= sorted_f  # true at m=1 for finite floors
-    last = (c - 1) - np.argmax(ok[:, ::-1], axis=1)  # largest valid m per row, less 1
-    levels = levels_m[np.arange(r), last]
+    last = np.arange(c - 1, r * c, c) - ok[:, ::-1].argmax(axis=1)  # largest valid m
+    levels = levels_m.take(last)
     powers = np.subtract(levels[:, None], floors, out=floors)
     np.maximum(powers, 0.0, out=powers)
     return powers, levels

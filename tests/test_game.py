@@ -1,4 +1,8 @@
+import dataclasses
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from uplinkgame import (
     water_fill,
 )
 from uplinkgame.errors import ValidationError
+from uplinkgame.game import validate_powers
 
 from conftest import make_scenario, random_powers
 
@@ -523,3 +528,96 @@ def test_verify_jep_broadcasts_a_scalar_cost(footnote2):
         vector = verify_jep(footnote2, assoc, powers, 1e-6, costs=np.full(2, cost))
         assert scalar.violations.tolist() == vector.violations.tolist()
         assert scalar.worst_violator == vector.worst_violator
+
+
+# ---------------------------------------------------------------------------
+# validate_powers checks the vectors stacked; its messages are the loop's.
+
+
+def validate_powers_reference(scenario, association, powers, tol=1e-12):
+    """The per-MU loop that ``validate_powers`` replaced, kept as the oracle
+    of its messages."""
+    if len(powers) != scenario.num_mus:
+        raise ValidationError(f"powers: expected {scenario.num_mus} vectors")
+    for i, p in enumerate(powers):
+        cols = scenario.chan_idx[int(association[i])]
+        p = np.asarray(p)
+        if p.shape != cols.shape:
+            raise ValidationError(f"powers[{i}]: expected length {cols.size}, got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"powers[{i}]: non-finite entry")
+        if np.any(p < 0.0):
+            raise ValidationError(f"powers[{i}]: negative entry")
+        if p.sum() > scenario.budget[i] + tol:
+            raise ValidationError(f"powers[{i}]: budget exceeded")
+
+
+def validation_message(check, *args):
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# Each fault, faults that fail two checks at once (the earlier check names
+# them), and a valid list in place of an array.
+FAULTS = {
+    "length": lambda p: np.append(p, 0.0),
+    "scalar": lambda p: p[0],
+    "nan": lambda p: np.where(np.arange(p.size) == p.size - 1, np.nan, p),
+    "inf and -inf": lambda p: np.r_[np.inf, -np.inf, p[2:]] if p.size > 1 else -np.inf * p,
+    "negative": lambda p: np.r_[-1e-3, p[1:]],
+    "budget": lambda p: p * (1.0 + 1e-9),
+    "negative over budget": lambda p: np.r_[-1e-3, p[1:] * 3.0],
+    "length and nan": lambda p: np.r_[p, np.nan],
+    "float32 over budget": lambda p: (p * 1.5).astype(np.float32),
+    "list": lambda p: p.tolist(),
+}
+
+
+@pytest.mark.parametrize("first", FAULTS)
+def test_validate_powers_reports_what_the_loop_reports(first):
+    # Mixed widths (3, 3, 2): this fault at every MU, alone or with any fault
+    # at any later MU.
+    sc = make_scenario(7, 3, 8, seed=1)
+    assoc = np.array([0, 1, 2, 0, 2, 1, 0])
+    base = random_powers(sc, assoc, np.random.default_rng(7))  # budgets tight
+    n = sc.num_mus
+    later = [(None, None)] + [(j, f) for j in range(n) for f in FAULTS]
+    for i, (j, second) in itertools.product(range(n), later):
+        if j is not None and j <= i:
+            continue
+        powers = list(base)
+        powers[i] = FAULTS[first](base[i])
+        if j is not None:
+            powers[j] = FAULTS[second](base[j])
+        want = validation_message(validate_powers_reference, sc, assoc, powers)
+        assert validation_message(validate_powers, sc, assoc, powers) == want, (i, j, second)
+        if first != "list":
+            assert want is not None and want.startswith(f"powers[{i}]")
+
+
+def test_validate_powers_budget_sums_are_each_vectors_own_sum():
+    # Each MU's budget is the smaller of its vector's p.sum() (pairwise) and
+    # its member-order sum, which rounds differently; a sum in the other
+    # order would flip the verdict.
+    sc = make_scenario(6, 2, 40, seed=4)
+    assoc = np.arange(6) % 2
+    rng = np.random.default_rng(3)
+    powers, budgets = [], []
+    while len(powers) < sc.num_mus:
+        p = rng.dirichlet(np.ones(20)) * 10.0 ** rng.uniform(-2, 2)
+        ordered = functools.reduce(operator.add, p.tolist())
+        if ordered != p.sum():
+            powers.append(p)
+            budgets.append(min(ordered, p.sum()))
+    verdicts = []
+    for i in range(sc.num_mus):
+        budget = np.full(sc.num_mus, 1e3)
+        budget[i] = budgets[i]
+        trial = dataclasses.replace(sc, budget=budget)
+        got = validation_message(validate_powers, trial, assoc, powers, 0.0)
+        assert got == validation_message(validate_powers_reference, trial, assoc, powers, 0.0)
+        verdicts.append(got)
+    assert None in verdicts and len(set(verdicts)) > 1  # some pass, some fail

@@ -627,3 +627,59 @@ def test_last_trace_row_is_evaluate_profile_of_the_powers(n, w, k, solver):
         tr = result.trace
         last = (tr.potential[-1], tr.sum_rate[-1], tr.residual_inf[-1], tr.residual_two[-1])
         assert same_bits(last, (potential, total, res_inf, res_two)), cap
+
+
+# ---------------------------------------------------------------------------
+# The block totals: slot-major ``Z`` must sum every block in member order.
+
+
+def block_totals_reference(blocks, gp, nb):
+    """Noise plus each of the first ``nb`` blocks' members' ``G*P`` rows, over
+    the block's own width: added one by one in member order, as a lone block
+    sums its rows, except that a width-1 block sums its (members, 1) column
+    as numpy sums one column, pairwise (which differs from member order from
+    nine members on)."""
+    out = []
+    for b in range(nb):
+        w = int(blocks.width[b])
+        rows = gp[blocks.block == b, :w]
+        if w == 1:
+            total = np.ascontiguousarray(rows[:, 0]).sum(keepdims=True)
+        else:
+            total = rows[0]
+            for row in rows[1:]:
+                total = total + row
+        out.append(blocks.noise[b, :w] + total)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, w, k, assoc",
+    [
+        (12, 5, 23, None),
+        (6, 4, 5, None),
+        (12, 4, 5, [1] * 10 + [0, 2]),  # ten members on a one-channel AP
+        (10, 1, 16, None),
+        (48, 3, 31, None),  # up to 23 member slots
+    ],
+)
+def test_block_totals_equal_member_order_sums(n, w, k, assoc):
+    # Small noise, so that the last bits of every sum reach the totals.
+    sc = dataclasses.replace(make_scenario(n, w, k, seed=2), noise=np.full(k, 1e-9))
+    rng = np.random.default_rng(n)
+    for association in (assoc, closest_ap(sc), rng.integers(0, w, n)):
+        if association is None:
+            continue
+        association = np.asarray(association)
+        powers = random_powers(sc, association, rng, slack=True)
+        stack = inner_module._Stack(sc, association, powers)
+        b = stack.blocks
+        gp = b.gain * b.pmat
+        b.z_rows[b.flat] = gp
+        for nb in sorted(set(b.slots)):
+            tot = b.totals(nb)
+            assert tot.shape == (nb, b.pmat.shape[1])
+            for block, want in enumerate(block_totals_reference(b, gp, nb)):
+                width = want.size
+                assert same_bits(tot[block, :width], want), (nb, block)
+                assert np.all(tot[block, width:] == np.inf)

@@ -84,6 +84,24 @@ def test_mean_gain_at_distance_ten():
     assert abs(draws.mean() - 0.01) / 0.01 < 0.05
 
 
+@pytest.mark.parametrize("n, w, k", [(1, 1, 1), (6, 4, 5), (12, 5, 23), (200, 10, 256)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_gains_are_the_per_link_draws_bit_for_bit(n, w, k, seed):
+    # The oracle draws each (MU, AP) link's gains with sample_gains, in
+    # (MU, AP) order, after the AP and MU positions.
+    sc = generate_scenario(ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=seed))
+    rng = np.random.default_rng(seed)
+    ap_pos = rng.uniform(0.0, 10.0, size=(w, 2))
+    mu_pos = rng.uniform(0.0, 10.0, size=(n, 2))
+    gain = np.empty((n, k))
+    for i in range(n):
+        for ap, labels in enumerate(partition_channels(k, w)):
+            d = float(np.hypot(*(mu_pos[i] - ap_pos[ap])))
+            gain[i, np.asarray(labels) - 1] = sample_gains(rng, d, len(labels))
+    assert sc.gain_sq.tobytes() == gain.tobytes()
+    assert sc.mu_positions.tobytes() == mu_pos.tobytes()
+
+
 def test_distance_clamp_bounds_mean_gain():
     rng = np.random.default_rng(1)
     close = sample_gains(rng, 0.0, 50_000)

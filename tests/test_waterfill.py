@@ -232,6 +232,66 @@ def test_a_nan_floor_stays_nan():
     assert np.isfinite(powers[2]).all()
 
 
+def reference_water_fill_batch(gains, noise_plus_interf, budgets):
+    """An earlier ``water_fill_batch`` body, kept as the oracle that the
+    current one must match bit for bit: ``np.sort``, ``np.argmax`` and a
+    (row, m) fancy index where the current body calls methods and ``take``."""
+    with np.errstate(over="ignore"):
+        floors = noise_plus_interf / gains
+    r, c = floors.shape
+    sorted_f = np.sort(floors, axis=1)
+    levels_m = np.add.accumulate(sorted_f, axis=1)
+    levels_m += budgets[:, None]
+    levels_m /= np.arange(1, c + 1, dtype=float)
+    np.minimum(levels_m, np.finfo(float).max, out=levels_m)
+    ok = levels_m >= sorted_f
+    last = (c - 1) - np.argmax(ok[:, ::-1], axis=1)
+    levels = levels_m[np.arange(r), last]
+    powers = np.subtract(levels[:, None], floors, out=floors)
+    np.maximum(powers, 0.0, out=powers)
+    return powers, levels
+
+
+def assert_same_bits_as_reference(gains, noise, budgets):
+    got = water_fill_batch(gains, noise.copy(), budgets)
+    want = reference_water_fill_batch(gains, noise.copy(), budgets)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 12), cols=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1), special=st.floats(0.0, 0.6),
+)
+def test_water_fill_batch_matches_the_reference_bit_for_bit(rows, cols, seed, special):
+    # A share ``special`` of the entries is a tied noise value, +inf (an
+    # absent channel) or NaN, or a vanishing gain, whose floor overflows.
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    noise = 10.0 ** rng.uniform(-3, 3, shape)
+    pick = rng.random(shape) < special
+    noise[pick] = rng.choice([0.5, 1.0, 2.0, np.inf, np.nan], pick.sum())
+    gains = 10.0 ** rng.uniform(-3, 3, shape)
+    pick = rng.random(shape) < special
+    gains[pick] = rng.choice([1.0, 1e-320], pick.sum())
+    assert_same_bits_as_reference(gains, noise, 10.0 ** rng.uniform(-3, 3, rows))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5, 17])
+def test_water_fill_batch_edge_rows_match_the_reference(cols):
+    rng = np.random.default_rng(cols)
+    noise = rng.uniform(0.1, 2.0, (6, cols))
+    gains = rng.uniform(0.1, 2.0, (6, cols))
+    noise[0, ::2] = np.inf  # +inf floor columns
+    gains[1] = 1e-320  # no finite floor
+    noise[2, -1] = np.nan  # a NaN floor
+    noise[3], gains[3] = 1.0, 1.0  # every floor tied
+    noise[4, : cols // 2] = noise[4, -1]  # some floors tied
+    budgets = rng.uniform(0.01, 10.0, 6)
+    assert_same_bits_as_reference(gains, noise, budgets)
+
+
 # ---------------------------------------------------------------------------
 # The per-MU operator over a scenario.
 

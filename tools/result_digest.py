@@ -17,9 +17,10 @@ Per scenario size and seed it hashes every float bit of:
   (sizes up to 12 MUs): the whole ``RunResult``.
 
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
-one AP (10,1,16) and one MU (1,2,4). ``--quick`` runs four sizes at one
-seed, in a few seconds; ``--verbose`` prints each case's digest, to find
-where two runs part.
+one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
+where ``s_iwf`` and ``solve_profiles`` sweep 20 or more member slots.
+``--quick`` runs four sizes at one seed, in a few seconds; ``--verbose``
+prints each case's digest, to find where two runs part.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from uplinkgame.waterfill import best_reply_table
 
 SIZES = [
     (1, 2, 4), (4, 2, 8), (5, 3, 7), (6, 4, 5), (7, 3, 12),
-    (8, 2, 16), (10, 1, 16), (12, 5, 23), (16, 4, 48),
+    (8, 2, 16), (10, 1, 16), (12, 5, 23), (16, 4, 48), (48, 3, 31),
 ]
 QUICK_SIZES = [(1, 2, 4), (6, 4, 5), (10, 1, 16), (12, 5, 23)]
 SCHEDULES = {"paper": ug.StepsizeSchedule(), "safeguarded": ug.StepsizeSchedule(rule="safeguarded")}
