@@ -77,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class StepsizeSchedule:
 
     "polynomial":  alpha_t = (t+1)^(-exponent), exponent in (0.5, 1].
     "harmonic":    alpha_t = 1/(t+1).
-    "custom":      user-supplied func(t); each value must lie in (0, 1).
     "safeguarded": every averaged step of an (AP, member set) block is the
                    constant SAFEGUARD_ALPHA until the block's potential first
                    falls (strictly, against its previous evaluation), then the
@@ -119,28 +118,20 @@ class StepsizeSchedule:
 
     rule: str = "polynomial"
     exponent: float = 0.55
-    func: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        if self.rule not in ("polynomial", "harmonic", "custom", "safeguarded"):
+        if self.rule not in ("polynomial", "harmonic", "safeguarded"):
             raise ValidationError(f"unknown stepsize rule {self.rule!r}")
         if self.rule in ("polynomial", "safeguarded") and not 0.5 < self.exponent <= 1.0:
             raise ValidationError(f"{self.rule} exponent must lie in (0.5, 1]")
-        if self.rule == "custom" and self.func is None:
-            raise ValidationError("custom schedule needs a func")
 
     def alpha(self, t: int) -> float:
+        """Step t >= 1: polynomial steps lie in (0, 2^-0.5], harmonic ones in (0, 1/2]."""
         if t < 1:
             raise ValidationError("stepsize index starts at 1")
         if self.rule == "harmonic":
-            a = 1.0 / (t + 1)
-        elif self.rule == "custom":
-            a = float(self.func(t))
-        else:
-            a = (t + 1.0) ** (-self.exponent)
-        if not 0.0 < a < 1.0:
-            raise ValidationError(f"stepsize alpha({t})={a} outside (0, 1)")
-        return a
+            return 1.0 / (t + 1)
+        return (t + 1.0) ** (-self.exponent)
 
     def block_alpha(self, t: int, held):
         """Step t of a block: SAFEGUARD_ALPHA while the block is held under the
@@ -552,11 +543,12 @@ def s_iwf(
 
 def _distinct_blocks(scenario, associations: np.ndarray):
     """The distinct (AP, member set) blocks of the rows of ``associations``,
-    as (width, -size, AP, member flags) int32 rows in ascending lexicographic
+    as (-size, width, AP, member flags) int32 rows in ascending lexicographic
     order, and the index of every (profile, AP)'s block, profile-major; an
-    empty AP is a block of size 0. Equal to ``np.unique`` of all the rows with
-    ``axis=0``, which sorts rows far more slowly than a 1-D ``np.unique`` of
-    the rows' packed (AP one-hot, member flags) bits."""
+    empty AP is a block of size 0, so the empty blocks come last. Equal to
+    ``np.unique`` of all the rows with ``axis=0``, which sorts rows far more
+    slowly than a 1-D ``np.unique`` of the rows' packed (AP one-hot, member
+    flags) bits."""
     profiles, n = associations.shape
     w = scenario.num_aps
     member = (associations[:, None, :] == np.arange(w)[:, None]).reshape(-1, n)
@@ -567,8 +559,8 @@ def _distinct_blocks(scenario, associations: np.ndarray):
     ap, flags = first % w, member[first]
     size = flags.sum(axis=1)
     width = scenario.chan_width[ap]
-    order = np.lexsort(np.vstack([flags.T[::-1], ap, -size, width]))
-    keys = np.column_stack([width, -size, ap, flags])[order].astype(np.int32)
+    order = np.lexsort(np.vstack([flags.T[::-1], ap, width, -size]))
+    keys = np.column_stack([-size, width, ap, flags])[order].astype(np.int32)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return keys, rank[inverse.reshape(-1)]
@@ -598,23 +590,17 @@ def solve_profiles(
     step = _average_step(schedule or StepsizeSchedule()) if solver == "a_iwf" else _sweep_step
     profiles, n = associations.shape
     w = scenario.num_aps
+    # The keys' order is the layout order: largest block first.
     keys, inverse = _distinct_blocks(scenario, associations)
-    occupied = keys[:, 1] < 0
-    count = int(occupied.sum())
+    count = int(np.count_nonzero(keys[:, 0]))
     # Block of each (profile, AP); an empty AP points at entry ``count``.
-    block_of = np.where(occupied, np.cumsum(occupied) - 1, count)[inverse]
-    block_of = block_of.reshape(profiles, w)
-    # Layout order: largest block first, then the keys' order.
-    order = np.argsort(keys[occupied, 1], kind="stable")
-    rank = np.empty(count + 1, dtype=np.intp)
-    rank[order], rank[count] = np.arange(count), count
-    block_of = rank[block_of]
-    keys = keys[occupied][order]
+    block_of = np.minimum(inverse, count).reshape(profiles, w)
+    keys = keys[:count]
     flags = keys[:, 3:].astype(bool)
     blk, mus = np.nonzero(flags)
     row_id = (np.cumsum(flags) - 1).reshape(flags.shape)
     row_of = row_id[np.take_along_axis(block_of, associations, axis=1), np.arange(n)]
-    width = keys[blk, 0]
+    width = keys[blk, 1]
     real = np.arange(width.max()) < width[:, None]
     pmat = np.where(real, (scenario.budget[mus] / width)[:, None], 0.0)
     blocks = _Blocks(scenario, keys[:, 2], blk, mus, pmat, np.arange(count), np.arange(mus.size))

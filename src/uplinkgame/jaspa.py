@@ -30,9 +30,7 @@ from .game import (
     verify_jep,
     verify_power_ne,
 )
-from .inner import (
-    InnerLoopResult, StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
-)
+from .inner import StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
 from .trace import TraceRow, association_label, inner_rows
 from .waterfill import best_reply_table, water_fill_batch
 
@@ -252,25 +250,6 @@ def _start(scenario, config: JaspaConfig, random_powers: bool):
     return costs, rngs, state, [tuple(int(x) for x in assoc)], RunRecorder()
 
 
-def run_inner(scenario, association, config: JaspaConfig, initial_powers=None) -> InnerLoopResult:
-    if config.inner_solver == "s_iwf":
-        return s_iwf(
-            scenario,
-            association,
-            eps_wf=config.eps_wf,
-            max_iters=config.max_inner,
-            initial_powers=initial_powers,
-        )
-    return a_iwf(
-        scenario,
-        association,
-        schedule=config.schedule,
-        eps_wf=config.eps_wf,
-        max_iters=config.max_inner,
-        initial_powers=initial_powers,
-    )
-
-
 def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
     """JASPA step 3 at the current profile. Each MU records one best reply:
     uniform over the APs whose best-response rate beats its current rate plus
@@ -347,7 +326,13 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     switch_count = 0
     inner_nonconverged = 0
     for body in range(config.max_outer):
-        inner = run_inner(scenario, state.association, config, initial_powers=state.powers)
+        if config.inner_solver == "s_iwf":
+            inner = s_iwf(scenario, state.association, eps_wf=config.eps_wf,
+                          max_iters=config.max_inner, initial_powers=state.powers)
+        else:
+            inner = a_iwf(scenario, state.association, schedule=config.schedule,
+                          eps_wf=config.eps_wf, max_iters=config.max_inner,
+                          initial_powers=state.powers)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))
@@ -421,21 +406,6 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     return _run_result("se_jaspa", scenario, config, log, assoc, powers, converged, len(log.rows))
 
 
-def _blocks(association, ap_potential, last: dict, fallen: set) -> dict:
-    """The (AP, member set) blocks of an evaluated profile, AP -> (members,
-    potential). Adds to ``fallen`` every block whose potential fell strictly
-    since ``last``, the previous evaluation's blocks, had the same members at
-    that AP."""
-    now = {}
-    for ap, pot in enumerate(ap_potential.tolist()):
-        members = tuple(np.flatnonzero(association == ap).tolist())
-        if members:
-            now[ap] = (members, pot)
-            if ap in last and last[ap][0] == members and pot < last[ap][1]:
-                fallen.add((ap, members))
-    return now
-
-
 def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Simultaneous variant without intermediate equilibria: every iteration
     each MU records a best reply (JASPA step-3 semantics), resamples its AP
@@ -451,22 +421,23 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     member stays and targets its water-fill against the others, so the stay
     steps are one averaged water-filling step on that (AP, member set) block.
     Under the safeguarded schedule such a step is 1/2 until the block's
-    potential first falls in this run; every other stay step is
-    ``alpha(stay count)``."""
+    potential first falls strictly from one profile to the next in this run;
+    every other stay step is ``alpha(stay count)``."""
     _warn_short_memory(config, scenario.num_mus)
     costs, rngs, state, history, log = _start(scenario, config, random_powers=True)
     metrics = evaluate_profile(scenario, state.association, state.powers)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     fallen: set = set()
-    blocks = _blocks(state.association, metrics[5], {}, fallen)
     converged = False
     for body in range(config.max_outer):
         nxt, _, br_vecs = _reselect(scenario, state, costs, config, rngs)
-        held = {
-            ap: (ap, members) not in fallen
-            and np.array_equal(np.flatnonzero(nxt == ap), members)
-            for ap, (members, _) in blocks.items()
-        }
+        # The (AP, member set) blocks whose members are the same in both profiles.
+        kept = [
+            (ap, tuple(np.flatnonzero(nxt == ap).tolist()))
+            for ap in range(scenario.num_aps)
+            if np.array_equal(nxt == ap, state.association == ap)
+        ]
+        held = {ap for ap, members in kept if (ap, members) not in fallen}
         new_powers = []
         for i in range(scenario.num_mus):
             target = br_vecs[int(nxt[i])][i]
@@ -475,14 +446,15 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 new_powers.append(target.copy())
             else:
                 state.stay_counts[i] += 1
-                alpha = config.schedule.block_alpha(int(state.stay_counts[i]), held[int(nxt[i])])
+                alpha = config.schedule.block_alpha(int(state.stay_counts[i]), int(nxt[i]) in held)
                 new_powers.append((1.0 - alpha) * np.asarray(state.powers[i]) + alpha * target)
         switch_count = int(np.sum(nxt != state.association))
         state.association = nxt
         state.powers = new_powers
         history.append(tuple(int(x) for x in nxt))
+        last = metrics[5]
         metrics = evaluate_profile(scenario, state.association, state.powers)
-        blocks = _blocks(state.association, metrics[5], blocks, fallen)
+        fallen.update(block for block in kept if metrics[5][block[0]] < last[block[0]])
         log.record(
             body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,

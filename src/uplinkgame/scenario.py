@@ -236,6 +236,22 @@ def save_scenario(scenario: NetworkScenario, path) -> None:
         fh.write("\n")
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# How load_scenario converts each NetworkScenario field read from a file.
+_CONVERT = {
+    "num_mus": int,
+    "num_aps": int,
+    "num_channels": int,
+    "ap_channels": lambda value: tuple(tuple(int(c) for c in b) for b in value),
+    **dict.fromkeys(("gain_sq", "noise", "budget", "mu_positions", "ap_positions"), _floats),
+    "connection_cost": _floats,
+    "seed": lambda value: None if value is None else int(value),
+}
+
+
 def load_scenario(path) -> NetworkScenario:
     """Read a scenario file; raises ScenarioParseError on malformed JSON and
     ValidationError (naming the field) on invariant violations."""
@@ -254,19 +270,11 @@ def load_scenario(path) -> NetworkScenario:
     positions = doc["positions"]
     if not isinstance(positions, dict) or "mus" not in positions or "aps" not in positions:
         raise ValidationError("positions: expected an object with 'mus' and 'aps'")
-    seed = doc["seed"]
-    if seed is not None:
-        seed = int(seed)
-    return NetworkScenario(
-        num_mus=int(doc["num_mus"]),
-        num_aps=int(doc["num_aps"]),
-        num_channels=int(doc["num_channels"]),
-        ap_channels=tuple(tuple(int(c) for c in b) for b in doc["ap_channels"]),
-        gain_sq=np.asarray(doc["gain_sq"], dtype=float),
-        noise=np.asarray(doc["noise"], dtype=float),
-        budget=np.asarray(doc["budget"], dtype=float),
-        mu_positions=np.asarray(positions["mus"], dtype=float),
-        ap_positions=np.asarray(positions["aps"], dtype=float),
-        connection_cost=np.asarray(doc["connection_cost"], dtype=float),
-        seed=seed,
-    )
+    fields = dict(doc, mu_positions=positions["mus"], ap_positions=positions["aps"])
+    values = {}
+    for name, convert in _CONVERT.items():
+        try:
+            values[name] = convert(fields[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
+    return NetworkScenario(**values)

@@ -12,8 +12,6 @@ import csv
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 TRACE_HEADER = (
@@ -105,17 +103,6 @@ def inner_rows(outer_iter: int, association, inner_trace) -> list[TraceRow]:
 
 def write_summary(path, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, default=_jsonable)
+        json.dump(summary, fh, indent=1)
         fh.write("\n")
 
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")

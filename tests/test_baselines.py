@@ -70,14 +70,14 @@ def test_enumeration_cap():
 @pytest.mark.parametrize("n, w, k", [(7, 3, 12), (4, 4, 9), (9, 2, 5), (3, 5, 10), (1, 3, 8)])
 def test_distinct_blocks_equal_row_unique(n, w, k):
     # The packed 1-D unique plus lexsort must reproduce np.unique(axis=0) of
-    # the (width, -size, AP, member flags) rows: sorted keys and inverse.
+    # the (-size, width, AP, member flags) rows: sorted keys and inverse.
     sc = make_scenario(n, w, k, seed=4)
     profiles = np.array(list(itertools.product(range(w), repeat=n)))
     for chunk in (profiles, profiles[::3], profiles[1:2]):
         member = chunk[:, None, :] == np.arange(w)[:, None]
         rows = np.empty((len(chunk), w, n + 3), dtype=np.int32)
-        rows[..., 0] = [c.size for c in sc.chan_idx]
-        rows[..., 1] = -member.sum(axis=2)
+        rows[..., 0] = -member.sum(axis=2)
+        rows[..., 1] = [c.size for c in sc.chan_idx]
         rows[..., 2] = np.arange(w)
         rows[..., 3:] = member
         want_keys, want_inverse = np.unique(rows.reshape(-1, n + 3), axis=0, return_inverse=True)

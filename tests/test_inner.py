@@ -80,11 +80,10 @@ def test_harmonic_schedule():
 def test_schedule_validation():
     with pytest.raises(ValidationError):
         StepsizeSchedule(exponent=0.4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown stepsize rule"):
         StepsizeSchedule(rule="custom")
-    bad = StepsizeSchedule(rule="custom", func=lambda t: 1.5)
     with pytest.raises(ValidationError):
-        bad.alpha(1)
+        StepsizeSchedule().alpha(0)
 
 
 # ---------------------------------------------------------------------------

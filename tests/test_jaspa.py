@@ -298,16 +298,22 @@ def test_si_single_ap_reduces_to_safeguarded_a_iwf():
         np.testing.assert_allclose(final[i], ref.powers[i], atol=1e-12)
 
 
-def test_si_unchanged_blocks_replay_the_safeguarded_step():
+@pytest.mark.parametrize(
+    "n, w, k, seed", [(8, 2, 16, 2), (10, 3, 20, 2), (10, 3, 20, 5), (12, 4, 24, 1)]
+)
+def test_si_unchanged_blocks_replay_the_safeguarded_step(n, w, k, seed):
     # Whenever an AP keeps its member set, each member moves alpha of the way
     # to its best reply, alpha = 1/2 until that block's potential has fallen
-    # strictly between consecutive evaluations, else alpha(stay count). This
-    # run takes 148 held and 22 released block steps.
-    sc = make_scenario(8, 2, 16, seed=2)
-    run = si_jaspa(sc, JaspaConfig(memory_len=8, seed=2))
+    # strictly between consecutive evaluations, else alpha(stay count). The
+    # (8,2,16) run takes 148 held and 22 released block steps. In every run a
+    # block leaves its AP and later returns; in the last three some return
+    # below the potential it had when it left, which a comparison across the
+    # gap would read as a fall.
+    sc = make_scenario(n, w, k, seed=seed)
+    run = si_jaspa(sc, JaspaConfig(memory_len=n, seed=seed))
     assert run.converged
-    fallen, steps = set(), {True: 0, False: 0}
-    for prev, cur in zip(run.detail, run.detail[1:]):
+    fallen, steps, returns, last_kept = set(), {True: 0, False: 0}, 0, {}
+    for t, (prev, cur) in enumerate(zip(run.detail, run.detail[1:])):
         before = evaluate_profile(sc, prev.association, prev.powers)[5]
         after = evaluate_profile(sc, cur.association, cur.powers)[5]
         _, _, br_vecs = best_reply_table(sc, np.asarray(prev.association), prev.powers)
@@ -321,9 +327,11 @@ def test_si_unchanged_blocks_replay_the_safeguarded_step():
                 want = (1.0 - alpha) * prev.powers[i] + alpha * br_vecs[ap][i]
                 assert np.array_equal(cur.powers[i], want)
             steps[held] += 1
+            returns += last_kept.get((ap, members), t - 1) < t - 1
+            last_kept[ap, members] = t
             if after[ap] < before[ap]:
                 fallen.add((ap, members))
-    assert steps[True] > 0 and steps[False] > 0
+    assert steps[True] > 0 and steps[False] > 0 and returns > 0
 
 
 def test_si_seeded_runs_reach_equilibria():

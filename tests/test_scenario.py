@@ -14,6 +14,7 @@ from uplinkgame import (
     partition_channels,
     save_scenario,
 )
+from uplinkgame.cli import main
 from uplinkgame.scenario import sample_gains
 
 
@@ -166,6 +167,27 @@ def test_malformed_file_reports_location(tmp_path):
     path.write_text('{"num_mus": 2,,}')
     with pytest.raises(ScenarioParseError, match="line 1"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ap_channels", 5),
+        ("ap_channels", [["a"], [2]]),
+        ("gain_sq", "abc"),
+        ("gain_sq", [[1.0, 1.0], [1.0]]),
+        ("num_mus", "x"),
+        ("seed", "abc"),
+    ],
+)
+def test_unconvertible_field_is_named_and_exits_3(tmp_path, capsys, field, value):
+    path = _doc(tmp_path, **{field: value})
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        load_scenario(path)
+    code = main(["run", "--algo", "s_iwf", "--scenario", str(path),
+                 "--out-trace", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json")])
+    assert code == 3
+    assert f"validation error: {field}: " in capsys.readouterr().err
 
 
 def test_params_validation():

@@ -14,7 +14,9 @@ Per scenario size and seed it hashes every float bit of:
   random feasible powers;
 - ``solve_profiles`` under both solvers on a batch of random associations;
 - ``jaspa``, ``se_jaspa``, ``si_jaspa`` and ``j_jaspa`` under both schedules
-  (sizes up to 12 MUs): the whole ``RunResult``.
+  (sizes up to 12 MUs): the whole ``RunResult``; and, under the safeguarded
+  schedule, ``jaspa`` with the ``s_iwf`` inner solver, and ``jaspa`` and
+  ``si_jaspa`` with ``selection="best"`` and with a connection cost of 0.05.
 
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
 one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
@@ -43,6 +45,15 @@ QUICK_SIZES = [(1, 2, 4), (6, 4, 5), (10, 1, 16), (12, 5, 23)]
 SCHEDULES = {"paper": ug.StepsizeSchedule(), "safeguarded": ug.StepsizeSchedule(rule="safeguarded")}
 MAX_ITERS = 400  # per inner solve; a capped run is as deterministic as a converged one
 DYNAMICS_MAX_MUS = 12
+# Runs of jaspa and si_jaspa down the branches that other settings take,
+# under JaspaConfig's default (safeguarded) schedule.
+VARIANTS = (
+    ("jaspa/s_iwf", {"inner_solver": "s_iwf"}),
+    ("jaspa/best", {"selection": "best"}),
+    ("si_jaspa/best", {"selection": "best"}),
+    ("jaspa/cost", {"connection_cost": 0.05}),
+    ("si_jaspa/cost", {"connection_cost": 0.05}),
+)
 
 
 def feed(h, x) -> None:
@@ -105,7 +116,11 @@ def cases(n, w, k, seed):
         )
         for algo in ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa"):
             yield f"{algo}/{name}", getattr(ug, algo)(sc, config)
-
+    for label, settings in VARIANTS:
+        config = ug.JaspaConfig(
+            memory_len=n, seed=seed, max_outer=60, max_inner=MAX_ITERS, **settings
+        )
+        yield label, getattr(ug, label.split("/")[0])(sc, config)
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
