@@ -29,18 +29,8 @@ from .jjaspa import j_jaspa
 from .scenario import ScenarioGenParams, generate_scenario, load_scenario, save_scenario
 from .trace import TraceRow, association_label, inner_rows, write_summary, write_trace
 
-ALGORITHMS = (
-    "a_iwf",
-    "s_iwf",
-    "jaspa",
-    "se_jaspa",
-    "si_jaspa",
-    "j_jaspa",
-    "closest_ap",
-    "exhaustive",
-    "virtual_bound",
-)
 JOINT_ALGOS = {"jaspa": jaspa, "se_jaspa": se_jaspa, "si_jaspa": si_jaspa, "j_jaspa": j_jaspa}
+ALGORITHMS = ("a_iwf", "s_iwf", *JOINT_ALGOS, "closest_ap", "exhaustive", "virtual_bound")
 
 
 def _outdir(args) -> Path:

@@ -404,10 +404,14 @@ class _Stack:
         mus = np.argsort(block, kind="stable")  # by block, then MU
         aps = order[: np.count_nonzero(sizes)]  # the empty APs come last
         self.ap_order = place[sizes > 0]  # the blocks in AP order
-        width = scenario.chan_width[association]
-        pmat = np.zeros((self.num_mus, width.max()))
-        pmat[np.arange(pmat.shape[1]) < width[:, None]] = np.concatenate(powers)
-        self.blocks = _Blocks(scenario, aps, block[mus], mus, pmat[mus], aps, mus)
+        width = scenario.chan_width[association[mus]]
+        self.real = np.arange(width.max()) < width[:, None]  # each row's own channels
+        self.blocks = _Blocks(scenario, aps, block[mus], mus, np.zeros(self.real.shape), aps, mus)
+        self.fill(powers)
+
+    def fill(self, powers) -> None:
+        """Load every MU's power vector into its row."""
+        self.blocks.pmat[self.real] = np.concatenate([powers[i] for i in self.blocks.mus.tolist()])
 
     def metrics(self, log_tot, others, residual, potential):
         """(potential, sum rate, residual 2-norm, per-MU rates) of one
@@ -436,12 +440,28 @@ class _Stack:
         return [b.pmat[r, : width[r]].copy() for r in np.argsort(b.mus).tolist()]
 
 
-def evaluate_profile(scenario, association, powers):
+class ProfileLayout:
+    """The ``_Stack`` of the last association evaluated through it. A run
+    keeps one, so it holds at most one layout, and an evaluation at an
+    unchanged association refills only the powers."""
+
+    association = stack = None
+
+    def stack_for(self, scenario, association, powers) -> _Stack:
+        if self.stack is not None and np.array_equal(association, self.association):
+            self.stack.fill(powers)
+        else:
+            self.association, self.stack = association.copy(), _Stack(scenario, association, powers)
+        return self.stack
+
+
+def evaluate_profile(scenario, association, powers, layout: Optional[ProfileLayout] = None):
     """Batch metrics of one profile: (residual inf-norm, residual 2-norm,
     system potential, sum rate, per-MU rates, per-AP potentials, 0.0 at an
     empty AP). The system potential adds the per-AP potentials in AP
-    order."""
-    stack = _Stack(scenario, np.asarray(association, dtype=np.intp), powers)
+    order. A ``layout`` reuses the stack of its last association."""
+    association = np.asarray(association, dtype=np.intp)
+    stack = (layout or ProfileLayout()).stack_for(scenario, association, powers)
     b = stack.blocks
     b.evaluate()
     potential, total, res_two, rates = stack.metrics(b.log_tot, b.others, b.residual, b.potential)

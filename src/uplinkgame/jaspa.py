@@ -19,20 +19,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .game import (
-    EquilibriumReport,
-    all_rates,
-    copy_powers,
-    random_feasible_powers,
-    uniform_powers,
-    validate_association,
-    validate_costs,
-    validate_powers,
-    verify_jep,
-    verify_power_ne,
+    EquilibriumReport, all_rates, copy_powers, random_feasible_powers, uniform_powers,
+    validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
 )
-from .inner import StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
+from .inner import (
+    ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
+)
 from .trace import TraceRow, association_label, inner_rows
-from .waterfill import best_reply_table, water_fill_batch
+from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
 
 # Unused all_rates, verify_power_ne and water_fill_batch stay bound for perfbench's hooks.
 
@@ -133,11 +127,21 @@ def update_beta(state: JaspaState, mu: int, new_ap: int) -> None:
     mem.append(int(new_ap))
 
 
-def sample_association(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Categorical draw tolerant of the ~1e-16 bookkeeping drift in probs."""
-    u = rng.random()
-    cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, u, side="right")), probs.size - 1)
+def sample_associations(rngs, probs: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of ``probs`` (N, W), row i from
+    ``rngs[i]``, tolerant of the ~1e-16 bookkeeping drift in probs."""
+    cum = np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1
+    draws = [min(int(c.searchsorted(r.random(), side="right")), last) for r, c in zip(rngs, cum)]
+    return np.array(draws, dtype=np.intp)
+
+
+def uniform_picks(mask: np.ndarray, rngs) -> np.ndarray:
+    """Per row i of ``mask`` (N, W), its ``rngs[i].integers(count)``-th True
+    column in ascending order: a uniform pick among them."""
+    order = np.argsort(~mask, axis=1, kind="stable")  # each row's True columns first
+    counts = np.count_nonzero(mask, axis=1).tolist()
+    return order[np.arange(mask.shape[0]), [int(r.integers(c)) for r, c in zip(rngs, counts)]]
 
 
 @dataclass
@@ -168,24 +172,13 @@ class RunRecorder:
         potential, sum_rate, per-MU rates); powers, beta and stay_counts are
         copied."""
         res_inf, _, potential, total, rates = metrics[:5]
-        here = tuple(int(x) for x in association)
+        here = tuple(association.tolist())
         self.rows.append(
             TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
         )
-        self.detail.append(
-            OuterRecord(
-                t,
-                here,
-                total,
-                potential,
-                res_inf,
-                rates,
-                switch_count,
-                beta=None if beta is None else beta.copy(),
-                powers=copy_powers(powers),
-                stay_counts=None if stay_counts is None else stay_counts.copy(),
-            )
-        )
+        beta, stay_counts = (None if a is None else a.copy() for a in (beta, stay_counts))
+        self.detail.append(OuterRecord(t, here, total, potential, res_inf, rates, switch_count,
+                                       beta, copy_powers(powers), stay_counts))
 
 
 @dataclass
@@ -265,14 +258,10 @@ def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
         switching = np.arange(scenario.num_aps) != a[:, None]
         qualify = br_rates >= cur_rates[:, None] + costs[:, None] * switching
         qualify[np.arange(a.size), a] |= ~qualify.any(axis=1)
-        picks = []
-        for row, rng in zip(qualify, rngs):
-            members = np.flatnonzero(row)
-            picks.append(members[int(rng.integers(members.size))])
-    for i, pick in enumerate(picks):
-        update_beta(state, i, int(pick))
-    nxt = np.array([sample_association(r, b) for r, b in zip(rngs, state.beta)], dtype=np.intp)
-    return nxt, cur_rates, br_vecs
+        picks = uniform_picks(qualify, rngs)
+    for i, pick in enumerate(picks.tolist()):
+        update_beta(state, i, pick)
+    return sample_associations(rngs, state.beta), cur_rates, br_vecs
 
 
 def _tail_constant(history: list, span: int) -> bool:
@@ -378,17 +367,18 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     rngs = per_mu_rngs(config.seed, n)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
     log = RunRecorder()
-    log.record(0, evaluate_profile(scenario, assoc, powers), assoc, 0, powers)
+    layout = ProfileLayout()
+    log.record(0, evaluate_profile(scenario, assoc, powers, layout), assoc, 0, powers)
     converged = False
     quiet = 0
     for body in range(config.max_outer):
         i = body % n
-        _, br_rates, br_vecs = best_reply_table(scenario, assoc, powers)
-        best = br_rates[i].max()
-        ties = np.flatnonzero(br_rates[i] == best)
-        pick = int(ties[int(rngs[i].integers(ties.size))])
+        # Only the acting MU's row of the best-reply table.
+        interf = profile_table(scenario, assoc, powers, rates=False)[1]
+        br_rates, br_vecs = best_replies(scenario, interf[i : i + 1], [i])
+        pick = int(uniform_picks(br_rates == br_rates.max(), [rngs[i]])[0])  # among exact ties
         changed = pick != int(assoc[i])
-        new_p = br_vecs[pick][i].copy()
+        new_p = br_vecs[pick][0]
         if changed:
             quiet = 0
         else:
@@ -396,9 +386,8 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
             quiet = 0 if move > config.eps_wf else quiet + 1
         assoc[i] = pick
         powers[i] = new_p
-        log.record(
-            body + 1, evaluate_profile(scenario, assoc, powers), assoc, int(changed), powers
-        )
+        metrics = evaluate_profile(scenario, assoc, powers, layout)
+        log.record(body + 1, metrics, assoc, int(changed), powers)
         if quiet >= n:
             converged = True
             break
@@ -425,7 +414,8 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     every other stay step is ``alpha(stay count)``."""
     _warn_short_memory(config, scenario.num_mus)
     costs, rngs, state, history, log = _start(scenario, config, random_powers=True)
-    metrics = evaluate_profile(scenario, state.association, state.powers)
+    layout = ProfileLayout()
+    metrics = evaluate_profile(scenario, state.association, state.powers, layout)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     fallen: set = set()
     converged = False
@@ -453,7 +443,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         state.powers = new_powers
         history.append(tuple(int(x) for x in nxt))
         last = metrics[5]
-        metrics = evaluate_profile(scenario, state.association, state.powers)
+        metrics = evaluate_profile(scenario, state.association, state.powers, layout)
         fallen.update(block for block in kept if metrics[5][block[0]] < last[block[0]])
         log.record(
             body + 1, metrics, state.association, switch_count, state.powers,

@@ -2,9 +2,11 @@
 while APs remember the last power/interference profile of every coalition
 (exact MU set) that visited them.
 
-An MU's memory is a FIFO deque of (AP, interference row, rate) snapshots, the
-row taken from ``profile_table``'s (N, K) matrix; an AP keeps, per coalition,
-the members' (members, K_w) power and interference rows in ascending MU order.
+An MU's memory is a FIFO of (AP, interference row, rate) snapshots, the row
+from ``profile_table``'s (N, K) matrix; all MUs push at once, so one deque of
+(association, interference, rates) holds them all. An AP keeps, per
+coalition, the members' (members, K_w) power and interference rows in
+ascending MU order.
 
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes
@@ -23,22 +25,16 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .game import verify_jep
-from .inner import evaluate_profile
+from .inner import ProfileLayout, evaluate_profile
 from .jaspa import (
-    JaspaConfig,
-    RunRecorder,
-    RunResult,
-    _initial_profile,
-    _run_result,
-    _tail_constant,
-    _warn_short_memory,
-    per_mu_rngs,
+    JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _tail_constant,
+    _warn_short_memory, per_mu_rngs, uniform_picks,
 )
 from .waterfill import best_replies, profile_table, water_fill_batch
 
 
 def sample_mu_memory(memory: deque, rng: np.random.Generator):
-    """Read one uniformly sampled (AP, interference row, rate) snapshot."""
+    """Read one uniformly sampled snapshot."""
     if len(memory) == 0:
         raise ValidationError("cannot sample an empty memory")
     return memory[int(rng.integers(len(memory)))]
@@ -128,19 +124,18 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     _warn_short_memory(config, n)
     rngs = per_mu_rngs(config.seed, n)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
-    memories = [deque(maxlen=config.memory_len) for _ in range(n)]
+    memory = deque(maxlen=config.memory_len)
     apmem = ApMemory(w, config.coalition_cap)
     history = [tuple(int(x) for x in assoc)]
     log = RunRecorder()
-    metrics = evaluate_profile(scenario, assoc, powers)
+    layout = ProfileLayout()
+    metrics = evaluate_profile(scenario, assoc, powers, layout)
     log.record(0, metrics, assoc, 0, powers)
     converged = False
-    aps = np.arange(w)
     for body in range(config.max_outer):
-        # Snapshot rows are views of a matrix that is never written again.
-        interf = profile_table(scenario, assoc, powers)[1]
-        for i in range(n):
-            memories[i].append((int(assoc[i]), interf[i], float(metrics[4][i])))
+        # Snapshots hold arrays that are never written again.
+        interf = profile_table(scenario, assoc, powers, rates=False)[1]
+        memory.append((assoc, interf, metrics[4]))
         for ap, cols in enumerate(scenario.chan_idx):
             members = np.flatnonzero(assoc == ap)
             stacked = np.reshape([powers[i] for i in members], (-1, cols.size))
@@ -148,12 +143,10 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 apmem, ap, members, stacked, interf[members].take(cols, axis=1), metrics[5][ap]
             )
 
-        sampled = [sample_mu_memory(memories[i], rngs[i]) for i in range(n)]
-        best, _ = best_replies(scenario, np.stack([s[1] for s in sampled]))
-        nxt = np.empty(n, dtype=np.intp)
-        for i, (a_hat, _, r_hat) in enumerate(sampled):
-            options = np.flatnonzero((best[i] > r_hat) | (aps == a_hat))
-            nxt[i] = options[int(rngs[i].integers(options.size))]
+        sampled = [sample_mu_memory(memory, rng) for rng in rngs]
+        a_hat, rows, r_hat = (np.array([s[c][i] for i, s in enumerate(sampled)]) for c in range(3))
+        best, _ = best_replies(scenario, rows)
+        nxt = uniform_picks((best > r_hat[:, None]) | (np.arange(w) == a_hat[:, None]), rngs)
 
         # One water-fill per returning coalition: its rows are independent.
         new_powers: list = [None] * n
@@ -181,7 +174,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
         assoc = nxt
         powers = new_powers
         history.append(tuple(int(x) for x in assoc))
-        metrics = evaluate_profile(scenario, assoc, powers)
+        metrics = evaluate_profile(scenario, assoc, powers, layout)
         log.record(body + 1, metrics, assoc, switch_count, powers)
         if _tail_constant(history, config.memory_len + 1) and metrics[0] <= config.eps_wf:
             report = verify_jep(scenario, assoc, powers, config.eps_eq)

@@ -232,23 +232,52 @@ def save_scenario(scenario: NetworkScenario, path) -> None:
         "seed": scenario.seed,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.writelines(_indented(doc))
         fh.write("\n")
+
+
+def _indented(value, depth: int = 0):
+    """The text of ``json.dumps(value, indent=1)``, in pieces. An indent
+    selects json's pure-Python encoder, so the layout is made here and each
+    list of scalars is one C-encoder call, its items joined by the indent."""
+    pad = "\n" + " " * (depth + 1)
+    if not value or not isinstance(value, (list, dict)):
+        yield json.dumps(value)
+    elif isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
+        yield "[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
+    else:
+        keyed = isinstance(value, dict)
+        heads = [json.dumps(k) + ": " for k in value] if keyed else [""] * len(value)
+        for n, (head, item) in enumerate(zip(heads, value.values() if keyed else value)):
+            yield ("," if n else "{" if keyed else "[") + pad + head
+            yield from _indented(item, depth + 1)
+        yield pad[:-1] + ("}" if keyed else "]")
 
 
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _integer(value) -> int:
+    """A JSON integer; a float, a boolean or a string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _costs(value) -> np.ndarray:
+    if isinstance(value, list) and any(isinstance(c, bool) for c in value):
+        raise TypeError(f"expected numbers, got {value!r}")
+    return _floats(value)
+
+
 # How load_scenario converts each NetworkScenario field read from a file.
 _CONVERT = {
-    "num_mus": int,
-    "num_aps": int,
-    "num_channels": int,
-    "ap_channels": lambda value: tuple(tuple(int(c) for c in b) for b in value),
+    **dict.fromkeys(("num_mus", "num_aps", "num_channels"), _integer),
+    "ap_channels": lambda value: tuple(tuple(_integer(c) for c in b) for b in value),
     **dict.fromkeys(("gain_sq", "noise", "budget", "mu_positions", "ap_positions"), _floats),
-    "connection_cost": _floats,
-    "seed": lambda value: None if value is None else int(value),
+    "connection_cost": _costs,
+    "seed": lambda value: None if value is None else _integer(value),
 }
 
 

@@ -6,12 +6,13 @@ sum(p) <= budget. The optimum has the form p_k = max(level - f_k, 0) with
 effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
 
-``profile_table`` is the one per-AP pass over a profile: it gives every MU's
-current rate and the (N, K) interference matrix, which ``best_replies``
-water-fills at every AP. ``best_reply_table`` chains the two; it is the one
-kernel behind the joint dynamics' best replies and the equilibrium
-verifiers. ``wf_operator`` and the scalar functions in ``game`` are the
-reference oracles both are tested against.
+``profile_table`` is the one pass over a profile: it gives the (N, K)
+interference matrix, which ``best_replies`` water-fills at every AP (for
+every MU or some), and, unless told not to, every MU's current rate.
+``best_reply_table`` chains the two; it is the one kernel behind the joint
+dynamics' best replies and the equilibrium verifiers. ``wf_operator`` and
+the scalar functions in ``game`` are the reference oracles both are tested
+against.
 """
 
 from __future__ import annotations
@@ -129,53 +130,60 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
     ).powers
 
 
-def profile_table(scenario, association, powers):
-    """The current rates (N,) and interference (N, K) of a profile, from one
-    pass per AP. APs own disjoint channels, so on AP w's columns MU i's row
-    holds w's block total less i's own received power (zero for
-    non-members): what i sees, or would see, there. Every sum runs from zero
-    in member order: the block total is the members' cumulative sum, and
-    each member's interferers are its predecessors' cumulative sum plus its
-    successors one by one, as ``game.interference_at`` sums them, so the
-    current rates equal ``game.rate`` bit for bit."""
+def profile_table(scenario, association, powers, rates: bool = True):
+    """The current rates (N,), None unless ``rates``, and the interference
+    (N, K) of a profile. APs own disjoint channels, so on AP w's columns MU
+    i's row holds w's block total less i's own received power (zero for
+    non-members): what i sees, or would see, there. A block total adds the
+    MUs' rows of ``G*P`` (zero outside their own blocks) from zero in MU
+    order, so in member order. The rates take one pass per AP, each MU's
+    interferers summed as ``game.interference_at`` sums them (predecessors'
+    cumulative sum, then successors one by one), so each equals
+    ``game.rate`` bit for bit."""
     a = np.asarray(association)
-    rates = np.zeros(scenario.num_mus)
+    width = scenario.chan_width[a]
+    rows = np.repeat(np.arange(a.size), width)
+    cols = scenario.chan_table[a][np.arange(scenario.chan_table.shape[1]) < width[:, None]]
     received = np.zeros((scenario.num_mus, scenario.num_channels))
-    total = np.zeros(scenario.num_channels)
-    for ap in range(scenario.num_aps):
+    received[rows, cols] = scenario.gain_sq[rows, cols] * np.concatenate(powers)
+    # numpy adds the rows of an (N, K) array one by one, but a lone column pairwise.
+    total = received.sum(axis=0) if received.shape[1] > 1 else received.cumsum()[-1:]
+    current = np.zeros(scenario.num_mus) if rates else None
+    for ap in range(scenario.num_aps if rates else 0):
         members = np.flatnonzero(a == ap)
         if members.size == 0:
             continue
         cols = scenario.chan_idx[ap]
-        rows = members[:, None]
-        p = np.array([powers[j] for j in members.tolist()], dtype=float)
-        rx = scenario.gain_sq[rows, cols] * p
-        cum = np.cumsum(rx, axis=0)
+        rx = received[members[:, None], cols]
         interf = np.zeros_like(rx)
-        interf[1:] = cum[:-1]
+        interf[1:] = np.cumsum(rx, axis=0)[:-1]
         for s in range(1, members.size):
             interf[:s] += rx[s]
-        received[rows, cols] = rx
-        total[cols] = cum[-1]
         sinr = rx / (scenario.noise[cols] + interf)
-        rates[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
-    return rates, total - received
+        current[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
+    return current, total - received
 
 
-def best_replies(scenario, interference: np.ndarray):
+def best_replies(scenario, interference: np.ndarray, mus=None):
     """The batched ``wf_operator``: every MU's water-fill at every AP against
     the given (N, K) interference rows, one ``water_fill_batch`` call per AP;
     an AP where every gain of an MU vanishes gets power 0 and rate 0 from it.
-    Returns (rates (N, W), per-AP list of (N, K_w) powers)."""
-    rates = np.empty((scenario.num_mus, scenario.num_aps))
+    ``mus`` restricts it to those MUs' rows (``interference`` then holds one
+    row each); the rows of ``water_fill_batch`` are independent, so each is
+    the full table's row bit for bit. Returns (rates (R, W), per-AP list of
+    (R, K_w) powers), R rows."""
+    gain_sq, budget = scenario.gain_sq, scenario.budget
+    if mus is not None:
+        gain_sq, budget = gain_sq[mus], budget[mus]
+    rates = np.empty((budget.size, scenario.num_aps))
     vecs = []
     for ap in range(scenario.num_aps):
         # take, not [:, cols]: the fancy gather is F-ordered, and the channel
         # sum below would then run sequentially instead of pairwise.
         cols = scenario.chan_idx[ap]
-        gains = scenario.gain_sq.take(cols, axis=1)
+        gains = gain_sq.take(cols, axis=1)
         floors_phys = scenario.noise[cols] + interference.take(cols, axis=1)
-        phi, _ = water_fill_batch(gains, floors_phys, scenario.budget)
+        phi, _ = water_fill_batch(gains, floors_phys, budget)
         rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
         vecs.append(phi)
     return rates, vecs

@@ -22,7 +22,7 @@ from uplinkgame import (
     wf_operator,
 )
 from uplinkgame.game import all_rates, per_ap_potential
-from uplinkgame.inner import evaluate_profile
+from uplinkgame.inner import ProfileLayout, evaluate_profile
 
 from conftest import make_scenario, random_powers, unusable_ap_scenario
 
@@ -682,3 +682,35 @@ def test_block_totals_equal_member_order_sums(n, w, k, assoc):
                 width = want.size
                 assert same_bits(tot[block, :width], want), (nb, block)
                 assert np.all(tot[block, width:] == np.inf)
+
+
+def same_metrics(got, want) -> bool:
+    return all(np.asarray(g).tobytes() == np.asarray(x).tobytes() for g, x in zip(got, want))
+
+
+@pytest.mark.parametrize("n, w, k", [(12, 5, 23), (6, 4, 5), (10, 2, 16), (1, 2, 4)])
+def test_a_reused_layout_evaluates_as_a_fresh_one(n, w, k):
+    sc = make_scenario(n, w, k, seed=4)
+    rng = np.random.default_rng(n + w)
+    layout = ProfileLayout()
+    first = rng.integers(0, w, n)
+    other = first.copy()
+    other[-1] = (other[-1] + 1) % w
+    stacks = []
+    # Powers change on one association, then the association changes, comes
+    # back as an equal copy, and is changed in place by the caller.
+    for association in (first, first, first.copy(), other, first):
+        for _ in range(3):
+            powers = random_powers(sc, association, rng, slack=True)
+            got = evaluate_profile(sc, association, powers, layout)
+            assert same_metrics(got, evaluate_profile(sc, association, powers))
+            stacks.append(layout.stack)
+    association = other.copy()
+    evaluate_profile(sc, association, random_powers(sc, association, rng), layout)
+    association[0] = (association[0] + 1) % w  # in place, as se_jaspa moves an MU
+    powers = random_powers(sc, association, rng)
+    got = evaluate_profile(sc, association, powers, layout)
+    assert same_metrics(got, evaluate_profile(sc, association, powers))
+    # One layout per association run, built on its first evaluation only.
+    assert len(set(map(id, stacks[:9]))) == 1
+    assert stacks[9] is not stacks[8] and stacks[12] is not stacks[11]

@@ -21,7 +21,7 @@ from uplinkgame import (
     wf_operator,
 )
 from uplinkgame.inner import SAFEGUARD_ALPHA, evaluate_profile
-from uplinkgame.jaspa import new_state, sample_association
+from uplinkgame.jaspa import new_state, per_mu_rngs, sample_associations, uniform_picks
 from uplinkgame.waterfill import best_reply_table
 
 from conftest import footnote_network, make_scenario, unusable_ap_scenario
@@ -79,8 +79,39 @@ def test_beta_stays_normalized_and_equals_memory_mean():
 def test_sample_association_respects_support():
     rng = np.random.default_rng(2)
     probs = np.array([0.0, 0.25, 0.75])
-    draws = {sample_association(rng, probs) for _ in range(200)}
+    draws = {int(sample_associations([rng], probs[None])[0]) for _ in range(200)}
     assert draws <= {1, 2}
+
+
+@pytest.mark.parametrize("n, w, seed", [(8, 2, 0), (16, 4, 1), (5, 7, 2), (1, 3, 3), (6, 1, 4)])
+def test_uniform_picks_equal_the_per_mu_loop(n, w, seed):
+    got_rngs, want_rngs = per_mu_rngs(seed, n), per_mu_rngs(seed, n)
+    masks = np.random.default_rng(seed)
+    for _ in range(20):
+        mask = masks.random((n, w)) < 0.4
+        mask[np.arange(n), masks.integers(0, w, n)] = True
+        want = []
+        for row, rng in zip(mask, want_rngs):
+            members = np.flatnonzero(row)
+            want.append(members[int(rng.integers(members.size))])
+        assert uniform_picks(mask, got_rngs).tolist() == want
+    # Each stream was drawn from exactly as often.
+    assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
+
+
+@pytest.mark.parametrize("n, w, seed", [(8, 2, 0), (16, 4, 1), (3, 1, 2)])
+def test_sample_associations_equal_per_mu_draws(n, w, seed):
+    state = fresh_state(n, w, m=7)
+    replies = np.random.default_rng(seed)
+    got_rngs, want_rngs = per_mu_rngs(seed, n), per_mu_rngs(seed, n)
+    for _ in range(30):  # past saturation, where the bookkeeping drifts
+        for mu in range(n):
+            update_beta(state, mu, int(replies.integers(w)))
+        want = []
+        for rng, probs in zip(want_rngs, state.beta):
+            u = rng.random()
+            want.append(min(int(np.searchsorted(np.cumsum(probs), u, side="right")), w - 1))
+        assert sample_associations(got_rngs, state.beta).tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -188,6 +189,63 @@ def test_unconvertible_field_is_named_and_exits_3(tmp_path, capsys, field, value
                  "--out-trace", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json")])
     assert code == 3
     assert f"validation error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_aps", 2.5),
+        ("num_mus", 2.0),  # a float is refused even when whole
+        ("num_channels", True),
+        ("seed", 3.9),
+        ("seed", False),
+        ("ap_channels", [[1], [2.0]]),
+        ("ap_channels", [[True], [2]]),
+        ("connection_cost", [True, False]),
+    ],
+)
+def test_non_integer_or_boolean_field_is_refused_and_exits_3(tmp_path, capsys, field, value):
+    # Each used to load truncated: num_aps 2.5 as 2 APs, seed 3.9 as 3, and
+    # costs [true, false] as [1.0, 0.0].
+    path = _doc(tmp_path, **{field: value})
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        load_scenario(path)
+    code = main(["run", "--algo", "s_iwf", "--scenario", str(path),
+                 "--out-trace", str(tmp_path / "t.csv"), "--out-summary", str(tmp_path / "s.json")])
+    assert code == 3
+    assert f"validation error: {field}: " in capsys.readouterr().err
+
+
+def test_a_null_seed_and_integer_costs_still_load(tmp_path):
+    back = load_scenario(_doc(tmp_path, seed=None, connection_cost=[0, 1]))
+    assert back.seed is None
+    assert back.connection_cost.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "n, w, k",
+    [(1, 1, 1), (1, 3, 7), (6, 1, 9), (5, 3, 7), (12, 5, 23), (200, 10, 256)],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_saved_bytes_equal_json_dump_with_indent_1(tmp_path, n, w, k, seed):
+    sc = generate_scenario(ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=seed))
+    if seed:  # costs, and a seed that is not an integer of the file
+        sc = dataclasses.replace(sc, connection_cost=np.linspace(0.0, 1.5, n), seed=None)
+    path = tmp_path / "s.scn"
+    save_scenario(sc, path)
+    doc = {
+        "num_mus": n,
+        "num_aps": w,
+        "num_channels": k,
+        "ap_channels": [list(b) for b in sc.ap_channels],
+        "gain_sq": sc.gain_sq.tolist(),
+        "noise": sc.noise.tolist(),
+        "budget": sc.budget.tolist(),
+        "positions": {"mus": sc.mu_positions.tolist(), "aps": sc.ap_positions.tolist()},
+        "connection_cost": sc.connection_cost.tolist(),
+        "seed": sc.seed,
+    }
+    assert path.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
 def test_params_validation():

@@ -10,9 +10,9 @@ from uplinkgame import (
     ValidationError, best_response_rate, s_iwf, verify_jep, water_fill, wf_operator
 )
 from uplinkgame.game import interference_at, rate
-from uplinkgame.waterfill import best_reply_table, profile_table, water_fill_batch
+from uplinkgame.waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
 
-from conftest import footnote_network, make_scenario, random_powers
+from conftest import footnote_network, make_scenario, random_powers, unusable_ap_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +415,64 @@ def test_an_ap_without_a_usable_channel_reads_power_and_rate_zero():
     # All four at AP 0 is a joint equilibrium; at [0, 1, 0, 1], MUs 1 and 3
     # gain by moving to AP 0.
     assert report.is_equilibrium
+
+
+# ---------------------------------------------------------------------------
+# The interference without the rates, and best replies for some MUs only.
+
+
+@pytest.mark.parametrize(
+    "n, w, k", [(9, 4, 6), (12, 5, 23), (16, 4, 48), (1, 3, 8), (6, 1, 5), (7, 1, 1)]
+)
+def test_row_only_best_replies_equal_the_full_table_rows(n, w, k):
+    sc = make_scenario(n, w, k, seed=5)
+    rng = np.random.default_rng(n + k)
+    for assoc in (rng.integers(0, w, n), np.zeros(n, dtype=np.intp)):
+        powers = random_powers(sc, assoc, rng, slack=True)
+        current, rates, vecs = best_reply_table(sc, assoc, powers)
+        none, interference = profile_table(sc, assoc, powers, rates=False)
+        assert none is None
+        assert np.array_equal(interference, profile_table(sc, assoc, powers)[1])
+        for mus in ([0], [n - 1], list(range(n - 1, -1, -2))):
+            got_rates, got_vecs = best_replies(sc, interference[mus], mus)
+            assert np.array_equal(got_rates, rates[mus])
+            for ap in range(w):
+                assert np.array_equal(got_vecs[ap], vecs[ap][mus])
+
+
+def test_row_only_best_replies_keep_a_vanishing_gain_row():
+    # MU 0 has no finite floor at AP 1: its own row reads power 0 and rate 0
+    # there, as its row of the full table does.
+    sc = unusable_ap_scenario()
+    for assoc in ([0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]):
+        assoc = np.asarray(assoc)
+        powers = random_powers(sc, assoc, np.random.default_rng(2))
+        _, rates, vecs = best_reply_table(sc, assoc, powers)
+        interference = profile_table(sc, assoc, powers, rates=False)[1]
+        for mu in range(sc.num_mus):
+            got_rates, got_vecs = best_replies(sc, interference[[mu]], [mu])
+            assert np.array_equal(got_rates[0], rates[mu])
+            for ap in range(sc.num_aps):
+                assert np.array_equal(got_vecs[ap][0], vecs[ap][mu])
+        got_rates, got_vecs = best_replies(sc, interference[[0]], [0])
+        assert got_rates[0, 1] == 0.0 and not got_vecs[1].any()
+
+
+@pytest.mark.parametrize("n, w, k", [(50, 1, 1), (20, 1, 3), (48, 3, 31), (9, 4, 6)])
+def test_interference_adds_each_block_in_member_order(n, w, k):
+    # Gains over many magnitudes, so that any other order of the adds moves bits.
+    sc = make_scenario(n, w, k, seed=1)
+    spread = 10.0 ** np.random.default_rng(k).uniform(-6, 6, size=sc.gain_sq.shape)
+    sc = dataclasses.replace(sc, gain_sq=sc.gain_sq * spread)
+    rng = np.random.default_rng(n)
+    for assoc in (rng.integers(0, w, n), np.zeros(n, dtype=np.intp)):
+        powers = random_powers(sc, assoc, rng, slack=True)
+        interference = profile_table(sc, assoc, powers, rates=False)[1]
+        for ap in range(w):
+            cols = sc.chan_idx[ap]
+            total = np.zeros(cols.size)
+            for j in np.flatnonzero(assoc == ap):
+                total = total + sc.gain_sq[j, cols] * powers[j]
+            for i in range(n):
+                own = sc.gain_sq[i, cols] * powers[i] if assoc[i] == ap else 0.0
+                assert np.array_equal(interference[i, cols], total - own)

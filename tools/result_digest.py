@@ -14,9 +14,10 @@ Per scenario size and seed it hashes every float bit of:
   random feasible powers;
 - ``solve_profiles`` under both solvers on a batch of random associations;
 - ``jaspa``, ``se_jaspa``, ``si_jaspa`` and ``j_jaspa`` under both schedules
-  (sizes up to 12 MUs): the whole ``RunResult``; and, under the safeguarded
-  schedule, ``jaspa`` with the ``s_iwf`` inner solver, and ``jaspa`` and
-  ``si_jaspa`` with ``selection="best"`` and with a connection cost of 0.05.
+  (sizes up to 12 MUs, and (16,4,48) at seed 0): the whole ``RunResult``;
+  and, under the safeguarded schedule at sizes up to 12 MUs, ``jaspa`` with
+  the ``s_iwf`` inner solver, and ``jaspa`` and ``si_jaspa`` with
+  ``selection="best"`` and with a connection cost of 0.05.
 
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
 one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
@@ -45,6 +46,9 @@ QUICK_SIZES = [(1, 2, 4), (6, 4, 5), (10, 1, 16), (12, 5, 23)]
 SCHEDULES = {"paper": ug.StepsizeSchedule(), "safeguarded": ug.StepsizeSchedule(rule="safeguarded")}
 MAX_ITERS = 400  # per inner solve; a capped run is as deterministic as a converged one
 DYNAMICS_MAX_MUS = 12
+# One larger run of the dynamics, (N, W, K, seed): the size where a best
+# reply for one MU, not the whole table, makes the difference.
+DYNAMICS_LARGE = (16, 4, 48, 0)
 # Runs of jaspa and si_jaspa down the branches that other settings take,
 # under JaspaConfig's default (safeguarded) schedule.
 VARIANTS = (
@@ -108,7 +112,7 @@ def cases(n, w, k, seed):
         yield f"solve_profiles/a_iwf/{name}", solve_profiles(
             sc, batch, "a_iwf", max_iters=MAX_ITERS, schedule=schedule
         )
-    if n > DYNAMICS_MAX_MUS:
+    if n > DYNAMICS_MAX_MUS and (n, w, k, seed) != DYNAMICS_LARGE:
         return
     for name, schedule in SCHEDULES.items():
         config = ug.JaspaConfig(
@@ -116,6 +120,8 @@ def cases(n, w, k, seed):
         )
         for algo in ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa"):
             yield f"{algo}/{name}", getattr(ug, algo)(sc, config)
+    if n > DYNAMICS_MAX_MUS:
+        return
     for label, settings in VARIANTS:
         config = ug.JaspaConfig(
             memory_len=n, seed=seed, max_outer=60, max_inner=MAX_ITERS, **settings
