@@ -137,9 +137,11 @@ class StepsizeSchedule:
         """Step t of a block: SAFEGUARD_ALPHA while the block is held under the
         safeguarded rule, else ``alpha(t)``. ``held`` is one flag (a float
         comes back) or an array of flags (an array of steps comes back)."""
-        held = np.logical_and(held, self.rule == "safeguarded")
-        steps = np.where(held, SAFEGUARD_ALPHA, self.alpha(t))
-        return steps if steps.ndim else float(steps)
+        alpha = self.alpha(t)
+        hold = SAFEGUARD_ALPHA if self.rule == "safeguarded" else alpha
+        if isinstance(held, np.ndarray):
+            return np.where(held, hold, alpha)
+        return hold if held else alpha
 
 
 def check_solver_settings(solver: str, eps_wf: float, max_iters: int) -> None:
@@ -237,6 +239,9 @@ class _Blocks:
             self.singles = [(b, int(self.sizes[b])) for b in np.flatnonzero(self.width == 1)]
         self.potential = np.full(aps.size, -np.inf)
         self.held = np.ones(aps.size, dtype=bool)
+        self.one_width = len(self.widths) == 1
+        # Scratch for G*P or a step (rows, C), and the block totals (blocks, C).
+        self.gp, self.tot = np.empty(self.pmat.shape), np.empty(self.noise.shape)
 
     @cached_property
     def parts(self) -> list:
@@ -275,14 +280,15 @@ class _Blocks:
 
     def totals(self, nb=None):
         """Received totals, noise plus every member's ``G*P`` row, of the
-        first ``nb`` blocks (default all), one row each, from ``Z``. A
-        width-1 block sums its own (members, 1) column: numpy sums a column
+        first ``nb`` blocks (default all), one row each, from ``Z``, in ``tot``.
+        A width-1 block sums its own (members, 1) column: numpy sums a column
         pairwise, so the padded member-order sum would move its bits."""
-        tot = self.noise[:nb] + self.z[:, :nb].sum(axis=0)
+        tot = np.add.reduce(self.z[:, :nb], axis=0, out=self.tot[:nb])
+        tot += self.noise[:nb]
         for b, m in self.singles:
             if nb is not None and b >= nb:
                 break
-            tot[b, :1] = self.noise[b, :1] + self.z[:m, b, :1].sum(axis=0)
+            tot[b, :1] = self.noise[b, :1] + np.add.reduce(self.z[:m, b, :1], axis=0)
         return tot
 
     def evaluate(self, out=None):
@@ -293,17 +299,22 @@ class _Blocks:
         given, and the block potentials; releases every held block whose
         potential fell."""
         log_tot, others, residual = out or (None, None, None)
-        gp = self.gain * self.pmat
+        gp = np.multiply(self.gain, self.pmat, out=self.gp)
         self.z_rows[self.flat] = gp
         tot = self.totals()
-        self.others = np.subtract(tot[self.block], gp, out=others)
+        self.others = tot.take(self.block, axis=0, out=others)
+        self.others -= gp
         phi, _ = water_fill_batch(self.gain, self.others, self.budgets)
         self.residual = np.subtract(phi, self.pmat, out=residual)
         self.log_tot = np.log2(tot, out=log_tot)
-        potential = np.empty(self.width.size)
-        for w, blocks, _, _ in self.parts:  # over each block's own width
-            own = self.log_tot[blocks, :w] - self.log_noise[blocks, :w]
-            potential[blocks] = own.sum(axis=1) / self.num_channels
+        if self.one_width:  # no pads; tot is spent
+            potential = np.add.reduce(np.subtract(self.log_tot, self.log_noise, out=tot), axis=1)
+            potential /= self.num_channels
+        else:
+            potential = np.empty(self.width.size)
+            for w, blocks, _, _ in self.parts:  # over each block's own width
+                own = self.log_tot[blocks, :w] - self.log_noise[blocks, :w]
+                potential[blocks] = np.add.reduce(own, axis=1) / self.num_channels
         self.held &= potential >= self.potential
         self.potential = potential
 
@@ -336,12 +347,13 @@ class _Blocks:
     def average(self, alpha, t):
         """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
         Raises RuntimeError if that leaves the feasible set."""
-        self.pmat += alpha[:, None] * self.residual
-        within = all(  # budget sums over each row's own width
-            (self.pmat[rows, :w].sum(axis=1) <= self.limits[rows]).all()
-            for w, _, rows, _ in self.parts
-        )
-        if not ((self.pmat >= 0.0).all() and within):
+        self.pmat += np.multiply(alpha[:, None], self.residual, out=self.gp)
+        if self.one_width:
+            within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
+        else:  # budget sums over each row's own width
+            within = all((np.add.reduce(self.pmat[rows, :w], axis=1) <= self.limits[rows]).all()
+                         for w, _, rows, _ in self.parts)
+        if not (within and np.minimum.reduce(self.pmat, axis=None) >= 0.0):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
     def sweep(self):
@@ -351,12 +363,14 @@ class _Blocks:
         MU order and blocks are independent, so this equals stepping MU by
         MU."""
         gain, budgets, powers = self.padded
-        self.z_rows[self.flat] = self.gain * self.pmat
+        self.z_rows[self.flat] = np.multiply(self.gain, self.pmat, out=self.gp)
         for j, nb in enumerate(self.slots):
-            g = gain[j, :nb]
-            phi, _ = water_fill_batch(g, self.totals(nb) - self.z[j, :nb], budgets[j, :nb])
+            g, z = gain[j, :nb], self.z[j, :nb]
+            others = self.totals(nb)
+            others -= z
+            phi, _ = water_fill_batch(g, others, budgets[j, :nb])
             powers[j, :nb] = phi
-            np.multiply(g, phi, out=self.z[j, :nb])
+            np.multiply(g, phi, out=z)
         self.pmat = powers[self.slot, self.block]
 
     def subset(self, keep):

@@ -23,7 +23,8 @@ from .game import (
     validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
 )
 from .inner import (
-    ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings, evaluate_profile, s_iwf
+    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings,
+    evaluate_profile, s_iwf,
 )
 from .trace import TraceRow, association_label, inner_rows
 from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
@@ -243,15 +244,18 @@ def _start(scenario, config: JaspaConfig, random_powers: bool):
     return costs, rngs, state, [tuple(int(x) for x in assoc)], RunRecorder()
 
 
-def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
+def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs, table=None):
     """JASPA step 3 at the current profile. Each MU records one best reply:
     uniform over the APs whose best-response rate beats its current rate plus
     the switch cost (waived for the current AP, which alone qualifies if
     roundoff empties the set), or the highest-rate AP in greedy mode; then
-    its probability vector is refreshed and its next AP sampled. Returns the
-    next association, the current rates and the best-reply power vectors."""
+    its probability vector is refreshed and its next AP sampled. ``table`` is
+    the profile's ``best_reply_table``, built here unless given. Returns the
+    next association and the table."""
     a = state.association
-    cur_rates, br_rates, br_vecs = best_reply_table(scenario, a, state.powers)
+    if table is None:
+        table = best_reply_table(scenario, a, state.powers)
+    cur_rates, br_rates, _ = table
     if config.selection == "best":
         picks = br_rates.argmax(axis=1)
     else:
@@ -261,7 +265,7 @@ def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs):
         picks = uniform_picks(qualify, rngs)
     for i, pick in enumerate(picks.tolist()):
         update_beta(state, i, pick)
-    return sample_associations(rngs, state.beta), cur_rates, br_vecs
+    return sample_associations(rngs, state.beta), table
 
 
 def _tail_constant(history: list, span: int) -> bool:
@@ -308,14 +312,20 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     with those costs (a constant window can occur by chance before stability,
     since every qualifying set contains the current AP). With zero costs the
     gate is exactly the joint equilibrium test. Deterministic under the
-    config seed."""
+    config seed. When no MU moved after a converged inner solve, a fresh solve
+    would stop at once on the bits of that solve's last evaluation and a fresh
+    table would repeat the last, so the iteration reuses both (0 iterations,
+    that trace row, the table); every random draw still happens."""
     _warn_short_memory(config, scenario.num_mus)
     costs, rngs, state, history, log = _start(scenario, config, random_powers=False)
     converged = False
     switch_count = 0
     inner_nonconverged = 0
+    repeat = table = None  # a repeated profile's solve, and its table
     for body in range(config.max_outer):
-        if config.inner_solver == "s_iwf":
+        if repeat is not None:
+            inner = repeat
+        elif config.inner_solver == "s_iwf":
             inner = s_iwf(scenario, state.association, eps_wf=config.eps_wf,
                           max_iters=config.max_inner, initial_powers=state.powers)
         else:
@@ -326,14 +336,10 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))
 
-        nxt, cur_rates, _ = _reselect(scenario, state, costs, config, rngs)
-        metrics = (
-            float(inner.trace.residual_inf[-1]),
-            None,
-            float(inner.trace.potential[-1]),
-            float(cur_rates.sum()),
-            cur_rates,
-        )
+        nxt, table = _reselect(scenario, state, costs, config, rngs, table)
+        tr, cur_rates = inner.trace, table[0]
+        metrics = (float(tr.residual_inf[-1]), None, float(tr.potential[-1]),
+                   float(cur_rates.sum()), cur_rates)
         log.record(body, metrics, state.association, switch_count, state.powers, beta=state.beta)
         history.append(tuple(int(x) for x in nxt))
         if _settled(scenario, state, history, costs, config):
@@ -349,6 +355,11 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
             state.powers[i] = np.full(k, scenario.budget[i] / k)
         switch_count = moved.size
         state.association = nxt
+        if moved.size or not inner.converged:
+            repeat = table = None
+        else:  # the trace's last row, whose alpha is nan
+            last = InnerTrace(*(column[-1:] for column in vars(tr).values()))
+            repeat = InnerLoopResult(inner.powers, 0, True, last)
 
     return _run_result(
         "jaspa", scenario, config, log, state.association, state.powers, converged,
@@ -420,7 +431,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     fallen: set = set()
     converged = False
     for body in range(config.max_outer):
-        nxt, _, br_vecs = _reselect(scenario, state, costs, config, rngs)
+        nxt, (_, _, br_vecs) = _reselect(scenario, state, costs, config, rngs)
         # The (AP, member set) blocks whose members are the same in both profiles.
         kept = [
             (ap, tuple(np.flatnonzero(nxt == ap).tolist()))

@@ -40,26 +40,19 @@ def association_label(association) -> str:
     return "-".join(str(int(a) + 1) for a in association)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# One CSV record: csv.writer's bytes (its terminator is \r\n, and no field
+# here needs quoting), floats as format(x, ".17g").
+_LINE = "%d,%d,%.17g,%.17g,%.17g,%s,%d\r\n"
 
 
 def write_trace(path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in rows:
-            writer.writerow(
-                (
-                    r.outer_iter,
-                    r.inner_iter,
-                    _fmt(r.system_potential),
-                    _fmt(r.sum_rate),
-                    _fmt(r.residual_inf_norm),
-                    r.association,
-                    r.switch_count,
-                )
-            )
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        fh.writelines(
+            _LINE % (r.outer_iter, r.inner_iter, r.system_potential, r.sum_rate,
+                     r.residual_inf_norm, r.association, r.switch_count)
+            for r in rows
+        )
 
 
 def read_trace(path) -> list[TraceRow]:
@@ -87,17 +80,10 @@ def read_trace(path) -> list[TraceRow]:
 def inner_rows(outer_iter: int, association, inner_trace) -> list[TraceRow]:
     """Expand an InnerTrace into CSV rows under one outer iteration."""
     label = association_label(association)
+    columns = (inner_trace.potential, inner_trace.sum_rate, inner_trace.residual_inf)
     return [
-        TraceRow(
-            outer_iter=outer_iter,
-            inner_iter=j,
-            system_potential=float(inner_trace.potential[j]),
-            sum_rate=float(inner_trace.sum_rate[j]),
-            residual_inf_norm=float(inner_trace.residual_inf[j]),
-            association=label,
-            switch_count=0,
-        )
-        for j in range(len(inner_trace.potential))
+        TraceRow(outer_iter, j, potential, total, res_inf, label, 0)
+        for j, (potential, total, res_inf) in enumerate(zip(*(c.tolist() for c in columns)))
     ]
 
 

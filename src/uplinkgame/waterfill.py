@@ -34,6 +34,22 @@ class WaterFillResult:
     active_set: np.ndarray  # channel indices with positive power
 
 
+_INDEX: dict = {}  # channel count c -> read-only (1.0, ..., c), (c-1, 2c-1, ...)
+
+
+def _index(r: int, c: int):
+    """The m counts (1.0, ..., c), and the flat index of each of r rows' last
+    entry; an entry is replaced by a longer one when more rows come."""
+    counts, ends = _INDEX.get(c, (None, ()))
+    if len(ends) < r:
+        counts = np.arange(1, c + 1, dtype=float)
+        ends = np.arange(c - 1, max(r, 2 * len(ends)) * c, c)
+        counts.flags.writeable = ends.flags.writeable = False
+        _INDEX[c] = counts, ends
+    return counts, ends[:r]
+
+
+@np.errstate(over="ignore")  # a vanishing gain's floor is +inf: no channel
 def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: np.ndarray):
     """Row-wise exact water-filling over the floors (n + I) / g.
 
@@ -56,9 +72,9 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     ``np.sort``, ``.argmax`` is ``np.argmax``, and a flat ``take`` at
     row * c + m reads entry (row, m).
     """
-    with np.errstate(over="ignore"):  # a vanishing gain's floor is +inf: no channel
-        floors = noise_plus_interf / gains
+    floors = noise_plus_interf / gains
     r, c = floors.shape
+    counts, ends = _index(r, c)
     sorted_f = floors.copy()
     sorted_f.sort(axis=1)
     # (P + sum of the m smallest floors) / m for every m, in place. Clipping
@@ -68,11 +84,10 @@ def water_fill_batch(gains: np.ndarray, noise_plus_interf: np.ndarray, budgets: 
     # 0) is 0.0; a NaN stays NaN.
     levels_m = np.add.accumulate(sorted_f, axis=1)
     levels_m += budgets[:, None]
-    levels_m /= np.arange(1, c + 1, dtype=float)
+    levels_m /= counts
     np.minimum(levels_m, _LARGEST, out=levels_m)
     ok = levels_m >= sorted_f  # true at m=1 for finite floors
-    last = np.arange(c - 1, r * c, c) - ok[:, ::-1].argmax(axis=1)  # largest valid m
-    levels = levels_m.take(last)
+    levels = levels_m.take(ends - ok[:, ::-1].argmax(axis=1))  # the largest valid m
     powers = np.subtract(levels[:, None], floors, out=floors)
     np.maximum(powers, 0.0, out=powers)
     return powers, levels

@@ -11,6 +11,7 @@ from uplinkgame import (
     game,
     j_jaspa,
     jaspa,
+    s_iwf,
     se_jaspa,
     si_jaspa,
     uniform_powers,
@@ -404,3 +405,94 @@ def test_verifiers_and_dynamics_avoid_the_scalar_oracles(monkeypatch):
     costs = np.full(8, 3.0)
     assert verify_jep(sc, result.association, result.powers, costs=costs).is_equilibrium
     assert verify_power_ne(sc, result.association, result.powers, 1e-6).is_equilibrium
+
+
+# ---------------------------------------------------------------------------
+# A profile that repeats after a converged inner solve is not solved again
+
+# (solver, max_inner) at (8,2,16), seed 3: every solve converges; a cap of
+# one round leaves 8 of 19 s_iwf solves unconverged; a cap of 3 leaves every
+# a_iwf solve unconverged, so every iteration solves.
+REPEATS = [("a_iwf", 100_000), ("s_iwf", 100_000), ("s_iwf", 1), ("a_iwf", 3)]
+
+
+def _spy_jaspa(monkeypatch, sc, config):
+    """Run jaspa; return the run, its inner solves and, per outer
+    iteration, the (association, powers, best-reply table) of step 3."""
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+    solves, tables = [], []
+    for name in ("a_iwf", "s_iwf"):
+        def solve(*args, _real=getattr(jaspa_module, name), **kwargs):
+            solves.append(_real(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(jaspa_module, name, solve)
+    real_reselect = jaspa_module._reselect
+
+    def reselect(scenario, state, *args):
+        out = real_reselect(scenario, state, *args)
+        tables.append((state.association.copy(), game.copy_powers(state.powers), out[1]))
+        return out
+
+    monkeypatch.setattr(jaspa_module, "_reselect", reselect)
+    return jaspa(sc, config), solves, tables
+
+
+def _repeats(run, solves):
+    """The outer iterations whose association equals the previous one's
+    after a converged solve, replayed from the run's records."""
+    reused, calls, converged = [], iter(solves), False
+    for t, rec in enumerate(run.detail):
+        if t and converged and rec.association == run.detail[t - 1].association:
+            reused.append(t)
+        else:
+            converged = next(calls).converged
+    assert next(calls, None) is None
+    return reused
+
+
+@pytest.mark.parametrize("solver, max_inner", REPEATS)
+def test_jaspa_solves_once_per_outer_iteration_unless_a_converged_profile_repeats(
+    monkeypatch, solver, max_inner
+):
+    sc = make_scenario(8, 2, 16, seed=3)
+    config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, max_inner=max_inner)
+    run, solves, _ = _spy_jaspa(monkeypatch, sc, config)
+    assert run.converged
+    reused = _repeats(run, solves)
+    assert len(solves) + len(reused) == len(run.detail)
+    assoc = [rec.association for rec in run.detail]
+    repeated = [t for t in range(1, len(assoc)) if assoc[t] == assoc[t - 1]]
+    if max_inner > 3:
+        assert reused == repeated != []
+    else:  # some repeats follow an unconverged solve, and solve again
+        assert set(reused) < set(repeated)
+
+
+@pytest.mark.parametrize("solver, max_inner", REPEATS)
+def test_jaspa_reused_iterations_equal_a_fresh_solve_and_table(monkeypatch, solver, max_inner):
+    sc = make_scenario(8, 2, 16, seed=3)
+    config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, max_inner=max_inner)
+    run, solves, tables = _spy_jaspa(monkeypatch, sc, config)
+    monkeypatch.undo()
+    solve = a_iwf if solver == "a_iwf" else s_iwf
+    kwargs = {"schedule": config.schedule} if solver == "a_iwf" else {}
+    for assoc, powers, table in tables:
+        fresh = best_reply_table(sc, assoc, powers)
+        got, want = ([rates, br_rates, *vecs] for rates, br_rates, vecs in (table, fresh))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    rows = {}
+    for r in run.rows:
+        rows.setdefault(r.outer_iter, []).append(r)
+    for t in _repeats(run, solves):
+        assoc, powers, _ = tables[t]
+        again = solve(sc, assoc, eps_wf=config.eps_wf, max_iters=max_inner,
+                      initial_powers=powers, **kwargs)
+        assert again.converged and again.iterations == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(again.powers, powers))
+        inner, outer = rows[t]
+        assert (inner.inner_iter, outer.inner_iter) == (0, -1)
+        want = (again.trace.potential[0], again.trace.sum_rate[0], again.trace.residual_inf[0])
+        assert (inner.system_potential, inner.sum_rate, inner.residual_inf_norm) == want
+        assert outer.residual_inf_norm == again.trace.residual_inf[0]
+        assert outer.system_potential == again.trace.potential[0]

@@ -1,11 +1,14 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
 import uplinkgame as ug
 from uplinkgame import JaspaConfig, StepsizeSchedule, jaspa, load_scenario
 from uplinkgame.cli import main
-from uplinkgame.trace import TraceRow, read_trace, write_trace
+from uplinkgame.trace import TRACE_HEADER, TraceRow, read_trace, write_trace
 
 
 def test_trace_round_trip(tmp_path):
@@ -16,6 +19,24 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(path, rows)
     assert read_trace(path) == rows
+
+
+def test_trace_writer_bytes_equal_csv_writer(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0, 1e300, -2.5]
+    rows = [
+        TraceRow(i, i - 3, x, specials[-1 - i], specials[(i + 3) % 8], "1-12-3", i % 3)
+        for i, x in enumerate(specials)
+    ]
+    path = tmp_path / "t.csv"
+    write_trace(path, rows)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(TRACE_HEADER)
+    for r in rows:
+        writer.writerow((r.outer_iter, r.inner_iter, *(format(x, ".17g") for x in (
+            r.system_potential, r.sum_rate, r.residual_inf_norm)), r.association, r.switch_count))
+    assert path.read_bytes() == want.getvalue().encode()
+    assert min(r.inner_iter for r in rows) < 0
 
 
 def run_cli(*argv):

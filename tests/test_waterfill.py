@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -290,6 +291,29 @@ def test_water_fill_batch_edge_rows_match_the_reference(cols):
     noise[4, : cols // 2] = noise[4, -1]  # some floors tied
     budgets = rng.uniform(0.01, 10.0, 6)
     assert_same_bits_as_reference(gains, noise, budgets)
+
+
+def test_water_fill_batch_index_cache_is_one_entry_per_channel_count(monkeypatch):
+    # Shapes interleave (rows 1..12, in shuffled order, and four channel
+    # counts), so the cache both grows an entry and slices a longer one.
+    waterfill_module = importlib.import_module("uplinkgame.waterfill")
+    monkeypatch.setattr(waterfill_module, "_INDEX", {})
+    rng = np.random.default_rng(8)
+    counts = [5, 1, 12, 3]
+    for rows in rng.permutation(np.arange(1, 13)).tolist():
+        for cols in counts:
+            gains = 10.0 ** rng.uniform(-3, 3, (rows, cols))
+            noise = 10.0 ** rng.uniform(-3, 3, (rows, cols))
+            budgets = 10.0 ** rng.uniform(-3, 3, rows)
+            assert_same_bits_as_reference(gains, noise, budgets)
+            powers, levels = water_fill_batch(gains, noise, budgets)
+            for i in range(rows):
+                p, level = water_fill_batch(gains[i : i + 1], noise[i : i + 1], budgets[i : i + 1])
+                assert p.tobytes() == powers[i].tobytes()
+                assert level.tobytes() == levels[i : i + 1].tobytes()
+    assert sorted(waterfill_module._INDEX) == sorted(counts)
+    for steps, ends in waterfill_module._INDEX.values():
+        assert not (steps.flags.writeable or ends.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
