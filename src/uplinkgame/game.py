@@ -247,6 +247,8 @@ def _table_report(scenario, association, powers, eps: float):
     """Power-equilibrium report of a validated profile, and its best-reply
     rate table, from one ``best_reply_table`` call: the residual and the
     own-AP best rate come from its own-AP column, the current rates from it."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValidationError("eps must be finite and >= 0")
     a = validate_association(scenario, association)
     validate_powers(scenario, a, powers)
     cur, br, vecs = best_reply_table(scenario, a, powers)

@@ -15,10 +15,12 @@ noise +inf, so their totals and water-fill floors are +inf, which
 ``water_fill_batch`` reads as absent channels (power 0.0) without moving a
 bit of the real ones. The solvers pass it the rows' gains and noise plus
 interference; it forms the floors, so an MU whose every gain at its AP
-vanishes has no finite floor and gets power 0.0. A stack holds one profile's
-blocks (``a_iwf``, ``s_iwf``, ``evaluate_profile``) or the distinct blocks
-of many profiles (``solve_profiles``, where an MU has a row in each of its
-blocks). An s_iwf round runs on ``Z``, the (member slot, block, channel)
+vanishes has no finite floor and gets power 0.0. One ``_Blocks`` holds one
+profile's blocks, in the ``ProfileLayout`` that ``a_iwf``, ``s_iwf`` and
+``evaluate_profile`` load, or the distinct blocks of many profiles
+(``solve_profiles``, where an MU has a row in each of its blocks). The two
+solvers differ only in their step, the ``_Blocks`` method ``average`` or
+``sweep``. An s_iwf round runs on ``Z``, the (member slot, block, channel)
 scatter of ``G*P``: because blocks come largest first, slot j of every block
 with more than j members is the contiguous slice ``Z[j, :nb]``, and one
 water-fill call moves it. Moving the j-th member of every block at once
@@ -75,8 +77,9 @@ because each batched sum is the sum it replaces:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -144,15 +147,33 @@ class StepsizeSchedule:
         return hold if held else alpha
 
 
-def check_solver_settings(solver: str, eps_wf: float, max_iters: int) -> None:
+def keeps_hold(previous, potential):
+    """The safeguarded release test on floats or arrays: a block holds while its
+    potential is at least the previous one; a fall or a NaN releases it."""
+    return potential >= previous
+
+
+def check_count(name: str, value) -> int:
+    """``value``, an integer (numpy's too) of at least 1, as a Python int;
+    else a ValidationError naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
+    return value
+
+
+def check_solver_settings(solver: str, eps_wf: float, max_iters, name: str = "max_iters") -> int:
     """The rules every inner-solver configuration obeys: a known solver, a
-    finite nonnegative tolerance and an iteration cap of at least 1."""
+    finite nonnegative tolerance and an iteration cap ``name`` of at least 1,
+    which comes back as a Python int."""
     if solver not in ("a_iwf", "s_iwf"):
         raise ValidationError(f"unknown inner solver {solver!r}")
     if not (np.isfinite(eps_wf) and eps_wf >= 0.0):
         raise ValidationError("eps_wf must be finite and >= 0")
-    if max_iters < 1:
-        raise ValidationError("iteration caps must be >= 1")
+    return check_count(name, max_iters)
 
 
 @dataclass
@@ -315,7 +336,7 @@ class _Blocks:
             for w, blocks, _, _ in self.parts:  # over each block's own width
                 own = self.log_tot[blocks, :w] - self.log_noise[blocks, :w]
                 potential[blocks] = np.add.reduce(own, axis=1) / self.num_channels
-        self.held &= potential >= self.potential
+        self.held &= keeps_hold(self.potential, potential)
         self.potential = potential
 
     # The trace-only columns. Each takes the arrays of one evaluation or of
@@ -344,10 +365,12 @@ class _Blocks:
                 out[..., b] = s2[..., lo:hi, :].reshape(lead + (-1,)).sum(axis=-1)
         return out
 
-    def average(self, alpha, t):
-        """a_iwf's step: row r moves ``alpha[r]`` of its last residual.
-        Raises RuntimeError if that leaves the feasible set."""
-        self.pmat += np.multiply(alpha[:, None], self.residual, out=self.gp)
+    def average(self, t, schedule):
+        """a_iwf's step: every row moves ``schedule.block_alpha(t, held)`` of
+        its block of its last residual. Raises RuntimeError if that leaves the
+        feasible set."""
+        block_alpha = schedule.block_alpha(t, self.held)
+        self.pmat += np.multiply(block_alpha[self.block][:, None], self.residual, out=self.gp)
         if self.one_width:
             within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
         else:  # budget sums over each row's own width
@@ -355,13 +378,14 @@ class _Blocks:
                          for w, _, rows, _ in self.parts)
         if not (within and np.minimum.reduce(self.pmat, axis=None) >= 0.0):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
+        return max(block_alpha.tolist())
 
-    def sweep(self):
+    def sweep(self, t, schedule):
         """s_iwf's round: for slot j = 0, 1, ..., the j-th member of every
         block takes its exact water-fill response, in one call on the slice
         ``[:nb, j]`` of the padded layout. A block's members move in ascending
         MU order and blocks are independent, so this equals stepping MU by
-        MU."""
+        MU. An exact step has no stepsize: returns nan."""
         gain, budgets, powers = self.padded
         self.z_rows[self.flat] = np.multiply(self.gain, self.pmat, out=self.gp)
         for j, nb in enumerate(self.slots):
@@ -372,6 +396,7 @@ class _Blocks:
             powers[j, :nb] = phi
             np.multiply(g, phi, out=z)
         self.pmat = powers[self.slot, self.block]
+        return math.nan
 
     def subset(self, keep):
         """The blocks where ``keep`` holds, in order, with their rows' powers
@@ -387,54 +412,39 @@ class _Blocks:
         return sub
 
 
-def _average_step(schedule: StepsizeSchedule):
-    """a_iwf's iteration t on every block; returns the largest stepsize
-    applied. Each block steps ``schedule.block_alpha(t, held)``."""
+class ProfileLayout:
+    """The state of one association profile: its nonempty AP blocks, largest
+    first (then by AP), in one ``_Blocks``. A run keeps one layout, and
+    ``load`` rebuilds the blocks only when the association changes."""
 
-    def step(t, blocks):
-        block_alpha = schedule.block_alpha(t, blocks.held)
-        blocks.average(block_alpha[blocks.block], t)
-        return max(block_alpha.tolist())
+    association = blocks = None
 
-    return step
-
-
-def _sweep_step(t, blocks):
-    """s_iwf's round on every block; an exact step has no stepsize (nan)."""
-    blocks.sweep()
-    return math.nan
-
-
-class _Stack:
-    """Stacked-row state of one association profile: its nonempty AP blocks,
-    largest first (then by AP), in one _Blocks."""
-
-    def __init__(self, scenario, association, powers):
-        self.num_mus, self.num_aps = scenario.num_mus, scenario.num_aps
-        sizes = np.bincount(association, minlength=self.num_aps)
-        order = np.argsort(-sizes, kind="stable")  # largest first, then by AP
-        place = np.argsort(order)  # each AP's place in order
-        block = place[association]
-        mus = np.argsort(block, kind="stable")  # by block, then MU
-        aps = order[: np.count_nonzero(sizes)]  # the empty APs come last
-        self.ap_order = place[sizes > 0]  # the blocks in AP order
-        width = scenario.chan_width[association[mus]]
-        self.real = np.arange(width.max()) < width[:, None]  # each row's own channels
-        self.blocks = _Blocks(scenario, aps, block[mus], mus, np.zeros(self.real.shape), aps, mus)
-        self.fill(powers)
-
-    def fill(self, powers) -> None:
-        """Load every MU's power vector into its row."""
+    def load(self, scenario, association, powers) -> "ProfileLayout":
+        """Load every MU's power vector into its row, first building the
+        blocks if ``association`` is not the one last loaded."""
+        if self.blocks is None or not np.array_equal(association, self.association):
+            self.association = association.copy()
+            sizes = np.bincount(association, minlength=scenario.num_aps)
+            order = np.argsort(-sizes, kind="stable")  # largest first, then by AP
+            place = np.argsort(order)  # each AP's place in order
+            block = place[association]
+            mus = np.argsort(block, kind="stable")  # by block, then MU
+            aps = order[: np.count_nonzero(sizes)]  # the empty APs come last
+            self.ap_order = place[sizes > 0]  # the blocks in AP order
+            width = scenario.chan_width[association[mus]]
+            self.real = np.arange(width.max()) < width[:, None]  # each row's own channels
+            self.blocks = _Blocks(scenario, aps, block[mus], mus, np.zeros_like(self.real, float),
+                                  aps, mus)
         self.blocks.pmat[self.real] = np.concatenate([powers[i] for i in self.blocks.mus.tolist()])
+        return self
 
     def metrics(self, log_tot, others, residual, potential):
         """(potential, sum rate, residual 2-norm, per-MU rates) of one
         evaluation or of F (a leading axis F), from ``_Blocks.evaluate``'s
-        arrays and the block potentials (..., blocks). The potential and the
-        squared residual add the blocks in AP order, from 0.0; the sum rate
-        sums the N MU rates in MU order."""
+        arrays and the block potentials (..., blocks). Blocks add in AP order
+        from 0.0, and the N MU rates in MU order."""
         b = self.blocks
-        rates = np.empty(others.shape[:-2] + (self.num_mus,))
+        rates = np.empty(others.shape[:-2] + self.association.shape)
         rates[..., b.mus] = b.rates(log_tot, others)
         res_two = np.sqrt(self.ap_sum(b.squared_residuals(residual)))
         return self.ap_sum(potential), rates.sum(axis=-1), res_two, rates
@@ -442,10 +452,7 @@ class _Stack:
     def ap_sum(self, values):
         """Values (blocks,) of one evaluation, or (F, blocks) of F, added
         block by block in AP order from 0.0."""
-        total = 0.0
-        for column in values.T[self.ap_order]:
-            total = total + column
-        return total
+        return reduce(operator.add, values.T[self.ap_order], 0.0)
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""
@@ -454,45 +461,20 @@ class _Stack:
         return [b.pmat[r, : width[r]].copy() for r in np.argsort(b.mus).tolist()]
 
 
-class ProfileLayout:
-    """The ``_Stack`` of the last association evaluated through it. A run
-    keeps one, so it holds at most one layout, and an evaluation at an
-    unchanged association refills only the powers."""
-
-    association = stack = None
-
-    def stack_for(self, scenario, association, powers) -> _Stack:
-        if self.stack is not None and np.array_equal(association, self.association):
-            self.stack.fill(powers)
-        else:
-            self.association, self.stack = association.copy(), _Stack(scenario, association, powers)
-        return self.stack
-
-
 def evaluate_profile(scenario, association, powers, layout: Optional[ProfileLayout] = None):
     """Batch metrics of one profile: (residual inf-norm, residual 2-norm,
     system potential, sum rate, per-MU rates, per-AP potentials, 0.0 at an
     empty AP). The system potential adds the per-AP potentials in AP
-    order. A ``layout`` reuses the stack of its last association."""
+    order. A ``layout`` reuses the blocks of its last association."""
     association = np.asarray(association, dtype=np.intp)
-    stack = (layout or ProfileLayout()).stack_for(scenario, association, powers)
-    b = stack.blocks
+    layout = (layout or ProfileLayout()).load(scenario, association, powers)
+    b = layout.blocks
     b.evaluate()
-    potential, total, res_two, rates = stack.metrics(b.log_tot, b.others, b.residual, b.potential)
-    ap_potential = np.zeros(stack.num_aps)
+    potential, total, res_two, rates = layout.metrics(b.log_tot, b.others, b.residual, b.potential)
+    ap_potential = np.zeros(scenario.num_aps)
     ap_potential[b.ids] = b.potential
     res_inf = float(np.abs(b.residual).max())
     return res_inf, float(res_two), float(potential), float(total), rates, ap_potential
-
-
-def _prepare(scenario, association, initial_powers) -> _Stack:
-    association = validate_association(scenario, association)
-    if initial_powers is None:
-        powers = uniform_powers(scenario, association)
-    else:
-        validate_powers(scenario, association, initial_powers)
-        powers = initial_powers
-    return _Stack(scenario, association, powers)
 
 
 # Cells of buffered evaluations (log totals, noise plus interference, residual
@@ -501,14 +483,21 @@ def _prepare(scenario, association, initial_powers) -> _Stack:
 _TRACE_CELLS = 2**15
 
 
-def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopResult:
-    """Evaluate and test the residual; stop at ``eps_wf`` or ``max_iters``,
-    else call ``step(t, blocks)``, which updates the powers and returns the
-    stepsize it applied (nan for exact steps). Evaluations are written into
-    a preallocated buffer of at most _TRACE_CELLS cells (one evaluation at
-    least); each full buffer, and the last, becomes trace rows in one
-    ``_Stack.metrics`` pass."""
-    b = stack.blocks
+def _iterate(scenario, association, initial_powers, eps_wf: float, max_iters: int, step,
+             schedule=None) -> InnerLoopResult:
+    """Run a solver from ``initial_powers`` (default uniform): evaluate and
+    test the residual; stop at ``eps_wf`` or ``max_iters``, else take the
+    ``_Blocks`` step ``step(blocks, t, schedule)``, which returns the stepsize
+    it applied. Evaluations go into a buffer of at most _TRACE_CELLS cells
+    (one evaluation at least); each full buffer, and the last, becomes trace
+    rows in one ``ProfileLayout.metrics`` pass."""
+    association = validate_association(scenario, association)
+    if initial_powers is None:
+        initial_powers = uniform_powers(scenario, association)
+    else:
+        validate_powers(scenario, association, initial_powers)
+    layout = ProfileLayout().load(scenario, association, initial_powers)
+    b = layout.blocks
     (rows, c), nb = b.pmat.shape, b.aps.size
     room = max(1, min(_TRACE_CELLS // (2 * rows * c + nb * c + nb), max_iters + 1))
     log_tot, others, residual = (np.empty((room, n, c)) for n in (nb, rows, rows))
@@ -516,7 +505,7 @@ def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopRes
     chunks, res_inf, alpha = [], [], []
 
     def flush(f):
-        chunks.append(stack.metrics(log_tot[:f], others[:f], residual[:f], potential[:f])[:3])
+        chunks.append(layout.metrics(log_tot[:f], others[:f], residual[:f], potential[:f])[:3])
 
     converged = False
     t = f = 0
@@ -535,11 +524,11 @@ def _iterate(stack: _Stack, eps_wf: float, max_iters: int, step) -> InnerLoopRes
         if t >= max_iters:
             break
         t += 1
-        alpha[-1] = step(t, b)
+        alpha[-1] = step(b, t, schedule)
     flush(f)
     pot, total, res_two = (np.concatenate(col) for col in zip(*chunks))
     trace = InnerTrace(pot, total, np.array(res_inf), res_two, np.array(alpha))
-    return InnerLoopResult(stack.powers(), t, converged, trace)
+    return InnerLoopResult(layout.powers(), t, converged, trace)
 
 
 def a_iwf(
@@ -556,9 +545,9 @@ def a_iwf(
     Raises RuntimeError if a step leaves the feasible set (a negative power
     or a budget exceeded by more than 1e-9); a convex combination of feasible
     points cannot, so this flags a faulty water-fill response."""
-    check_solver_settings("a_iwf", eps_wf, max_iters)
-    stack = _prepare(scenario, association, initial_powers)
-    return _iterate(stack, eps_wf, max_iters, _average_step(schedule or StepsizeSchedule()))
+    max_iters = check_solver_settings("a_iwf", eps_wf, max_iters)
+    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.average,
+                    schedule or StepsizeSchedule())
 
 
 def s_iwf(
@@ -570,9 +559,8 @@ def s_iwf(
 ) -> InnerLoopResult:
     """Sequential iterative water-filling: MUs take exact water-fill steps in
     ascending index order; one iteration is one full round."""
-    check_solver_settings("s_iwf", eps_wf, max_iters)
-    stack = _prepare(scenario, association, initial_powers)
-    return _iterate(stack, eps_wf, max_iters, _sweep_step)
+    max_iters = check_solver_settings("s_iwf", eps_wf, max_iters)
+    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.sweep)
 
 
 def _distinct_blocks(scenario, associations: np.ndarray):
@@ -620,8 +608,9 @@ def solve_profiles(
     ``eps_wf`` (converged), or at ``max_iters``; a block is dropped when no
     running profile uses it. The sum rate sums the N MU rates in MU order;
     the potential adds the block potentials in AP order, from 0.0."""
-    check_solver_settings(solver, eps_wf, max_iters)
-    step = _average_step(schedule or StepsizeSchedule()) if solver == "a_iwf" else _sweep_step
+    max_iters = check_solver_settings(solver, eps_wf, max_iters)
+    step = _Blocks.average if solver == "a_iwf" else _Blocks.sweep
+    schedule = schedule or StepsizeSchedule()
     profiles, n = associations.shape
     w = scenario.num_aps
     # The keys' order is the layout order: largest block first.
@@ -667,7 +656,7 @@ def solve_profiles(
         if not needed[blocks.ids].all():
             blocks = blocks.subset(needed[blocks.ids])
         t += 1
-        step(t, blocks)
+        step(blocks, t, schedule)
 
 
 def convergence_diagnostics(

@@ -23,8 +23,8 @@ from .game import (
     validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
 )
 from .inner import (
-    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings,
-    evaluate_profile, s_iwf,
+    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_count,
+    check_solver_settings, evaluate_profile, keeps_hold, s_iwf,
 )
 from .trace import TraceRow, association_label, inner_rows
 from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
@@ -67,15 +67,13 @@ class JaspaConfig:
     coalition_cap: int = 100_000
 
     def __post_init__(self):
-        if self.memory_len < 1:
-            raise ValidationError("memory_len must be >= 1")
-        if self.max_outer < 1:
-            raise ValidationError("iteration caps must be >= 1")
-        check_solver_settings(self.inner_solver, self.eps_wf, self.max_inner)
+        self.memory_len = check_count("memory_len", self.memory_len)
+        self.max_outer = check_count("max_outer", self.max_outer)
+        self.max_inner = check_solver_settings(self.inner_solver, self.eps_wf, self.max_inner,
+                                               "max_inner")
         if self.selection not in ("uniform", "best"):
             raise ValidationError(f"unknown selection mode {self.selection!r}")
-        if self.coalition_cap < 1:
-            raise ValidationError("coalition_cap must be >= 1")
+        self.coalition_cap = check_count("coalition_cap", self.coalition_cap)
         if not (np.isfinite(self.eps_eq) and self.eps_eq >= 0.0):
             raise ValidationError("eps_eq must be finite and >= 0")
 
@@ -455,7 +453,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         history.append(tuple(int(x) for x in nxt))
         last = metrics[5]
         metrics = evaluate_profile(scenario, state.association, state.powers, layout)
-        fallen.update(block for block in kept if metrics[5][block[0]] < last[block[0]])
+        fallen.update(b for b in kept if not keeps_hold(last[b[0]], metrics[5][b[0]]))
         log.record(
             body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ResourceError, ValidationError
 from .game import verify_jep
-from .inner import ProfileLayout, evaluate_profile
+from .inner import ProfileLayout, evaluate_profile, keeps_hold
 from .jaspa import (
     JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _tail_constant,
     _warn_short_memory, per_mu_rngs, uniform_picks,
@@ -89,20 +89,9 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
             )
         table[key] = ApRecord(powers, interference, 1, potential)
         return
-    rec.held &= potential >= rec.potential
+    rec.held &= keeps_hold(rec.potential, potential)
     rec.powers, rec.interference, rec.potential = powers, interference, potential
     rec.visits += 1
-
-
-def ap_memory_summary(memory: ApMemory) -> dict:
-    """Debug view: per AP, coalition label -> visit count."""
-    out = {}
-    for ap, table in enumerate(memory.tables):
-        out[f"ap{ap + 1}"] = {
-            ("-".join(str(i) for i in q) if q else "empty"): rec.visits
-            for q, rec in sorted(table.items())
-        }
-    return out
 
 
 def j_jaspa(scenario, config: JaspaConfig) -> RunResult:

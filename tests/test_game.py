@@ -513,6 +513,15 @@ def test_verifiers_validate_their_inputs(footnote2, verify, assoc, powers):
         verify(footnote2, assoc, [np.array(p) for p in powers])
 
 
+@pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("verify", [verify_jep, verify_power_ne])
+def test_verifiers_refuse_a_negative_or_non_finite_tolerance(footnote2, verify, eps):
+    assoc, powers = [0, 1], [np.array([1.0]), np.array([1.0])]
+    with pytest.raises(ValidationError, match="eps"):
+        verify(footnote2, assoc, powers, eps)
+    assert verify(footnote2, assoc, powers, 0.0).is_equilibrium  # 0 stays valid
+
+
 @pytest.mark.parametrize(
     "costs", [np.full(2, np.nan), np.array([0.1, -0.1]), np.zeros(3), np.inf, [[0.1, 0.1]]]
 )

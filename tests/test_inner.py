@@ -22,6 +22,7 @@ from uplinkgame import (
     wf_operator,
 )
 from uplinkgame.game import all_rates, per_ap_potential
+from uplinkgame.baselines import InnerConfig
 from uplinkgame.inner import ProfileLayout, evaluate_profile
 
 from conftest import make_scenario, random_powers, unusable_ap_scenario
@@ -75,6 +76,23 @@ def test_harmonic_schedule():
     sched = StepsizeSchedule(rule="harmonic")
     assert sched.alpha(1) == pytest.approx(0.5)
     assert sched.alpha(9) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("solver", ["a_iwf", "s_iwf"])
+def test_iteration_caps_must_be_integers(solver):
+    sc = make_scenario(4, 2, 8, seed=0)
+    assoc = closest_ap(sc)
+    run = a_iwf if solver == "a_iwf" else s_iwf
+    for bad in (10.5, "10", None):
+        with pytest.raises(ValidationError, match="max_iters"):
+            InnerConfig(solver=solver, max_iters=bad)
+        with pytest.raises(ValidationError, match="max_iters"):
+            run(sc, assoc, max_iters=bad)
+        with pytest.raises(ValidationError, match="max_iters"):
+            inner_module.solve_profiles(sc, assoc[None], solver, max_iters=bad)
+    config = InnerConfig(solver=solver, max_iters=np.int64(10))
+    assert type(config.max_iters) is int
+    assert_same_run(config.run(sc, assoc), run(sc, assoc, eps_wf=config.eps_wf, max_iters=10))
 
 
 def test_schedule_validation():
@@ -599,7 +617,7 @@ def test_trace_chunks_do_not_move_a_bit(monkeypatch, n, w, k, solver):
     run = BUFFER_SOLVERS[solver]
     ref = run(sc, assoc, max_iters=40)
     cells = evaluation_cells(sc, assoc)
-    real = inner_module._Stack.metrics
+    real = inner_module.ProfileLayout.metrics
     for per_chunk in (1, 2, 7):
         budget = per_chunk * cells + cells - 1  # room for per_chunk evaluations, not one more
         chunks = []
@@ -609,7 +627,7 @@ def test_trace_chunks_do_not_move_a_bit(monkeypatch, n, w, k, solver):
             return real(stack, *arrays)
 
         monkeypatch.setattr(inner_module, "_TRACE_CELLS", budget)
-        monkeypatch.setattr(inner_module._Stack, "metrics", spy)
+        monkeypatch.setattr(inner_module.ProfileLayout, "metrics", spy)
         assert_same_run(run(sc, assoc, max_iters=40), ref)
         assert [f for f, _ in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
         assert sum(f for f, _ in chunks) == ref.iterations + 1
@@ -671,7 +689,7 @@ def test_block_totals_equal_member_order_sums(n, w, k, assoc):
             continue
         association = np.asarray(association)
         powers = random_powers(sc, association, rng, slack=True)
-        stack = inner_module._Stack(sc, association, powers)
+        stack = inner_module.ProfileLayout().load(sc, association, powers)
         b = stack.blocks
         gp = b.gain * b.pmat
         b.z_rows[b.flat] = gp
@@ -704,7 +722,7 @@ def test_a_reused_layout_evaluates_as_a_fresh_one(n, w, k):
             powers = random_powers(sc, association, rng, slack=True)
             got = evaluate_profile(sc, association, powers, layout)
             assert same_metrics(got, evaluate_profile(sc, association, powers))
-            stacks.append(layout.stack)
+            stacks.append(layout.blocks)
     association = other.copy()
     evaluate_profile(sc, association, random_powers(sc, association, rng), layout)
     association[0] = (association[0] + 1) % w  # in place, as se_jaspa moves an MU

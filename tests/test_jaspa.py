@@ -21,8 +21,9 @@ from uplinkgame import (
     waterfill,
     wf_operator,
 )
-from uplinkgame.inner import SAFEGUARD_ALPHA, evaluate_profile
+from uplinkgame.inner import SAFEGUARD_ALPHA, ProfileLayout, evaluate_profile, keeps_hold
 from uplinkgame.jaspa import new_state, per_mu_rngs, sample_associations, uniform_picks
+from uplinkgame.jjaspa import ApMemory, ap_memory_update
 from uplinkgame.waterfill import best_reply_table
 
 from conftest import footnote_network, make_scenario, unusable_ap_scenario
@@ -138,6 +139,23 @@ def test_config_validation():
                 algo(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
     for cost in (0.0, [0.0, 0.5, 1.0]):
         jaspa(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
+
+
+@pytest.mark.parametrize("field", ["memory_len", "max_outer", "max_inner", "coalition_cap"])
+def test_config_counts_must_be_integers(field):
+    with pytest.raises(ValidationError, match=field):
+        JaspaConfig(**{field: 10.5})
+    value = getattr(JaspaConfig(**{field: np.int64(40)}), field)
+    assert type(value) is int and value == 40
+
+
+@pytest.mark.parametrize("algo", [jaspa, se_jaspa, si_jaspa, j_jaspa])
+def test_numpy_integer_counts_run_every_dynamic(algo):
+    sc = make_scenario(3, 2, 4, seed=1)
+    counts = dict(memory_len=4, max_outer=30, max_inner=200, coalition_cap=1000)
+    want = algo(sc, JaspaConfig(seed=2, **counts))
+    got = algo(sc, JaspaConfig(seed=2, **{k: np.int64(v) for k, v in counts.items()}))
+    assert got.rows == want.rows and got.converged == want.converged
 
 
 def test_short_memory_warns():
@@ -496,3 +514,69 @@ def test_jaspa_reused_iterations_equal_a_fresh_solve_and_table(monkeypatch, solv
         assert (inner.system_potential, inner.sum_rate, inner.residual_inf_norm) == want
         assert outer.residual_inf_norm == again.trace.residual_inf[0]
         assert outer.system_potential == again.trace.potential[0]
+
+
+# ---------------------------------------------------------------------------
+# One release test for the safeguarded rule, at its three sites
+
+# (previous, current) levels of one block's potential, and whether the block
+# still holds after the second: an equal or higher potential keeps the hold,
+# a strict fall or a NaN on either side releases it.
+RELEASES = {
+    "equal": (0.5, 0.5, True),
+    "higher": (0.5, 1.0, True),
+    "lower": (1.0, 0.5, False),
+    "nan_current": (0.5, np.nan, False),
+    "nan_previous": (np.nan, 0.5, False),
+}
+
+
+def held_in_a_iwf_block(previous, current):
+    """``_Blocks.evaluate`` on one MU's block, whose potential rises with
+    its powers: a level scales the budget, spread uniformly (NaN: NaN powers)."""
+    sc = make_scenario(1, 1, 4, seed=0)
+    assoc, layout = np.zeros(1, dtype=np.intp), ProfileLayout()
+    for level in (previous, current):
+        blocks = layout.load(sc, assoc, [np.full(4, level * sc.budget[0] / 4)]).blocks
+        blocks.held[:] = True  # only the second evaluation's test counts
+        blocks.evaluate()
+    return bool(blocks.held[0])
+
+
+def held_in_si_jaspa(monkeypatch, previous, current):
+    """si_jaspa with one MU on one AP, whose block is unchanged every round:
+    the AP potentials read ``previous`` at the start and ``current`` after
+    the first round; the second round's stay step shows the hold."""
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+    levels, seen = iter([previous, current, current]), []
+    real_evaluate, real_alpha = jaspa_module.evaluate_profile, StepsizeSchedule.block_alpha
+
+    def evaluate(*args):
+        metrics = real_evaluate(*args)
+        return metrics[:5] + (np.array([next(levels)]),)
+
+    def block_alpha(self, t, held):
+        seen.append(held)
+        return real_alpha(self, t, held)
+
+    monkeypatch.setattr(jaspa_module, "evaluate_profile", evaluate)
+    monkeypatch.setattr(StepsizeSchedule, "block_alpha", block_alpha)
+    si_jaspa(make_scenario(1, 1, 4, seed=0), JaspaConfig(memory_len=4, max_outer=2))
+    assert seen[0]  # the first round holds: nothing fell yet
+    return bool(seen[1])
+
+
+def held_in_j_jaspa_coalition(previous, current):
+    mem = ApMemory(num_aps=1, cap=10)
+    for level in (previous, current):
+        ap_memory_update(mem, 0, (0,), np.zeros((1, 1)), np.zeros((1, 1)), level)
+    return bool(mem.get(0, (0,)).held)
+
+
+@pytest.mark.parametrize("case", sorted(RELEASES))
+def test_every_safeguarded_site_releases_alike(monkeypatch, case):
+    previous, current, held = RELEASES[case]
+    assert keeps_hold(previous, current) == held
+    assert held_in_a_iwf_block(previous, current) == held
+    assert held_in_j_jaspa_coalition(previous, current) == held
+    assert held_in_si_jaspa(monkeypatch, previous, current) == held

@@ -12,7 +12,7 @@ from uplinkgame import (
     sample_mu_memory,
     water_fill,
 )
-from uplinkgame.jjaspa import ApMemory, ap_memory_summary, ap_memory_update
+from uplinkgame.jjaspa import ApMemory, ap_memory_update
 
 from conftest import assert_coalition_replay, make_scenario
 
@@ -71,8 +71,6 @@ def test_ap_memory_coalitions_are_independent():
     ap_memory_update(mem, 0, (0, 1), np.array([[0.3], [0.7]]), np.zeros((2, 1)), 0.0)
     assert mem.get(0, (0,)).visits == 1
     assert mem.get(0, (0, 1)).visits == 1
-    summary = ap_memory_summary(mem)
-    assert summary["ap1"] == {"0": 1, "0-1": 1}
 
 
 def test_ap_memory_cap_is_enforced():

@@ -306,3 +306,15 @@ def test_malformed_cost_list_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--costs" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("eps_eq", [-1, "nan", "inf"])
+@pytest.mark.parametrize("algo", ["s_iwf", "closest_ap", "exhaustive", "jaspa"])
+def test_bad_eps_eq_is_validation_error(tmp_path, algo, eps_eq):
+    path = tmp_path / "s.scn"
+    assert run_cli("generate", "--n", 4, "--w", 2, "--k", 8, "--seed", 1, "--out", path) == 0
+    code = run_cli(
+        "run", "--algo", algo, "--scenario", path, "--eps-eq", eps_eq, "--max-outer", 20,
+        "--outdir", tmp_path,
+    )
+    assert code == 3
