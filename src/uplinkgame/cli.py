@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import InnerConfig, closest_ap, exhaustive_search, virtual_ap_bound
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError, ValidationError, check_seed
 from .game import verify_jep
 from .inner import StepsizeSchedule
 from .jaspa import JaspaConfig, jaspa, se_jaspa, si_jaspa
@@ -79,7 +79,7 @@ def _inner_config(args, algo: str) -> InnerConfig:
 def _inner_association(scenario, args) -> np.ndarray:
     if args.assoc == "closest":
         return closest_ap(scenario)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(check_seed("seed", args.seed))
     return rng.integers(0, scenario.num_aps, scenario.num_mus).astype(np.intp)
 
 

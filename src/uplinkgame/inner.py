@@ -8,24 +8,24 @@ best-response residual drops below ``eps_wf`` in inf-norm.
 APs own disjoint channel blocks, so a profile's power game is a set of
 independent blocks, one per (AP, member set). The solvers run on one padded
 layout of stacked rows, whatever the blocks' widths (``partition_channels``
-yields at most two): each block member is a row of one (rows, C) matrix, C
-the widest block's width, rows ordered by block, then MU index, blocks
-largest first. A narrower block's pad channels have gain 1.0, power 0.0 and
-noise +inf, so their totals and water-fill floors are +inf, which
-``water_fill_batch`` reads as absent channels (power 0.0) without moving a
-bit of the real ones. The solvers pass it the rows' gains and noise plus
-interference; it forms the floors, so an MU whose every gain at its AP
-vanishes has no finite floor and gets power 0.0. One ``_Blocks`` holds one
-profile's blocks, in the ``ProfileLayout`` that ``a_iwf``, ``s_iwf`` and
-``evaluate_profile`` load, or the distinct blocks of many profiles
-(``solve_profiles``, where an MU has a row in each of its blocks). The two
-solvers differ only in their step, the ``_Blocks`` method ``average`` or
-``sweep``. An s_iwf round runs on ``Z``, the (member slot, block, channel)
-scatter of ``G*P``: because blocks come largest first, slot j of every block
-with more than j members is the contiguous slice ``Z[j, :nb]``, and one
-water-fill call moves it. Moving the j-th member of every block at once
-equals stepping MU by MU, because blocks are independent and a block's
-members move in ascending MU order.
+yields at most two). Blocks come in as (AP, member flags), largest first, and
+each block member is a row of one (rows, C) matrix, C the widest block's
+width, rows ordered by block, then MU index. A narrower block's pad channels
+have gain 1.0, power 0.0 and noise +inf, so their totals and water-fill
+floors are +inf, which ``water_fill_batch`` reads as absent channels (power
+0.0) without moving a bit of the real ones. The solvers pass it the rows'
+gains and noise plus interference; it forms the floors, so an MU whose every
+gain at its AP vanishes has no finite floor and gets power 0.0. One
+``_Blocks`` holds one profile's blocks, in the ``ProfileLayout`` that
+``a_iwf``, ``s_iwf`` and ``evaluate_profile`` load, or the distinct blocks of
+many profiles (``solve_profiles``, where an MU has a row in each of its
+blocks). The two solvers differ only in their step, the ``_Blocks`` method
+``average`` or ``sweep``. An s_iwf round runs on ``Z``, the (member slot,
+block, channel) scatter of ``G*P``: because blocks come largest first, slot j
+of every block with more than j members is the contiguous slice
+``Z[j, :nb]``, and one water-fill call moves it. Moving the j-th member of
+every block at once equals stepping MU by MU, because blocks are independent
+and a block's members move in ascending MU order.
 
 An evaluation computes only what a step and the stop test read: one ``G*P``,
 scattered into ``Z`` through one flat row index, the totals and the noise
@@ -84,7 +84,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .game import uniform_powers, validate_association, validate_powers
 from .waterfill import water_fill_batch
 
@@ -153,18 +153,6 @@ def keeps_hold(previous, potential):
     return potential >= previous
 
 
-def check_count(name: str, value) -> int:
-    """``value``, an integer (numpy's too) of at least 1, as a Python int;
-    else a ValidationError naming ``name``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1")
-    return value
-
-
 def check_solver_settings(solver: str, eps_wf: float, max_iters, name: str = "max_iters") -> int:
     """The rules every inner-solver configuration obeys: a known solver, a
     finite nonnegative tolerance and an iteration cap ``name`` of at least 1,
@@ -217,26 +205,30 @@ class _Blocks:
 
     A block is the power game of one (AP, member set): the blocks of one
     profile's APs, or the distinct blocks of many profiles, where an MU has a
-    row in every block it belongs to. Blocks come largest first, ``aps``
-    naming each block's AP; ``block`` and ``mus`` name each row's block and
-    MU, rows sorted by block, then MU index. Every block's channels are padded
-    out to the widest block's width C: ``pmat`` (rows, C) holds the rows'
-    powers, 0.0 on the pads (the caller's array may have more zero columns).
-    A pad channel has gain 1.0 and noise +inf, so its total and its floor are
+    row in every block it belongs to. Blocks come largest first, as ``aps``
+    and (blocks, N) ``members`` flags; ``block`` and ``mus`` name each row's
+    block and MU, rows sorted by block, then MU index. Every block's channels
+    are padded out to the widest block's width C: ``pmat`` (rows, C) holds the
+    rows' powers (zeros unless given; a given array may have more zero
+    columns), 0.0 on the pads, and ``real`` flags each row's own channels. A
+    pad channel has gain 1.0 and noise +inf, so its total and its floor are
     +inf and its water-fill power is 0.0; with one width there are no pads.
     Every channel sum runs over each block's own width, per width in
-    ``parts``. ``ids`` and ``rows`` are the caller's labels for the blocks
-    and the rows. Per block, ``potential`` is the last evaluation's potential
-    and ``held`` stays True until a potential falls below the previous
-    one."""
+    ``parts``. ``ids`` and ``rows`` label the blocks and the rows for the
+    caller (default: their positions). Per block, ``potential`` is the last
+    evaluation's potential and ``held`` stays True until a potential falls
+    below the previous one."""
 
-    def __init__(self, scenario, aps, block, mus, pmat, ids, rows):
+    def __init__(self, scenario, aps, members, ids=None, rows=None, pmat=None):
+        block, mus = np.nonzero(members)
         self.scenario, self.aps, self.width = scenario, aps, scenario.chan_width[aps]
-        self.block, self.mus, self.ids, self.rows = block, mus, ids, rows
+        self.members, self.block, self.mus = members, block, mus
+        self.ids = np.arange(aps.size) if ids is None else ids
+        self.rows = np.arange(mus.size) if rows is None else rows
         self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
         c, narrowest = self.widths[-1], self.widths[0]
         cols = scenario.chan_table[aps, :c]
-        self.pmat = np.ascontiguousarray(pmat[:, :c])
+        self.pmat = np.zeros((mus.size, c)) if pmat is None else np.ascontiguousarray(pmat[:, :c])
         self.num_channels = scenario.num_channels
         self.sizes = np.bincount(block, minlength=aps.size)
         self.starts = np.cumsum(self.sizes) - self.sizes
@@ -244,6 +236,7 @@ class _Blocks:
         self.gain = scenario.gain_sq[mus[:, None], cols[block]]
         self.noise = scenario.noise[cols]
         pad = np.arange(c) >= self.width[:, None]  # all False for one width
+        self.real = ~pad[block]  # each row's own channels
         self.gain[pad[block]] = 1.0
         self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
@@ -402,11 +395,8 @@ class _Blocks:
         """The blocks where ``keep`` holds, in order, with their rows' powers
         and residuals and their potentials and held flags."""
         rows = keep[self.block]
-        block = (np.cumsum(keep) - 1)[self.block[rows]]
-        sub = _Blocks(
-            self.scenario, self.aps[keep], block, self.mus[rows], self.pmat[rows],
-            self.ids[keep], self.rows[rows],
-        )
+        sub = _Blocks(self.scenario, self.aps[keep], self.members[keep], self.ids[keep],
+                      self.rows[rows], self.pmat[rows])
         sub.residual = self.residual[rows, : sub.pmat.shape[1]]
         sub.potential, sub.held = self.potential[keep], self.held[keep]
         return sub
@@ -425,17 +415,11 @@ class ProfileLayout:
         if self.blocks is None or not np.array_equal(association, self.association):
             self.association = association.copy()
             sizes = np.bincount(association, minlength=scenario.num_aps)
-            order = np.argsort(-sizes, kind="stable")  # largest first, then by AP
-            place = np.argsort(order)  # each AP's place in order
-            block = place[association]
-            mus = np.argsort(block, kind="stable")  # by block, then MU
-            aps = order[: np.count_nonzero(sizes)]  # the empty APs come last
-            self.ap_order = place[sizes > 0]  # the blocks in AP order
-            width = scenario.chan_width[association[mus]]
-            self.real = np.arange(width.max()) < width[:, None]  # each row's own channels
-            self.blocks = _Blocks(scenario, aps, block[mus], mus, np.zeros_like(self.real, float),
-                                  aps, mus)
-        self.blocks.pmat[self.real] = np.concatenate([powers[i] for i in self.blocks.mus.tolist()])
+            aps = np.argsort(-sizes, kind="stable")[: np.count_nonzero(sizes)]  # largest first
+            self.blocks = _Blocks(scenario, aps, association == aps[:, None])
+            self.ap_order = np.argsort(aps)  # the blocks in AP order
+        b = self.blocks
+        b.pmat[b.real] = np.concatenate([powers[i] for i in b.mus.tolist()])
         return self
 
     def metrics(self, log_tot, others, residual, potential):
@@ -472,7 +456,7 @@ def evaluate_profile(scenario, association, powers, layout: Optional[ProfileLayo
     b.evaluate()
     potential, total, res_two, rates = layout.metrics(b.log_tot, b.others, b.residual, b.potential)
     ap_potential = np.zeros(scenario.num_aps)
-    ap_potential[b.ids] = b.potential
+    ap_potential[b.aps] = b.potential
     res_inf = float(np.abs(b.residual).max())
     return res_inf, float(res_two), float(potential), float(total), rates, ap_potential
 
@@ -620,18 +604,16 @@ def solve_profiles(
     block_of = np.minimum(inverse, count).reshape(profiles, w)
     keys = keys[:count]
     flags = keys[:, 3:].astype(bool)
-    blk, mus = np.nonzero(flags)
     row_id = (np.cumsum(flags) - 1).reshape(flags.shape)
     row_of = row_id[np.take_along_axis(block_of, associations, axis=1), np.arange(n)]
-    width = keys[blk, 1]
-    real = np.arange(width.max()) < width[:, None]
-    pmat = np.where(real, (scenario.budget[mus] / width)[:, None], 0.0)
-    blocks = _Blocks(scenario, keys[:, 2], blk, mus, pmat, np.arange(count), np.arange(mus.size))
+    blocks = _Blocks(scenario, keys[:, 2], flags)
+    share = scenario.budget[blocks.mus] / blocks.width[blocks.block]
+    np.copyto(blocks.pmat, share[:, None], where=blocks.real)  # uniform powers
 
     total, potential = np.empty(profiles), np.zeros(profiles)
     converged = np.zeros(profiles, dtype=bool)
     block_inf, block_pot = np.zeros(count + 1), np.zeros(count + 1)
-    rates = np.empty(mus.size)
+    rates = np.empty(blocks.mus.size)
     live = np.arange(profiles)
     t = 0
     while True:

@@ -17,14 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_seed
 from .game import (
     EquilibriumReport, all_rates, copy_powers, random_feasible_powers, uniform_powers,
     validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
 )
 from .inner import (
-    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_count,
-    check_solver_settings, evaluate_profile, keeps_hold, s_iwf,
+    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings,
+    evaluate_profile, keeps_hold, s_iwf,
 )
 from .trace import TraceRow, association_label, inner_rows
 from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
@@ -69,6 +69,7 @@ class JaspaConfig:
     def __post_init__(self):
         self.memory_len = check_count("memory_len", self.memory_len)
         self.max_outer = check_count("max_outer", self.max_outer)
+        self.seed = check_seed("seed", self.seed)
         self.max_inner = check_solver_settings(self.inner_solver, self.eps_wf, self.max_inner,
                                                "max_inner")
         if self.selection not in ("uniform", "best"):
@@ -161,10 +162,13 @@ class OuterRecord:
 
 @dataclass
 class RunRecorder:
-    """The outer-level trace rows of a joint run and an OuterRecord per row."""
+    """The outer-level trace rows of a joint run and an OuterRecord per row,
+    its association history; ``streak`` counts the newest records in a row
+    that share one association."""
 
     rows: list = field(default_factory=list)
     detail: list = field(default_factory=list)
+    streak: int = 0
 
     def record(self, t, metrics, association, switch_count, powers, beta=None, stay_counts=None):
         """metrics starts with evaluate_profile's (res_inf, res_two,
@@ -172,6 +176,7 @@ class RunRecorder:
         copied."""
         res_inf, _, potential, total, rates = metrics[:5]
         here = tuple(association.tolist())
+        self.streak = self.streak + 1 if self.detail and self.detail[-1].association == here else 1
         self.rows.append(
             TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
         )
@@ -232,14 +237,13 @@ def _warn_short_memory(config: JaspaConfig, n: int) -> None:
 
 def _start(scenario, config: JaspaConfig, random_powers: bool):
     """The start of jaspa and si_jaspa: the connection costs in force, the
-    per-MU streams, the state at the initial profile, the association history
-    and the recorder."""
+    per-MU streams, the state at the initial profile and the recorder."""
     cost = config.connection_cost
     costs = scenario.connection_cost if cost is None else validate_costs(scenario, cost)
     rngs = per_mu_rngs(config.seed, scenario.num_mus)
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers)
     state = new_state(scenario, assoc, powers, config.memory_len)
-    return costs, rngs, state, [tuple(int(x) for x in assoc)], RunRecorder()
+    return costs, rngs, state, RunRecorder()
 
 
 def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs, table=None):
@@ -266,21 +270,14 @@ def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs, tab
     return sample_associations(rngs, state.beta), table
 
 
-def _tail_constant(history: list, span: int) -> bool:
-    if len(history) < span:
-        return False
-    tail = history[-span:]
-    return all(t == tail[0] for t in tail)
-
-
-def _settled(scenario, state: JaspaState, history, costs, config: JaspaConfig, residual=None):
-    """The stop gate of jaspa and si_jaspa, in order: the association held
-    over memory_len+1 iterations; the residual, when given, is at most
-    eps_wf; the profile verifies as stable under the connection costs in
-    force (``verify_jep`` with those costs, the joint-equilibrium test when
-    they are zero)."""
+def _settled(scenario, state: JaspaState, streak, costs, config: JaspaConfig, residual=None):
+    """The stop gate of jaspa and si_jaspa, in order: ``streak``, the equal
+    associations in a row ending the window, exceeds memory_len; the residual,
+    when given, is at most eps_wf; the profile verifies as stable under the
+    connection costs in force (``verify_jep`` with those costs, the
+    joint-equilibrium test when they are zero)."""
     return (
-        _tail_constant(history, config.memory_len + 1)
+        streak > config.memory_len
         and (residual is None or residual <= config.eps_wf)
         and verify_jep(
             scenario, state.association, state.powers, config.eps_eq, costs
@@ -315,7 +312,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     table would repeat the last, so the iteration reuses both (0 iterations,
     that trace row, the table); every random draw still happens."""
     _warn_short_memory(config, scenario.num_mus)
-    costs, rngs, state, history, log = _start(scenario, config, random_powers=False)
+    costs, rngs, state, log = _start(scenario, config, random_powers=False)
     converged = False
     switch_count = 0
     inner_nonconverged = 0
@@ -339,8 +336,8 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         metrics = (float(tr.residual_inf[-1]), None, float(tr.potential[-1]),
                    float(cur_rates.sum()), cur_rates)
         log.record(body, metrics, state.association, switch_count, state.powers, beta=state.beta)
-        history.append(tuple(int(x) for x in nxt))
-        if _settled(scenario, state, history, costs, config):
+        streak = log.streak + 1 if np.array_equal(nxt, state.association) else 0
+        if _settled(scenario, state, streak, costs, config):
             # The sampled association equals the evaluated one, so the latest
             # inner equilibrium is the final power profile.
             converged = True
@@ -361,7 +358,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
 
     return _run_result(
         "jaspa", scenario, config, log, state.association, state.powers, converged,
-        len(history), inner_nonconverged,
+        len(log.detail) + 1, inner_nonconverged,
     )
 
 
@@ -422,7 +419,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     potential first falls strictly from one profile to the next in this run;
     every other stay step is ``alpha(stay count)``."""
     _warn_short_memory(config, scenario.num_mus)
-    costs, rngs, state, history, log = _start(scenario, config, random_powers=True)
+    costs, rngs, state, log = _start(scenario, config, random_powers=True)
     layout = ProfileLayout()
     metrics = evaluate_profile(scenario, state.association, state.powers, layout)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
@@ -450,7 +447,6 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
         switch_count = int(np.sum(nxt != state.association))
         state.association = nxt
         state.powers = new_powers
-        history.append(tuple(int(x) for x in nxt))
         last = metrics[5]
         metrics = evaluate_profile(scenario, state.association, state.powers, layout)
         fallen.update(b for b in kept if not keeps_hold(last[b[0]], metrics[5][b[0]]))
@@ -458,11 +454,11 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
             body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,
         )
-        if _settled(scenario, state, history, costs, config, metrics[0]):
+        if _settled(scenario, state, log.streak, costs, config, metrics[0]):
             converged = True
             break
 
     return _run_result(
         "si_jaspa", scenario, config, log, state.association, state.powers, converged,
-        len(history),
+        len(log.detail),
     )

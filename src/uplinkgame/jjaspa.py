@@ -27,8 +27,8 @@ from .errors import ResourceError, ValidationError
 from .game import verify_jep
 from .inner import ProfileLayout, evaluate_profile, keeps_hold
 from .jaspa import (
-    JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _tail_constant,
-    _warn_short_memory, per_mu_rngs, uniform_picks,
+    JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _warn_short_memory,
+    per_mu_rngs, uniform_picks,
 )
 from .waterfill import best_replies, profile_table, water_fill_batch
 
@@ -115,7 +115,6 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     assoc, powers = _initial_profile(scenario, config, rngs, random_powers=True)
     memory = deque(maxlen=config.memory_len)
     apmem = ApMemory(w, config.coalition_cap)
-    history = [tuple(int(x) for x in assoc)]
     log = RunRecorder()
     layout = ProfileLayout()
     metrics = evaluate_profile(scenario, assoc, powers, layout)
@@ -162,10 +161,9 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
         switch_count = int(np.sum(nxt != assoc))
         assoc = nxt
         powers = new_powers
-        history.append(tuple(int(x) for x in assoc))
         metrics = evaluate_profile(scenario, assoc, powers, layout)
         log.record(body + 1, metrics, assoc, switch_count, powers)
-        if _tail_constant(history, config.memory_len + 1) and metrics[0] <= config.eps_wf:
+        if log.streak > config.memory_len and metrics[0] <= config.eps_wf:
             report = verify_jep(scenario, assoc, powers, config.eps_eq)
             if report.is_equilibrium:
                 converged = True
@@ -174,5 +172,5 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     if not converged:
         report = verify_jep(scenario, assoc, powers, config.eps_eq)
     return _run_result(
-        "j_jaspa", scenario, config, log, assoc, powers, converged, len(history), report=report
+        "j_jaspa", scenario, config, log, assoc, powers, converged, len(log.detail), report=report
     )

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError
+from .errors import ScenarioParseError, ValidationError, check_count, check_seed
 
 # Distances below this are clamped before computing the mean gain, so that
 # co-located nodes do not produce unbounded gains.
@@ -154,14 +154,15 @@ class ScenarioGenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_mus", "num_aps", "num_channels"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed("seed", self.seed))
         if self.num_channels < self.num_aps:
             raise ValidationError(
                 f"num_channels ({self.num_channels}) must be >= num_aps ({self.num_aps})"
             )
-        if self.num_mus < 1:
-            raise ValidationError("num_mus must be >= 1")
-        if self.area_side <= 0:
-            raise ValidationError("area_side must be positive")
+        if not (np.isfinite(self.area_side) and self.area_side > 0):
+            raise ValidationError("area_side must be finite and positive")
 
 
 def sample_gains(rng: np.random.Generator, distance: float, count: int) -> np.ndarray:

@@ -732,3 +732,40 @@ def test_a_reused_layout_evaluates_as_a_fresh_one(n, w, k):
     # One layout per association run, built on its first evaluation only.
     assert len(set(map(id, stacks[:9]))) == 1
     assert stacks[9] is not stacks[8] and stacks[12] is not stacks[11]
+
+
+# ---------------------------------------------------------------------------
+# _Blocks.subset: the kept blocks, laid out as a fresh _Blocks would be.
+
+
+LAYOUT_ARRAYS = ("block", "mus", "sizes", "starts", "slot", "flat", "gain", "noise", "real")
+
+
+@pytest.mark.parametrize("n, w, k", [(6, 4, 5), (12, 5, 23)])
+def test_a_subset_is_a_fresh_layout_carrying_the_kept_state(n, w, k):
+    sc = make_scenario(n, w, k, seed=1)
+    rng = np.random.default_rng(n)
+    keys, _ = inner_module._distinct_blocks(sc, rng.integers(0, w, (6, n)))
+    keys = keys[keys[:, 0] < 0]  # the nonempty blocks, largest first
+    aps, members = keys[:, 2], keys[:, 3:].astype(bool)
+    blocks = inner_module._Blocks(sc, aps, members)
+    blocks.pmat[blocks.real] = rng.uniform(0.0, 0.2, np.count_nonzero(blocks.real))
+    blocks.evaluate()
+    blocks.held = rng.random(aps.size) < 0.5
+    width = sc.chan_width[aps]
+    assert np.unique(width).size == 2  # (6, 4, 5) has width-1 blocks
+    # Every third block dropped, the widest ones (C shrinks), the largest one.
+    keeps = [np.arange(aps.size) % 3 != 1, width == width.min(), np.arange(aps.size) > 0]
+    for keep in keeps:
+        assert 0 < np.count_nonzero(keep) < aps.size  # a block is dropped
+        sub, fresh = blocks.subset(keep), inner_module._Blocks(sc, aps[keep], members[keep])
+        for name in LAYOUT_ARRAYS:
+            assert np.array_equal(getattr(sub, name), getattr(fresh, name)), name
+        rows = keep[blocks.block]
+        c = fresh.pmat.shape[1]
+        assert np.array_equal(sub.aps, aps[keep]) and np.array_equal(sub.ids, np.flatnonzero(keep))
+        assert np.array_equal(sub.rows, np.flatnonzero(rows))
+        assert np.array_equal(sub.pmat, blocks.pmat[rows, :c])
+        assert np.array_equal(sub.residual, blocks.residual[rows, :c])
+        assert np.array_equal(sub.potential, blocks.potential[keep])
+        assert np.array_equal(sub.held, blocks.held[keep])

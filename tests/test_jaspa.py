@@ -23,6 +23,7 @@ from uplinkgame import (
 )
 from uplinkgame.inner import SAFEGUARD_ALPHA, ProfileLayout, evaluate_profile, keeps_hold
 from uplinkgame.jaspa import new_state, per_mu_rngs, sample_associations, uniform_picks
+from uplinkgame.game import validate_costs
 from uplinkgame.jjaspa import ApMemory, ap_memory_update
 from uplinkgame.waterfill import best_reply_table
 
@@ -147,6 +148,17 @@ def test_config_counts_must_be_integers(field):
         JaspaConfig(**{field: 10.5})
     value = getattr(JaspaConfig(**{field: np.int64(40)}), field)
     assert type(value) is int and value == 40
+
+
+@pytest.mark.parametrize("seed", [-1, 4.5, "3", None])
+def test_config_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        JaspaConfig(seed=seed)
+
+
+def test_config_seed_is_stored_as_a_python_int():
+    seed = JaspaConfig(seed=np.uint8(7)).seed
+    assert type(seed) is int and seed == 7
 
 
 @pytest.mark.parametrize("algo", [jaspa, se_jaspa, si_jaspa, j_jaspa])
@@ -580,3 +592,61 @@ def test_every_safeguarded_site_releases_alike(monkeypatch, case):
     assert held_in_a_iwf_block(previous, current) == held
     assert held_in_j_jaspa_coalition(previous, current) == held
     assert held_in_si_jaspa(monkeypatch, previous, current) == held
+
+
+# ---------------------------------------------------------------------------
+# The stop gate, recomputed from the record of the run
+
+
+def first_gate_pass(sc, name, config, result):
+    """The first record at which ``name``'s stop gate holds, recomputed from
+    ``result.detail``, or None: memory_len+1 equal associations end there
+    (for jaspa, the last memory_len records and the next record's
+    association, or the final one), the residual is at most eps_wf (si_jaspa
+    and j_jaspa) and ``verify_jep`` passes on the recorded powers, with the
+    costs in force (cost-free for j_jaspa)."""
+    detail, m = result.detail, config.memory_len
+    costs = None
+    if name != "j_jaspa":
+        cost = config.connection_cost
+        costs = sc.connection_cost if cost is None else validate_costs(sc, cost)
+    for t, rec in enumerate(detail):
+        if name == "jaspa":
+            nxt = detail[t + 1].association if t + 1 < len(detail) else tuple(result.association)
+            window = [r.association for r in detail[max(0, t - m + 1) : t + 1]] + [nxt]
+        else:
+            window = [r.association for r in detail[max(0, t - m) : t + 1]]
+            if not rec.residual_inf <= config.eps_wf:
+                continue
+        if len(window) != m + 1 or len(set(window)) != 1:
+            continue
+        assoc = np.array(rec.association)
+        if verify_jep(sc, assoc, rec.powers, config.eps_eq, costs).is_equilibrium:
+            return t
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:memory_len")
+@pytest.mark.parametrize("n, w, k", [(4, 2, 6), (6, 3, 9), (8, 2, 16)])
+@pytest.mark.parametrize("memory", [1, 3, "n"])
+@pytest.mark.parametrize("name", ["jaspa", "si_jaspa", "j_jaspa"])
+def test_runs_stop_at_the_first_gate_pass_of_their_record(name, memory, n, w, k):
+    algo = {"jaspa": jaspa, "si_jaspa": si_jaspa, "j_jaspa": j_jaspa}[name]
+    m = n if memory == "n" else memory
+    costs = (None,) if name == "j_jaspa" else (None, 0.05)
+    outcomes = set()
+    for seed in (0, 1):
+        sc = make_scenario(n, w, k, seed=seed)
+        for cost, cap in ((c, cap) for c in costs for cap in (5, 300)):
+            config = JaspaConfig(memory_len=m, connection_cost=cost, seed=seed, max_outer=cap)
+            result = algo(sc, config)
+            stop = first_gate_pass(sc, name, config, result)
+            records = len(result.detail)
+            # jaspa also counts the association drawn after its last record.
+            assert result.outer_iterations == records + (name == "jaspa")
+            if result.converged:
+                assert stop == records - 1, (seed, cost, cap)
+            else:
+                assert stop is None and records == cap + (name != "jaspa"), (seed, cost, cap)
+            outcomes.add(result.converged)
+    assert outcomes == {True, False}

@@ -255,6 +255,30 @@ def test_params_validation():
         ScenarioGenParams(num_mus=2, num_aps=1, num_channels=2, area_side=0.0)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, field",
+    [
+        ((4.5, 2, 8), {}, "num_mus"),
+        ((4, 2.0, 8), {}, "num_aps"),
+        ((4, 2, "8"), {}, "num_channels"),
+        ((4, 2, 8), {"seed": -1}, "seed"),
+        ((4, 2, 8), {"seed": 2.5}, "seed"),
+        ((4, 2, 8), {"area_side": float("nan")}, "area_side"),
+        ((4, 2, 8), {"area_side": float("inf")}, "area_side"),
+    ],
+)
+def test_bad_generation_params_are_named_validation_errors(args, kwargs, field):
+    # Each used to be accepted, or to fail with a bare TypeError.
+    with pytest.raises(ValidationError, match=field):
+        ScenarioGenParams(*args, **kwargs)
+
+
+def test_generation_params_store_python_ints():
+    p = ScenarioGenParams(np.int64(4), np.int32(2), np.int64(8), seed=np.uint8(3))
+    values = (p.num_mus, p.num_aps, p.num_channels, p.seed)
+    assert all(type(v) is int for v in values) and values == (4, 2, 8, 3)
+
+
 def test_scenario_arrays_are_read_only():
     sc = generate_scenario(ScenarioGenParams(num_mus=2, num_aps=1, num_channels=2, seed=0))
     with pytest.raises(ValueError):

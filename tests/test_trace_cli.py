@@ -62,6 +62,28 @@ def test_generate_validation_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--seed", -1),
+        ("generate", "--area-side", "nan"),
+        ("compare", "--algos", "jaspa", "--seed-base", -1),
+        *(("run", "--algo", algo, "--seed", -1)
+          for algo in ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa", "a_iwf", "s_iwf")),
+    ],
+)
+def test_bad_seed_or_area_side_exits_3(tmp_path, scenario_file, capsys, argv):
+    # Each used to exit 1 with a traceback.
+    field = "area_side" if "--area-side" in argv else "seed"
+    if argv[0] == "run":
+        argv += ("--scenario", scenario_file, "--outdir", tmp_path)
+    else:
+        argv += ("--n", 4, "--w", 2, "--k", 4, "--out", tmp_path / "out")
+    assert run_cli(*argv) == 3
+    assert f"validation error: {field} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "--n", 2, "--w", 1, "--k", 2)
