@@ -19,8 +19,11 @@ class ResourceError(RuntimeError):
 
 def check_count(name: str, value, least: int = 1) -> int:
     """``value``, an integer (numpy's too) of at least ``least``, as a Python
-    int; else a ValidationError naming ``name``."""
+    int; else a ValidationError naming ``name``. A bool is refused, though
+    ``operator.index(True)`` is 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from None

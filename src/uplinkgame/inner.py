@@ -1,9 +1,10 @@
 """Fixed-association power equilibrium solvers.
 
 a_iwf averages simultaneous water-fill responses with a stepsize from a
-``StepsizeSchedule`` (per AP block under the safeguarded rule); s_iwf applies
-exact responses one MU at a time. Both stop when the
-best-response residual drops below ``eps_wf`` in inf-norm.
+``StepsizeSchedule`` (per AP block under the safeguarded rule), optionally
+Anderson-accelerated per AP block; s_iwf applies exact responses one MU at a
+time. Both stop when the best-response residual drops below ``eps_wf`` in
+inf-norm.
 
 APs own disjoint channel blocks, so a profile's power game is a set of
 independent blocks, one per (AP, member set). The solvers run on one padded
@@ -20,12 +21,12 @@ gain at its AP vanishes has no finite floor and gets power 0.0. One
 ``a_iwf``, ``s_iwf`` and ``evaluate_profile`` load, or the distinct blocks of
 many profiles (``solve_profiles``, where an MU has a row in each of its
 blocks). The two solvers differ only in their step, the ``_Blocks`` method
-``average`` or ``sweep``. An s_iwf round runs on ``Z``, the (member slot,
-block, channel) scatter of ``G*P``: because blocks come largest first, slot j
-of every block with more than j members is the contiguous slice
-``Z[j, :nb]``, and one water-fill call moves it. Moving the j-th member of
-every block at once equals stepping MU by MU, because blocks are independent
-and a block's members move in ascending MU order.
+``average`` (``accelerate`` when accelerated) or ``sweep``. An s_iwf round
+runs on ``Z``, the (member slot, block, channel) scatter of ``G*P``: because
+blocks come largest first, slot j of every block with more than j members is
+the contiguous slice ``Z[j, :nb]``, and one water-fill call moves it. Moving
+the j-th member of every block at once equals stepping MU by MU, because
+blocks are independent and a block's members move in ascending MU order.
 
 An evaluation computes only what a step and the stop test read: one ``G*P``,
 scattered into ``Z`` through one flat row index, the totals and the noise
@@ -91,6 +92,12 @@ from .waterfill import water_fill_batch
 
 # The step a safeguarded a_iwf block holds until its potential first falls.
 SAFEGUARD_ALPHA = 0.5
+# The step differences each block of an accelerated a_iwf solve extrapolates
+# from.
+ANDERSON_MEMORY = 5
+# An accelerated step's ridge, relative to the trace of a block's Gram matrix.
+_ANDERSON_RIDGE = 1e-10
+_TINY = np.finfo(float).tiny  # keeps an all-zero Gram system solvable
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,10 @@ class InnerTrace:
     """Per-iteration records of one inner-loop run (row 0 is the start point).
 
     alpha[j] is the largest block step applied after evaluating row j (nan on
-    the final row and everywhere for s_iwf, which takes exact steps)."""
+    the final row and everywhere for s_iwf, which takes exact steps). After
+    an accelerated a_iwf step it is the largest of the blocks' betas, the
+    step ``average`` would take, whether or not a block kept its
+    extrapolation."""
 
     potential: np.ndarray
     sum_rate: np.ndarray
@@ -217,7 +227,7 @@ class _Blocks:
     ``parts``. ``ids`` and ``rows`` label the blocks and the rows for the
     caller (default: their positions). Per block, ``potential`` is the last
     evaluation's potential and ``held`` stays True until a potential falls
-    below the previous one."""
+    below the previous one; ``history`` is an accelerated solve's memory."""
 
     def __init__(self, scenario, aps, members, ids=None, rows=None, pmat=None):
         block, mus = np.nonzero(members)
@@ -321,16 +331,29 @@ class _Blocks:
         phi, _ = water_fill_batch(self.gain, self.others, self.budgets)
         self.residual = np.subtract(phi, self.pmat, out=residual)
         self.log_tot = np.log2(tot, out=log_tot)
-        if self.one_width:  # no pads; tot is spent
-            potential = np.add.reduce(np.subtract(self.log_tot, self.log_noise, out=tot), axis=1)
-            potential /= self.num_channels
-        else:
-            potential = np.empty(self.width.size)
-            for w, blocks, _, _ in self.parts:  # over each block's own width
-                own = self.log_tot[blocks, :w] - self.log_noise[blocks, :w]
-                potential[blocks] = np.add.reduce(own, axis=1) / self.num_channels
+        potential = self.block_potentials(self.log_tot)
         self.held &= keeps_hold(self.potential, potential)
         self.potential = potential
+
+    def potentials_at(self, powers):
+        """The block potentials at ``powers`` (rows, C). Spends the scratch
+        ``gp``, ``Z`` and ``tot``."""
+        self.z_rows[self.flat] = np.multiply(self.gain, powers, out=self.gp)
+        tot = self.totals()
+        return self.block_potentials(np.log2(tot, out=tot))
+
+    def block_potentials(self, log_tot):
+        """Each block's potential from its log totals (blocks, C), summed over
+        its own width. Spends the totals scratch ``tot``."""
+        if self.one_width:  # no pads
+            potential = np.add.reduce(np.subtract(log_tot, self.log_noise, out=self.tot), axis=1)
+            potential /= self.num_channels
+            return potential
+        potential = np.empty(self.width.size)
+        for w, blocks, _, _ in self.parts:  # over each block's own width
+            own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
+            potential[blocks] = np.add.reduce(own, axis=1) / self.num_channels
+        return potential
 
     # The trace-only columns. Each takes the arrays of one evaluation or of
     # F buffered ones (a leading axis F) and sums every row, block and
@@ -364,6 +387,76 @@ class _Blocks:
         feasible set."""
         block_alpha = schedule.block_alpha(t, self.held)
         self.pmat += np.multiply(block_alpha[self.block][:, None], self.residual, out=self.gp)
+        self.check_feasible(t)
+        return max(block_alpha.tolist())
+
+    def accelerate(self, t, schedule):
+        """Accelerated a_iwf's step: per block, type-II Anderson acceleration
+        (Walker and Ni, SIAM J. Numer. Anal. 2011) of ``average``'s step
+        P + F, where F = beta R, beta is the block's
+        ``schedule.block_alpha(t, held)`` and R its residual rows.
+
+        Each block keeps its last ANDERSON_MEMORY differences dP and dF of
+        consecutive powers and steps. Its gamma minimizes |F - dF gamma|
+        (ridge: _ANDERSON_RIDGE times the Gram trace; one batched solve for
+        all blocks), and its candidate P + F - (dP + dF) gamma is projected
+        onto the feasible set: negative powers become 0, and a row over its
+        budget is scaled down to it.
+
+        A block keeps its candidate only if its potential there is above its
+        potential at P and at least its potential at P + F; otherwise it
+        takes P + F, and its memory restarts. So an accepted step raises the
+        block potential by at least what the safeguarded step would, and a
+        rejected step is the safeguarded step, which the StepsizeSchedule
+        argument covers (the safeguard of Zhang, O'Donoghue and Boyd, SIAM
+        J. Optim. 2020, with the potential as the merit function). Near
+        ``eps_wf``, where potential differences fall below rounding, no
+        candidate rises and the solve is plain a_iwf. Weaker tests stall,
+        accepting over and over extrapolations that barely move: a fall of
+        up to 1e-12 (a_iwf at (200,10,256), seed 1, from closest_ap: 100,000
+        iterations at residual 1e-5, against 1,218 plain), or a tie with
+        P + F (seed 0). Returns the largest beta, as ``average`` does."""
+        m = ANDERSON_MEMORY
+        dp, df = self.history
+        beta = schedule.block_alpha(t, self.held)
+        p = self.pmat
+        f = np.multiply(beta[self.block][:, None], self.residual, out=self.gp)
+        if t > 1:  # F's change over the last step, whose dP is in this slot
+            np.subtract(f, df[:, m], out=df[:, t % m])
+        df[:, m] = f
+        # Per block, the Gram matrix of its dF columns and F, in one system.
+        gram = np.add.reduceat(np.matmul(df, df.transpose(0, 2, 1)), self.starts, axis=0)
+        lhs, diag = gram[:, :m, :m], np.arange(m)
+        d = lhs[:, diag, diag]
+        lhs[:, diag, diag] = d + (_ANDERSON_RIDGE * d.sum(axis=1) + _TINY)[:, None]
+        gamma = np.linalg.solve(lhs, gram[:, :m, m:])[self.block].transpose(0, 2, 1)
+        safe = p + f
+        candidate = safe - np.matmul(gamma, dp + df[:, :m])[:, 0]
+        np.maximum(candidate, 0.0, out=candidate)
+        candidate *= (self.budgets / np.maximum(candidate.sum(axis=1), self.budgets))[:, None]
+        reached = self.potentials_at(candidate)
+        accept = (reached > self.potential) & (reached >= self.potentials_at(safe))
+        if not accept.all():
+            restart = ~accept[self.block]
+            candidate[restart] = safe[restart]
+            dp[restart] = 0.0
+            df[restart, :m] = 0.0
+        np.subtract(candidate, p, out=dp[:, (t + 1) % m])
+        self.pmat = candidate
+        self.check_feasible(t)
+        return max(beta.tolist())
+
+    @cached_property
+    def history(self):
+        """Accelerated a_iwf's memory, zeros until written: per row, the last
+        ANDERSON_MEMORY power differences (rows, m, C), and the step
+        differences followed by the last step (rows, m + 1, C)."""
+        rows, c = self.pmat.shape
+        return np.zeros((rows, ANDERSON_MEMORY, c)), np.zeros((rows, ANDERSON_MEMORY + 1, c))
+
+    def check_feasible(self, t):
+        """Raise RuntimeError unless every power is nonnegative and every row
+        within its budget plus 1e-9, summed over the row's own width."""
         if self.one_width:
             within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
         else:  # budget sums over each row's own width
@@ -371,7 +464,6 @@ class _Blocks:
                          for w, _, rows, _ in self.parts)
         if not (within and np.minimum.reduce(self.pmat, axis=None) >= 0.0):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
-        return max(block_alpha.tolist())
 
     def sweep(self, t, schedule):
         """s_iwf's round: for slot j = 0, 1, ..., the j-th member of every
@@ -522,15 +614,22 @@ def a_iwf(
     eps_wf: float = 1e-8,
     max_iters: int = 100_000,
     initial_powers=None,
+    accelerate: bool = False,
 ) -> InnerLoopResult:
     """Averaged iterative water-filling: every MU moves a fraction alpha_t of
-    the way to its water-fill response, simultaneously, each iteration.
+    the way to its water-fill response, simultaneously, each iteration. With
+    ``accelerate`` each AP block extrapolates that step from its last
+    ANDERSON_MEMORY steps and keeps the extrapolation only where it raises
+    the block potential at least as much as the plain step
+    (``_Blocks.accelerate``).
 
     Raises RuntimeError if a step leaves the feasible set (a negative power
     or a budget exceeded by more than 1e-9); a convex combination of feasible
-    points cannot, so this flags a faulty water-fill response."""
+    points cannot, nor can a projected extrapolation, so this flags a faulty
+    water-fill response."""
     max_iters = check_solver_settings("a_iwf", eps_wf, max_iters)
-    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.average,
+    step = _Blocks.accelerate if accelerate else _Blocks.average
+    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, step,
                     schedule or StepsizeSchedule())
 
 

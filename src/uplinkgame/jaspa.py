@@ -50,6 +50,9 @@ class JaspaConfig:
     set) block until the block's potential first falls, then takes the
     polynomial values. The blocks are the AP blocks of jaspa's a_iwf solves,
     the unchanged blocks of si_jaspa's stay steps and j_jaspa's coalitions.
+    accelerate runs jaspa's a_iwf solves Anderson-accelerated,
+    ``a_iwf(..., accelerate=True)``; False gives the paper's plain A-IWF. It
+    has no effect on the other dynamics or under inner_solver="s_iwf".
     """
 
     memory_len: int = 10
@@ -65,6 +68,7 @@ class JaspaConfig:
     initial_association: Optional[np.ndarray] = None
     initial_powers: Optional[list] = None
     coalition_cap: int = 100_000
+    accelerate: bool = True
 
     def __post_init__(self):
         self.memory_len = check_count("memory_len", self.memory_len)
@@ -77,6 +81,9 @@ class JaspaConfig:
         self.coalition_cap = check_count("coalition_cap", self.coalition_cap)
         if not (np.isfinite(self.eps_eq) and self.eps_eq >= 0.0):
             raise ValidationError("eps_eq must be finite and >= 0")
+        if not isinstance(self.accelerate, (bool, np.bool_)):
+            raise ValidationError(f"accelerate must be a bool, got {self.accelerate!r}")
+        self.accelerate = bool(self.accelerate)
 
 
 @dataclass
@@ -326,7 +333,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         else:
             inner = a_iwf(scenario, state.association, schedule=config.schedule,
                           eps_wf=config.eps_wf, max_iters=config.max_inner,
-                          initial_powers=state.powers)
+                          initial_powers=state.powers, accelerate=config.accelerate)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -161,6 +162,8 @@ class ScenarioGenParams:
             raise ValidationError(
                 f"num_channels ({self.num_channels}) must be >= num_aps ({self.num_aps})"
             )
+        if isinstance(self.area_side, bool) or not isinstance(self.area_side, Real):
+            raise ValidationError(f"area_side must be a number, got {self.area_side!r}")
         if not (np.isfinite(self.area_side) and self.area_side > 0):
             raise ValidationError("area_side must be finite and positive")
 

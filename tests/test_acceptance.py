@@ -117,12 +117,21 @@ def test_c03_gradient_matches_finite_differences():
 
 
 def test_c04_averaged_iwf_converges_at_desk_scale():
+    check_c04(accelerate=False)
+
+
+def test_c04_accelerated_averaged_iwf_converges_at_desk_scale():
+    check_c04(accelerate=True)
+
+
+def check_c04(accelerate):
     start = time.perf_counter()
     ok = True
     details = []
     for seed in range(20):
         sc = make_scenario(10, 1, 16, seed=seed)
-        result = a_iwf(sc, np.zeros(10, dtype=int), eps_wf=1e-6, max_iters=50_000)
+        result = a_iwf(sc, np.zeros(10, dtype=int), eps_wf=1e-6, max_iters=50_000,
+                       accelerate=accelerate)
         diag = convergence_diagnostics(result.trace, eps=1e-6)
         tail = result.trace.potential[diag.monotone_from :]
         monotone = bool(np.all(np.diff(tail) >= -1e-12))
@@ -137,11 +146,19 @@ def test_c04_averaged_iwf_converges_at_desk_scale():
 
 
 def test_c05_solver_agreement():
+    check_c05(accelerate=False)
+
+
+def test_c05_accelerated_solver_agreement():
+    check_c05(accelerate=True)
+
+
+def check_c05(accelerate):
     worst = 0.0
     for seed in range(20):
         sc = make_scenario(10, 1, 16, seed=seed)
         assoc = np.zeros(10, dtype=int)
-        pa = a_iwf(sc, assoc, eps_wf=1e-8).trace.potential[-1]
+        pa = a_iwf(sc, assoc, eps_wf=1e-8, accelerate=accelerate).trace.potential[-1]
         ps = s_iwf(sc, assoc, eps_wf=1e-8).trace.potential[-1]
         worst = max(worst, abs(pa - ps))
     verdict(5, worst <= 1e-5, f"max potential gap {worst:.2e}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_iteration_caps_must_be_integers(solver):
     sc = make_scenario(4, 2, 8, seed=0)
     assoc = closest_ap(sc)
     run = a_iwf if solver == "a_iwf" else s_iwf
-    for bad in (10.5, "10", None):
+    for bad in (10.5, "10", None, True):  # operator.index(True) is 1
         with pytest.raises(ValidationError, match="max_iters"):
             InnerConfig(solver=solver, max_iters=bad)
         with pytest.raises(ValidationError, match="max_iters"):
@@ -769,3 +770,104 @@ def test_a_subset_is_a_fresh_layout_carrying_the_kept_state(n, w, k):
         assert np.array_equal(sub.residual, blocks.residual[rows, :c])
         assert np.array_equal(sub.potential, blocks.potential[keep])
         assert np.array_equal(sub.held, blocks.held[keep])
+
+
+# ---------------------------------------------------------------------------
+# Anderson-accelerated a_iwf: every accepted iterate raises its block
+# potential, every rejected block takes the safeguarded step, every iterate
+# is feasible, and the end point is plain a_iwf's.
+
+ACCELERATED_SIZES = [(4, 2, 8), (6, 4, 5), (8, 2, 16), (10, 1, 16), (12, 5, 23)]
+
+
+def accelerated_cases(n, w, k, start):
+    """(scenario, association) at seeds 0-4, from closest_ap or a random draw."""
+    for seed in range(5):
+        sc = make_scenario(n, w, k, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        yield sc, closest_ap(sc) if start == "closest" else rng.integers(0, w, n)
+
+
+def record_accelerated_steps(monkeypatch):
+    """Spy on ``_Blocks.accelerate``: per step, the blocks, the block
+    potentials it starts from, the safeguarded step P + beta R and the
+    powers it ends at."""
+    real = inner_module._Blocks.accelerate
+    steps = []
+
+    def spy(b, t, schedule):
+        beta = schedule.block_alpha(t, b.held)
+        safe = b.pmat + np.multiply(beta[b.block][:, None], b.residual)
+        before = b.potential.copy()
+        alpha = real(b, t, schedule)
+        steps.append((b, before, safe, b.pmat.copy()))
+        return alpha
+
+    monkeypatch.setattr(inner_module._Blocks, "accelerate", spy)
+    return steps
+
+
+@pytest.mark.parametrize("start", ["closest", "random"])
+@pytest.mark.parametrize("n, w, k", ACCELERATED_SIZES)
+def test_accelerated_steps_keep_block_potentials_and_feasibility(monkeypatch, n, w, k, start):
+    steps = record_accelerated_steps(monkeypatch)
+    extrapolated = 0
+    for sc, assoc in accelerated_cases(n, w, k, start):
+        steps.clear()
+        run = a_iwf(sc, assoc, SAFEGUARDED, accelerate=True)
+        assert run.converged and len(steps) == run.iterations
+        for j, (b, before, safe, after) in enumerate(steps):
+            # The block potentials at the iterate this step made.
+            reached = steps[j + 1][1] if j + 1 < len(steps) else b.potential
+            took_safe = np.array([np.array_equal(after[b.block == i], safe[b.block == i])
+                                  for i in range(b.aps.size)])
+            assert np.all(took_safe | (reached > before))
+            extrapolated += int(np.count_nonzero(~took_safe))
+            assert after.min() >= 0.0
+            assert np.all(after.sum(axis=1) <= b.budgets + 1e-9)
+    assert extrapolated > 0
+
+
+@pytest.mark.parametrize("start", ["closest", "random"])
+@pytest.mark.parametrize("n, w, k", ACCELERATED_SIZES)
+def test_accelerated_a_iwf_ends_at_plain_a_iwf_potential(n, w, k, start):
+    for sc, assoc in accelerated_cases(n, w, k, start):
+        plain = a_iwf(sc, assoc, SAFEGUARDED, eps_wf=1e-11)
+        fast = a_iwf(sc, assoc, SAFEGUARDED, eps_wf=1e-11, accelerate=True)
+        assert plain.converged and fast.converged
+        assert fast.iterations <= plain.iterations
+        assert abs(fast.trace.potential[-1] - plain.trace.potential[-1]) <= 1e-10
+
+
+def test_accelerated_a_iwf_on_degenerate_blocks_neither_raises_nor_warns():
+    # (6,4,5): AP 1 has one channel and only MU 3; AP 2 has one channel and
+    # two MUs. In the unusable-AP scenario MU 0 sits alone at AP 1, where
+    # every gain vanishes, from zero powers: its response is 0, so its
+    # block starts converged and every difference it records is 0.
+    sc = make_scenario(6, 4, 5, seed=0)
+    lone = np.array([0, 0, 0, 1, 2, 2])
+    unusable = unusable_ap_scenario()
+    stalled = np.array([1, 0, 0, 0])
+    start = uniform_powers(unusable, stalled)
+    start[0] = np.zeros_like(start[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for schedule in (SAFEGUARDED, StepsizeSchedule()):
+            run = a_iwf(sc, lone, schedule, accelerate=True)
+            assert run.converged and run.powers[3] == pytest.approx([sc.budget[3]], abs=1e-15)
+            run = a_iwf(unusable, stalled, schedule, initial_powers=start, accelerate=True)
+            assert run.converged and run.iterations > 1
+            assert not run.powers[0].any()
+
+
+@pytest.mark.parametrize("n, w, k, seed", [(50, 5, 128, 0), (200, 10, 256, 0), (200, 10, 256, 1)])
+def test_accelerated_a_iwf_takes_no_more_iterations_than_plain_at_scale(n, w, k, seed):
+    # Weaker acceptance tests stalled here: any extrapolation whose potential
+    # falls by at most 1e-12 (seed 1, residual 1e-5 for 100,000 iterations),
+    # and rounding-level ties with the safeguarded step (seed 0, 2e-8).
+    sc = make_scenario(n, w, k, seed=seed)
+    assoc = closest_ap(sc)
+    plain = a_iwf(sc, assoc, SAFEGUARDED)
+    fast = a_iwf(sc, assoc, SAFEGUARDED, max_iters=plain.iterations, accelerate=True)
+    assert plain.converged and fast.converged
+    assert abs(fast.trace.potential[-1] - plain.trace.potential[-1]) <= 1e-10

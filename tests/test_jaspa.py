@@ -144,13 +144,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field", ["memory_len", "max_outer", "max_inner", "coalition_cap"])
 def test_config_counts_must_be_integers(field):
-    with pytest.raises(ValidationError, match=field):
-        JaspaConfig(**{field: 10.5})
+    for bad in (10.5, True):  # operator.index(True) is 1
+        with pytest.raises(ValidationError, match=field):
+            JaspaConfig(**{field: bad})
     value = getattr(JaspaConfig(**{field: np.int64(40)}), field)
     assert type(value) is int and value == 40
 
 
-@pytest.mark.parametrize("seed", [-1, 4.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 4.5, "3", None, False, True])
 def test_config_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(ValidationError, match="seed"):
         JaspaConfig(seed=seed)
@@ -650,3 +651,38 @@ def test_runs_stop_at_the_first_gate_pass_of_their_record(name, memory, n, w, k)
                 assert stop is None and records == cap + (name != "jaspa"), (seed, cost, cap)
             outcomes.add(result.converged)
     assert outcomes == {True, False}
+
+
+def test_accelerated_inner_solves_cut_jaspa_inner_iterations_fivefold(monkeypatch):
+    # The default (accelerated) against the paper's plain A-IWF at (16,4,48):
+    # at most 1/5 of the inner iterations, the same final sum rates and a
+    # verified joint equilibrium every time.
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+    real, iterations = jaspa_module.a_iwf, []
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations[-1] += result.iterations
+        return result
+
+    monkeypatch.setattr(jaspa_module, "a_iwf", counted)
+    totals = {False: 0, True: 0}
+    for seed in range(3):
+        sc = make_scenario(16, 4, 48, seed=seed)
+        rates = {}
+        for accelerate in (False, True):
+            iterations.append(0)
+            run = jaspa(sc, JaspaConfig(memory_len=16, seed=seed, accelerate=accelerate))
+            assert run.converged and run.jep_report.is_equilibrium
+            assert verify_jep(sc, run.association, run.powers).is_equilibrium
+            totals[accelerate] += iterations[-1]
+            rates[accelerate] = run.detail[-1].sum_rate
+        assert rates[True] == pytest.approx(rates[False], abs=1e-9)
+    assert 5 * totals[True] <= totals[False]
+
+
+@pytest.mark.parametrize("value", [1, 0, "yes", None])
+def test_config_accelerate_must_be_a_bool(value):
+    with pytest.raises(ValidationError, match="accelerate"):
+        JaspaConfig(accelerate=value)
+    assert JaspaConfig(accelerate=np.bool_(False)).accelerate is False

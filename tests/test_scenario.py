@@ -265,10 +265,19 @@ def test_params_validation():
         ((4, 2, 8), {"seed": 2.5}, "seed"),
         ((4, 2, 8), {"area_side": float("nan")}, "area_side"),
         ((4, 2, 8), {"area_side": float("inf")}, "area_side"),
+        ((True, 2, 8), {}, "num_mus"),
+        ((4, True, 8), {}, "num_aps"),
+        # Not "num_channels (1) must be >= num_aps (2)".
+        ((4, 2, True), {}, "num_channels must be an integer"),
+        ((4, 2, 8), {"seed": False}, "seed"),
+        ((4, 2, 8), {"area_side": "10"}, "area_side"),
+        ((4, 2, 8), {"area_side": None}, "area_side"),
+        ((4, 2, 8), {"area_side": True}, "area_side"),
     ],
 )
 def test_bad_generation_params_are_named_validation_errors(args, kwargs, field):
-    # Each used to be accepted, or to fail with a bare TypeError.
+    # Each used to be accepted (a bool count or seed was read as 1 or 0), or
+    # to fail with a bare TypeError.
     with pytest.raises(ValidationError, match=field):
         ScenarioGenParams(*args, **kwargs)
 
