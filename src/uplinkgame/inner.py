@@ -202,7 +202,9 @@ class InnerDiagnostics:
     never decreases, whether the residual dropped below tolerance, and the
     stepsize-weighted squared-residual sum (finite for a convergent run; under
     per-block steps it weights every block by the largest step, an upper
-    bound)."""
+    bound for plain a_iwf; an accelerated trace records nominal steps, and
+    an accepted extrapolation may move further, so there the sum is nominal
+    and no bound)."""
 
     monotone_from: int
     residual_converged: bool
@@ -747,7 +749,9 @@ def convergence_diagnostics(
     non-decreasing (within ``monotone_tol``), whether the final residual meets
     ``eps``, and sum over iterations of alpha * ||residual||_2^2, where alpha
     is the largest block step the trace records (under per-block steps, an
-    upper bound of the per-block weighted sum)."""
+    upper bound of the per-block weighted sum for plain a_iwf; nominal and no
+    bound for an accelerated trace, whose alpha is the step ``average`` would
+    take, not the step taken)."""
     p = trace.potential
     drops = np.flatnonzero(np.diff(p) < -monotone_tol)
     monotone_from = int(drops[-1] + 1) if drops.size else 0

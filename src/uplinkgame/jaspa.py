@@ -50,9 +50,6 @@ class JaspaConfig:
     set) block until the block's potential first falls, then takes the
     polynomial values. The blocks are the AP blocks of jaspa's a_iwf solves,
     the unchanged blocks of si_jaspa's stay steps and j_jaspa's coalitions.
-    accelerate runs jaspa's a_iwf solves Anderson-accelerated,
-    ``a_iwf(..., accelerate=True)``; False gives the paper's plain A-IWF. It
-    has no effect on the other dynamics or under inner_solver="s_iwf".
     """
 
     memory_len: int = 10
@@ -68,7 +65,6 @@ class JaspaConfig:
     initial_association: Optional[np.ndarray] = None
     initial_powers: Optional[list] = None
     coalition_cap: int = 100_000
-    accelerate: bool = True
 
     def __post_init__(self):
         self.memory_len = check_count("memory_len", self.memory_len)
@@ -81,9 +77,6 @@ class JaspaConfig:
         self.coalition_cap = check_count("coalition_cap", self.coalition_cap)
         if not (np.isfinite(self.eps_eq) and self.eps_eq >= 0.0):
             raise ValidationError("eps_eq must be finite and >= 0")
-        if not isinstance(self.accelerate, (bool, np.bool_)):
-            raise ValidationError(f"accelerate must be a bool, got {self.accelerate!r}")
-        self.accelerate = bool(self.accelerate)
 
 
 @dataclass
@@ -306,7 +299,8 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Memory-based joint dynamics with intermediate power equilibria.
 
     Each outer iteration: reach a power equilibrium for the current
-    association, record a best reply per MU (uniform over the qualifying AP
+    association (an Anderson-accelerated ``a_iwf`` solve, or ``s_iwf`` under
+    inner_solver="s_iwf"), record a best reply per MU (uniform over the qualifying AP
     set), refresh the probability vectors, then resample every association.
     A repeat of the association across memory_len+1 consecutive iterations
     proposes termination; convergence is declared only if the profile then
@@ -333,7 +327,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
         else:
             inner = a_iwf(scenario, state.association, schedule=config.schedule,
                           eps_wf=config.eps_wf, max_iters=config.max_inner,
-                          initial_powers=state.powers, accelerate=config.accelerate)
+                          initial_powers=state.powers, accelerate=True)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
         log.rows.extend(inner_rows(body, state.association, inner.trace))

@@ -17,13 +17,13 @@ Per scenario size and seed it hashes every float bit of:
 - ``jaspa``, ``se_jaspa``, ``si_jaspa`` and ``j_jaspa`` under both schedules
   (sizes up to 12 MUs, and (16,4,48) at seed 0): the whole ``RunResult``;
   and, under the safeguarded schedule at sizes up to 12 MUs, ``jaspa`` with
-  the ``s_iwf`` inner solver and with plain ``a_iwf`` inner solves
-  (``accelerate=False``), and ``jaspa`` and ``si_jaspa`` with
+  the ``s_iwf`` inner solver, and ``jaspa`` and ``si_jaspa`` with
   ``selection="best"`` and with a connection cost of 0.05.
 
-A case that passes a keyword the source under test lacks is skipped, so the
-tool also runs on sources that predate the keyword, and a per-case diff
-against such a run names the cases that moved and the cases that are new.
+The accelerated cases are skipped on a source whose ``a_iwf`` lacks the
+``accelerate`` keyword, so the tool also runs on sources that predate it, and
+a per-case diff against such a run names the cases that moved and the cases
+that are new.
 
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
 one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
@@ -60,7 +60,6 @@ DYNAMICS_LARGE = (16, 4, 48, 0)
 # under JaspaConfig's default (safeguarded) schedule.
 VARIANTS = (
     ("jaspa/s_iwf", {"inner_solver": "s_iwf"}),
-    ("jaspa/plain", {"accelerate": False}),
     ("jaspa/best", {"selection": "best"}),
     ("si_jaspa/best", {"selection": "best"}),
     ("jaspa/cost", {"connection_cost": 0.05}),
@@ -90,11 +89,6 @@ def feed(h, x) -> None:
         raise TypeError(f"cannot hash a {type(x).__name__}")
 
 
-def takes(fn, *keywords) -> bool:
-    """Whether ``fn``, a function or a dataclass, takes every keyword."""
-    return set(keywords) <= inspect.signature(fn).parameters.keys()
-
-
 def random_feasible(scenario, association, rng) -> list:
     out = []
     for i, ap in enumerate(association.tolist()):
@@ -114,7 +108,7 @@ def cases(n, w, k, seed):
             yield f"a_iwf/{name}/{label}", run
             yield f"evaluate_profile/a_iwf/{name}/{label}", evaluate_profile(sc, assoc, run.powers)
             yield f"best_reply_table/a_iwf/{name}/{label}", best_reply_table(sc, assoc, run.powers)
-            if takes(ug.a_iwf, "accelerate"):
+            if "accelerate" in inspect.signature(ug.a_iwf).parameters:
                 run = ug.a_iwf(sc, assoc, schedule, max_iters=MAX_ITERS, accelerate=True)
                 yield f"a_iwf/accelerated/{name}/{label}", run
         run = ug.s_iwf(sc, assoc, max_iters=MAX_ITERS)
@@ -139,8 +133,6 @@ def cases(n, w, k, seed):
     if n > DYNAMICS_MAX_MUS:
         return
     for label, settings in VARIANTS:
-        if not takes(ug.JaspaConfig, *settings):
-            continue
         config = ug.JaspaConfig(
             memory_len=n, seed=seed, max_outer=60, max_inner=MAX_ITERS, **settings
         )
