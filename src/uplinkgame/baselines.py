@@ -25,8 +25,9 @@ class InnerConfig:
     schedule: StepsizeSchedule = StepsizeSchedule()
 
     def __post_init__(self):
-        max_iters = check_solver_settings(self.solver, self.eps_wf, self.max_iters)
-        object.__setattr__(self, "max_iters", max_iters)  # a Python int
+        settings = check_solver_settings(self.solver, self.eps_wf, self.max_iters, self.schedule)
+        for name, value in zip(("eps_wf", "max_iters"), settings):
+            object.__setattr__(self, name, value)  # a Python float and int
 
     def run(self, scenario, association, initial_powers=None) -> InnerLoopResult:
         settings = dict(eps_wf=self.eps_wf, max_iters=self.max_iters, initial_powers=initial_powers)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
 import statistics
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import InnerConfig, closest_ap, exhaustive_search, virtual_ap_bound
-from .errors import ResourceError, ValidationError, check_seed
+from .errors import ResourceError, ValidationError, check_count, check_seed
 from .game import verify_jep
 from .inner import StepsizeSchedule
 from .jaspa import JaspaConfig, jaspa, se_jaspa, si_jaspa
@@ -34,9 +35,7 @@ ALGORITHMS = ("a_iwf", "s_iwf", *JOINT_ALGOS, "closest_ap", "exhaustive", "virtu
 
 
 def _outdir(args) -> Path:
-    if getattr(args, "outdir", None):
-        return Path(args.outdir)
-    return Path(os.environ.get("UPLINKGAME_OUTDIR", "."))
+    return Path(args.outdir or os.environ.get("UPLINKGAME_OUTDIR", "."))
 
 
 def _default_paths(args, scenario_path: str):
@@ -48,8 +47,7 @@ def _default_paths(args, scenario_path: str):
     return trace, summary
 
 
-def _jaspa_config(args, selection: str = "uniform") -> JaspaConfig:
-    schedule = StepsizeSchedule(rule=args.schedule, exponent=args.exponent)
+def _jaspa_config(args) -> JaspaConfig:
     return JaspaConfig(
         memory_len=args.m,
         connection_cost=args.cost,
@@ -58,8 +56,8 @@ def _jaspa_config(args, selection: str = "uniform") -> JaspaConfig:
         max_inner=args.max_inner,
         max_outer=args.max_outer,
         seed=args.seed,
-        schedule=schedule,
-        selection=selection,
+        schedule=StepsizeSchedule(rule=args.schedule, exponent=args.exponent),
+        selection="best" if args.greedy else "uniform",
         eps_eq=args.eps_eq,
     )
 
@@ -67,7 +65,7 @@ def _jaspa_config(args, selection: str = "uniform") -> JaspaConfig:
 def _inner_config(args, algo: str) -> InnerConfig:
     """Inner solver of the fixed-association algorithms: a_iwf for a_iwf and
     closest_ap, s_iwf (the library default) for s_iwf, exhaustive and
-    virtual_bound. ``run`` and ``compare`` both build it here."""
+    virtual_bound."""
     return InnerConfig(
         solver="a_iwf" if algo in ("a_iwf", "closest_ap") else "s_iwf",
         eps_wf=args.eps_wf,
@@ -94,8 +92,7 @@ def _report_dict(report) -> dict:
 def _run_one(scenario, algo: str, args):
     """Execute one algorithm; returns (rows, summary_fields)."""
     if algo in JOINT_ALGOS:
-        selection = "best" if args.greedy else "uniform"
-        result = JOINT_ALGOS[algo](scenario, _jaspa_config(args, selection))
+        result = JOINT_ALGOS[algo](scenario, _jaspa_config(args))
         last = result.rows[-1]
         return result.rows, {
             "converged": result.converged,
@@ -112,20 +109,15 @@ def _run_one(scenario, algo: str, args):
         assoc = closest_ap(scenario) if algo == "closest_ap" else _inner_association(scenario, args)
         res = inner.run(scenario, assoc)
         rows = inner_rows(0, assoc, res.trace)
-        rows.append(
-            TraceRow(
-                0, -1,
-                float(res.trace.potential[-1]), float(res.trace.sum_rate[-1]),
-                float(res.trace.residual_inf[-1]), association_label(assoc), 0,
-            )
-        )
+        last = dataclasses.replace(rows[-1], inner_iter=-1)  # the closing record
+        rows.append(last)
         report = verify_jep(scenario, assoc, res.powers, args.eps_eq)
         return rows, {
             "converged": res.converged,
             "inner_iterations": res.iterations,
-            "final_sum_rate": float(res.trace.sum_rate[-1]),
-            "final_potential": float(res.trace.potential[-1]),
-            "final_association": association_label(assoc),
+            "final_sum_rate": last.sum_rate,
+            "final_potential": last.system_potential,
+            "final_association": last.association,
             "jep": _report_dict(report),
         }
 
@@ -215,60 +207,47 @@ def _cost_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _expand_compare_algos(args) -> list[tuple[str, float | None]]:
-    out = []
+def _expand_compare_algos(args) -> dict[str, tuple[str, float | None]]:
+    """The compare entries as {label: (algorithm, connection cost or None)};
+    a joint algorithm gives one entry per ``--costs`` value."""
+    out = {}
     for algo in args.algos.split(","):
         algo = algo.strip()
         if algo not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {algo!r}")
-        if algo in JOINT_ALGOS and args.costs:
-            out.extend((algo, c) for c in args.costs)
-        else:
-            out.append((algo, None))
+        costs = args.costs if algo in JOINT_ALGOS and args.costs else [None]
+        for cost in costs:
+            label = algo if cost is None else f"{algo}(c={cost:g})"
+            if label in out:
+                raise ValidationError(f"compare entry {label} is listed twice")
+            out[label] = (algo, cost)
     return out
 
 
+# The summary fields a compare row reads as a run's iterations, the first
+# one present; a virtual_bound run has none and counts 0.
+_ITERATION_FIELDS = ("outer_iterations", "inner_iterations", "profiles_enumerated")
+
+
 def cmd_compare(args) -> int:
+    """Run every entry as ``run`` does on each rep's scenario (seed
+    ``--seed-base + rep``), then table each entry's sum rates, iterations
+    and ratios to T*, the sum rate of that rep's exhaustive entry."""
     entries = _expand_compare_algos(args)
-    inner = _inner_config(args, "exhaustive")
-    per_algo: dict[str, dict[str, list]] = {}
-    for rep in range(args.reps):
-        seed = args.seed_base + rep
-        if args.scenario:
-            scenario = load_scenario(args.scenario)
-        else:
-            scenario = generate_scenario(
-                ScenarioGenParams(num_mus=args.n, num_aps=args.w, num_channels=args.k, seed=seed)
-            )
-        tstar = None
-        wants_exhaustive = any(a == "exhaustive" for a, _ in entries)
-        if wants_exhaustive:
-            ex = exhaustive_search(scenario, inner, enumeration_cap=args.enumeration_cap)
-            tstar = ex.best_sum_rate
-        for algo, cost in entries:
-            label = algo if cost is None else f"{algo}(c={cost:g})"
-            stats = per_algo.setdefault(
-                label, {"sum_rate": [], "iters": [], "converged": [], "ratio": []}
-            )
-            if algo == "exhaustive":
-                stats["sum_rate"].append(tstar)
-                stats["iters"].append(len(ex.table))
-                stats["converged"].append(all(rec.converged for rec in ex.table))
-                stats["ratio"].append(1.0)
-                continue
-            run_args = argparse.Namespace(**vars(args))
-            run_args.seed = seed
+    reps = check_count("reps", args.reps)
+    fixed = load_scenario(args.scenario) if args.scenario else None
+    runs: dict[str, list[dict]] = {label: [] for label in entries}  # summary fields per rep
+    for seed in range(args.seed_base, args.seed_base + reps):
+        scenario = fixed or generate_scenario(
+            ScenarioGenParams(num_mus=args.n, num_aps=args.w, num_channels=args.k, seed=seed)
+        )
+        for label, (algo, cost) in entries.items():
+            run_args = argparse.Namespace(**vars(args), seed=seed)
             if cost is not None:
                 run_args.cost = cost
-            _, fields = _run_one(scenario, algo, run_args)
-            stats["sum_rate"].append(fields["final_sum_rate"])
-            stats["iters"].append(
-                fields.get("outer_iterations", fields.get("inner_iterations", 0))
-            )
-            stats["converged"].append(bool(fields.get("converged", True)))
-            stats["ratio"].append(
-                fields["final_sum_rate"] / tstar if tstar else None
-            )
+            runs[label].append(_run_one(scenario, algo, run_args)[1])
+    # T* of each rep: the sum rate of its exhaustive entry, if one is listed.
+    tstars = [f["final_sum_rate"] for f in runs.get("exhaustive", [])] or [None] * reps
 
     header = (
         "algorithm", "runs", "converged_runs",
@@ -277,17 +256,19 @@ def cmd_compare(args) -> int:
         "mean_ratio_to_tstar", "median_ratio_to_tstar",
     )
     table = []
-    for label, stats in per_algo.items():
-        ratios = [r for r in stats["ratio"] if r is not None]
+    for label, fields in runs.items():
+        rates = [f["final_sum_rate"] for f in fields]
+        iters = [next((f[k] for k in _ITERATION_FIELDS if k in f), 0) for f in fields]
+        ratios = [rate / tstar for rate, tstar in zip(rates, tstars) if tstar]
         table.append(
             (
                 label,
-                len(stats["sum_rate"]),
-                sum(stats["converged"]),
-                statistics.fmean(stats["sum_rate"]),
-                statistics.median(stats["sum_rate"]),
-                statistics.fmean(stats["iters"]),
-                statistics.median(stats["iters"]),
+                len(rates),
+                sum(bool(f["converged"]) for f in fields),
+                statistics.fmean(rates),
+                statistics.median(rates),
+                statistics.fmean(iters),
+                statistics.median(iters),
                 statistics.fmean(ratios) if ratios else "",
                 statistics.median(ratios) if ratios else "",
             )
@@ -326,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     def common_run_flags(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--m", type=int, default=10, help="best-reply memory length")
         p.add_argument("--cost", type=float, default=None, help="uniform connection cost")
         p.add_argument("--eps-wf", type=float, default=1e-8)
@@ -346,12 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one algorithm on a scenario")
     run.add_argument("--algo", choices=ALGORITHMS, required=True)
     run.add_argument("--scenario", required=True)
+    run.add_argument("--seed", type=int, default=0)
     common_run_flags(run)
     run.add_argument("--out-trace", default=None)
     run.add_argument("--out-summary", default=None)
     run.set_defaults(func=cmd_run)
 
-    cmp_ = sub.add_parser("compare", help="compare algorithms over seeded repetitions")
+    # No abbreviations: run's --seed would otherwise read as --seed-base.
+    cmp_ = sub.add_parser("compare", help="compare algorithms over seeded repetitions",
+                          allow_abbrev=False)
     cmp_.add_argument("--algos", required=True, help="comma-separated algorithm list")
     cmp_.add_argument("--reps", type=int, default=1)
     cmp_.add_argument("--seed-base", type=int, default=0)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_tolerance
 from .waterfill import best_reply_table, profile_table, water_fill, wf_operator
 
 LN2 = math.log(2.0)
@@ -247,8 +247,7 @@ def _table_report(scenario, association, powers, eps: float):
     """Power-equilibrium report of a validated profile, and its best-reply
     rate table, from one ``best_reply_table`` call: the residual and the
     own-AP best rate come from its own-AP column, the current rates from it."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValidationError("eps must be finite and >= 0")
+    eps = check_tolerance("eps", eps)
     a = validate_association(scenario, association)
     validate_powers(scenario, a, powers)
     cur, br, vecs = best_reply_table(scenario, a, powers)

@@ -85,7 +85,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_real, check_tolerance
 from .game import uniform_powers, validate_association, validate_powers
 from .waterfill import water_fill_batch
 
@@ -132,6 +132,7 @@ class StepsizeSchedule:
     def __post_init__(self):
         if self.rule not in ("polynomial", "harmonic", "safeguarded"):
             raise ValidationError(f"unknown stepsize rule {self.rule!r}")
+        check_real("exponent", self.exponent)
         if self.rule in ("polynomial", "safeguarded") and not 0.5 < self.exponent <= 1.0:
             raise ValidationError(f"{self.rule} exponent must lie in (0.5, 1]")
 
@@ -160,15 +161,18 @@ def keeps_hold(previous, potential):
     return potential >= previous
 
 
-def check_solver_settings(solver: str, eps_wf: float, max_iters, name: str = "max_iters") -> int:
+def check_solver_settings(solver: str, eps_wf, max_iters, schedule=None, name="max_iters"):
     """The rules every inner-solver configuration obeys: a known solver, a
-    finite nonnegative tolerance and an iteration cap ``name`` of at least 1,
-    which comes back as a Python int."""
+    finite nonnegative tolerance, an iteration cap ``name`` of at least 1 and
+    a ``StepsizeSchedule`` (or None, for the default). The tolerance and the
+    cap come back as a Python float and int."""
     if solver not in ("a_iwf", "s_iwf"):
         raise ValidationError(f"unknown inner solver {solver!r}")
-    if not (np.isfinite(eps_wf) and eps_wf >= 0.0):
-        raise ValidationError("eps_wf must be finite and >= 0")
-    return check_count(name, max_iters)
+    eps_wf = check_tolerance("eps_wf", eps_wf)
+    max_iters = check_count(name, max_iters)
+    if schedule is not None and not isinstance(schedule, StepsizeSchedule):
+        raise ValidationError(f"schedule must be a StepsizeSchedule, got {schedule!r}")
+    return eps_wf, max_iters
 
 
 @dataclass
@@ -629,7 +633,7 @@ def a_iwf(
     or a budget exceeded by more than 1e-9); a convex combination of feasible
     points cannot, nor can a projected extrapolation, so this flags a faulty
     water-fill response."""
-    max_iters = check_solver_settings("a_iwf", eps_wf, max_iters)
+    eps_wf, max_iters = check_solver_settings("a_iwf", eps_wf, max_iters, schedule)
     step = _Blocks.accelerate if accelerate else _Blocks.average
     return _iterate(scenario, association, initial_powers, eps_wf, max_iters, step,
                     schedule or StepsizeSchedule())
@@ -644,7 +648,7 @@ def s_iwf(
 ) -> InnerLoopResult:
     """Sequential iterative water-filling: MUs take exact water-fill steps in
     ascending index order; one iteration is one full round."""
-    max_iters = check_solver_settings("s_iwf", eps_wf, max_iters)
+    eps_wf, max_iters = check_solver_settings("s_iwf", eps_wf, max_iters)
     return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.sweep)
 
 
@@ -693,7 +697,7 @@ def solve_profiles(
     ``eps_wf`` (converged), or at ``max_iters``; a block is dropped when no
     running profile uses it. The sum rate sums the N MU rates in MU order;
     the potential adds the block potentials in AP order, from 0.0."""
-    max_iters = check_solver_settings(solver, eps_wf, max_iters)
+    eps_wf, max_iters = check_solver_settings(solver, eps_wf, max_iters, schedule)
     step = _Blocks.average if solver == "a_iwf" else _Blocks.sweep
     schedule = schedule or StepsizeSchedule()
     profiles, n = associations.shape

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_seed
+from .errors import ValidationError, check_count, check_seed, check_tolerance
 from .game import (
     EquilibriumReport, all_rates, copy_powers, random_feasible_powers, uniform_powers,
     validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
@@ -70,13 +70,13 @@ class JaspaConfig:
         self.memory_len = check_count("memory_len", self.memory_len)
         self.max_outer = check_count("max_outer", self.max_outer)
         self.seed = check_seed("seed", self.seed)
-        self.max_inner = check_solver_settings(self.inner_solver, self.eps_wf, self.max_inner,
-                                               "max_inner")
+        self.eps_wf, self.max_inner = check_solver_settings(
+            self.inner_solver, self.eps_wf, self.max_inner, self.schedule, name="max_inner"
+        )
         if self.selection not in ("uniform", "best"):
             raise ValidationError(f"unknown selection mode {self.selection!r}")
         self.coalition_cap = check_count("coalition_cap", self.coalition_cap)
-        if not (np.isfinite(self.eps_eq) and self.eps_eq >= 0.0):
-            raise ValidationError("eps_eq must be finite and >= 0")
+        self.eps_eq = check_tolerance("eps_eq", self.eps_eq)
 
 
 @dataclass

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError, check_count, check_seed
+from .errors import ScenarioParseError, ValidationError, check_count, check_real, check_seed
 
 # Distances below this are clamped before computing the mean gain, so that
 # co-located nodes do not produce unbounded gains.
@@ -162,8 +161,7 @@ class ScenarioGenParams:
             raise ValidationError(
                 f"num_channels ({self.num_channels}) must be >= num_aps ({self.num_aps})"
             )
-        if isinstance(self.area_side, bool) or not isinstance(self.area_side, Real):
-            raise ValidationError(f"area_side must be a number, got {self.area_side!r}")
+        check_real("area_side", self.area_side)
         if not (np.isfinite(self.area_side) and self.area_side > 0):
             raise ValidationError("area_side must be finite and positive")
 

@@ -8,6 +8,7 @@ from scipy.optimize import LinearConstraint, minimize
 
 import uplinkgame.inner as inner_module
 from uplinkgame import (
+    JaspaConfig,
     StepsizeSchedule,
     ValidationError,
     a_iwf,
@@ -19,12 +20,14 @@ from uplinkgame import (
     sum_rate,
     system_potential,
     uniform_powers,
+    verify_jep,
+    verify_power_ne,
     water_fill,
     wf_operator,
 )
 from uplinkgame.game import all_rates, per_ap_potential
 from uplinkgame.baselines import InnerConfig
-from uplinkgame.inner import ProfileLayout, evaluate_profile
+from uplinkgame.inner import ProfileLayout, evaluate_profile, solve_profiles
 
 from conftest import make_scenario, random_powers, unusable_ap_scenario
 
@@ -199,6 +202,63 @@ def test_direct_solver_calls_validate_their_settings(solver, eps_wf, max_iters):
     sc = make_scenario(4, 2, 8, seed=0)
     with pytest.raises(ValidationError):
         solver(sc, [0, 1, 0, 1], eps_wf=eps_wf, max_iters=max_iters)
+
+
+# Every library entry point that takes a tolerance: (the field its refusal
+# names, a call with scenario, association, powers and the tolerance).
+TOLERANCE_TAKERS = {
+    "InnerConfig": ("eps_wf", lambda sc, a, p, eps: InnerConfig(eps_wf=eps)),
+    "JaspaConfig.eps_wf": ("eps_wf", lambda sc, a, p, eps: JaspaConfig(eps_wf=eps)),
+    "JaspaConfig.eps_eq": ("eps_eq", lambda sc, a, p, eps: JaspaConfig(eps_eq=eps)),
+    "a_iwf": ("eps_wf", lambda sc, a, p, eps: a_iwf(sc, a, eps_wf=eps)),
+    "s_iwf": ("eps_wf", lambda sc, a, p, eps: s_iwf(sc, a, eps_wf=eps)),
+    "solve_profiles": ("eps_wf", lambda sc, a, p, eps: solve_profiles(sc, a[None], eps_wf=eps)),
+    "verify_jep": ("eps", lambda sc, a, p, eps: verify_jep(sc, a, p, eps)),
+    "verify_power_ne": ("eps", lambda sc, a, p, eps: verify_power_ne(sc, a, p, eps)),
+}
+
+
+@pytest.mark.parametrize("taker", TOLERANCE_TAKERS)
+@pytest.mark.parametrize("eps", ["1e-8", None, True, False])
+def test_a_tolerance_must_be_a_real_number(taker, eps):
+    # A string or None used to raise a bare TypeError, and a bool was read as
+    # 1 or 0: a_iwf with eps_wf=True stopped after 0 iterations.
+    field, call = TOLERANCE_TAKERS[taker]
+    sc = make_scenario(4, 2, 8, seed=0)
+    assoc = closest_ap(sc)
+    with pytest.raises(ValidationError, match=f"^{field} must be a number"):
+        call(sc, assoc, uniform_powers(sc, assoc), eps)
+
+
+@pytest.mark.parametrize("taker", TOLERANCE_TAKERS)
+@pytest.mark.parametrize("eps", [np.float64(1e-6), np.float32(1e-6), 0])
+def test_a_tolerance_may_be_any_real_number(taker, eps):
+    sc = make_scenario(4, 2, 8, seed=0)
+    assoc = closest_ap(sc)
+    TOLERANCE_TAKERS[taker][1](sc, assoc, uniform_powers(sc, assoc), eps)
+
+
+@pytest.mark.parametrize("exponent", ["0.6", None, True])
+@pytest.mark.parametrize("rule", ["polynomial", "safeguarded", "harmonic"])
+def test_schedule_exponent_must_be_a_number(rule, exponent):
+    with pytest.raises(ValidationError, match="^exponent must be a number"):
+        StepsizeSchedule(rule=rule, exponent=exponent)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc: InnerConfig(schedule="safeguarded"),
+        lambda sc: JaspaConfig(schedule="safeguarded"),
+        lambda sc: a_iwf(sc, closest_ap(sc), schedule="safeguarded"),
+        lambda sc: solve_profiles(sc, closest_ap(sc)[None], "a_iwf", schedule="safeguarded"),
+    ],
+    ids=["InnerConfig", "JaspaConfig", "a_iwf", "solve_profiles"],
+)
+def test_schedule_must_be_a_stepsize_schedule(call):
+    # A string was accepted, and the run then failed with an AttributeError.
+    with pytest.raises(ValidationError, match="^schedule must be a StepsizeSchedule"):
+        call(make_scenario(4, 2, 8, seed=0))
 
 
 def test_a_nan_residual_never_reads_as_converged(monkeypatch):

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 
 import uplinkgame as ug
+import uplinkgame.cli as cli_module
 from uplinkgame import JaspaConfig, StepsizeSchedule, jaspa, load_scenario
 from uplinkgame.cli import main
 from uplinkgame.trace import TRACE_HEADER, TraceRow, read_trace, write_trace
@@ -340,3 +343,75 @@ def test_bad_eps_eq_is_validation_error(tmp_path, algo, eps_eq):
         "--outdir", tmp_path,
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("algo", ["a_iwf", "s_iwf", "closest_ap"])
+def test_fixed_association_trace_closes_on_its_last_inner_row(tmp_path, scenario_file, algo):
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    assert run_cli(
+        "run", "--algo", algo, "--scenario", scenario_file, "--seed", 2,
+        "--out-trace", trace, "--out-summary", summary,
+    ) == 0
+    *inner, last = read_trace(trace)
+    assert [r.inner_iter for r in inner] == list(range(len(inner)))
+    assert last == dataclasses.replace(inner[-1], inner_iter=-1)
+    doc = json.loads(summary.read_text())
+    assert (doc["final_sum_rate"], doc["final_potential"], doc["final_association"]) == (
+        last.sum_rate, last.system_potential, last.association
+    )
+
+
+def test_compare_table_does_not_depend_on_where_exhaustive_is_listed(tmp_path):
+    tables = []
+    others = "jaspa,closest_ap,virtual_bound"
+    for algos in (f"exhaustive,{others}", f"{others},exhaustive"):
+        out = tmp_path / "cmp.csv"
+        assert run_cli(
+            "compare", "--algos", algos, "--reps", 3, "--n", 5, "--w", 2, "--k", 8,
+            "--m", 5, "--out", out,
+        ) == 0
+        header, *rows = out.read_text().splitlines()
+        tables.append({row.split(",")[0]: row for row in rows})
+    assert tables[0] == tables[1]
+    assert list(tables[0]) == ["exhaustive", "jaspa", "closest_ap", "virtual_bound"]
+
+
+def test_compare_has_no_seed_flag(tmp_path, capsys):
+    # compare seeds each rep from --seed-base; --seed was accepted and ignored.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", "--algos", "closest_ap", "--seed", 3, "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("--algos", "closest_ap", "--reps", 0), "reps"),
+        (("--algos", "closest_ap", "--reps", -1), "reps"),
+        (("--algos", "closest_ap,closest_ap"), "closest_ap"),
+        (("--algos", "jaspa", "--costs", "0,0.0"), r"jaspa\(c=0\)"),
+    ],
+)
+def test_compare_refuses_no_reps_and_repeated_entries(tmp_path, capsys, argv, field):
+    # A header-only table, or one row counting a repeated entry's runs twice.
+    out = tmp_path / "c.csv"
+    assert run_cli("compare", *argv, "--n", 4, "--w", 2, "--k", 4, "--out", out) == 3
+    assert re.search(f"validation error: .*{field}", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_compare_loads_its_scenario_once(tmp_path, scenario_file, monkeypatch):
+    loads = []
+
+    def spy(path):
+        loads.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr(cli_module, "load_scenario", spy)
+    assert run_cli(
+        "compare", "--algos", "closest_ap,si_jaspa", "--reps", 3, "--scenario", scenario_file,
+        "--m", 4, "--out", tmp_path / "c.csv",
+    ) == 0
+    assert loads == [str(scenario_file)]

@@ -20,11 +20,6 @@ Per scenario size and seed it hashes every float bit of:
   the ``s_iwf`` inner solver, and ``jaspa`` and ``si_jaspa`` with
   ``selection="best"`` and with a connection cost of 0.05.
 
-The accelerated cases are skipped on a source whose ``a_iwf`` lacks the
-``accelerate`` keyword, so the tool also runs on sources that predate it, and
-a per-case diff against such a run names the cases that moved and the cases
-that are new.
-
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
 one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
 where ``s_iwf`` and ``solve_profiles`` sweep 20 or more member slots.
@@ -37,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import inspect
 
 import numpy as np
 
@@ -108,9 +102,8 @@ def cases(n, w, k, seed):
             yield f"a_iwf/{name}/{label}", run
             yield f"evaluate_profile/a_iwf/{name}/{label}", evaluate_profile(sc, assoc, run.powers)
             yield f"best_reply_table/a_iwf/{name}/{label}", best_reply_table(sc, assoc, run.powers)
-            if "accelerate" in inspect.signature(ug.a_iwf).parameters:
-                run = ug.a_iwf(sc, assoc, schedule, max_iters=MAX_ITERS, accelerate=True)
-                yield f"a_iwf/accelerated/{name}/{label}", run
+            run = ug.a_iwf(sc, assoc, schedule, max_iters=MAX_ITERS, accelerate=True)
+            yield f"a_iwf/accelerated/{name}/{label}", run
         run = ug.s_iwf(sc, assoc, max_iters=MAX_ITERS)
         yield f"s_iwf/{label}", run
         powers = random_feasible(sc, assoc, rng)
@@ -137,6 +130,7 @@ def cases(n, w, k, seed):
             memory_len=n, seed=seed, max_outer=60, max_inner=MAX_ITERS, **settings
         )
         yield label, getattr(ug, label.split("/")[0])(sc, config)
+
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
