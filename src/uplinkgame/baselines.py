@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ResourceError, check_count
 from .inner import (
     InnerLoopResult, StepsizeSchedule, a_iwf, check_solver_settings, s_iwf, solve_profiles
 )
@@ -36,8 +37,7 @@ class InnerConfig:
         return s_iwf(scenario, association, **settings)
 
 
-@dataclass(frozen=True)
-class AssociationRecord:
+class AssociationRecord(NamedTuple):
     association: tuple
     sum_rate: float
     potential: float
@@ -79,6 +79,7 @@ def exhaustive_search(
     ResourceError when W^N exceeds the cap (sample associations instead of
     enumerating)."""
     inner = inner or InnerConfig()
+    enumeration_cap = check_count("enumeration_cap", enumeration_cap)
     n, w = scenario.num_mus, scenario.num_aps
     count = w**n
     if count > enumeration_cap:
@@ -97,19 +98,17 @@ def exhaustive_search(
                 scenario, profiles, inner.solver, inner.eps_wf, inner.max_iters, inner.schedule
             )
         )
-    columns = (np.concatenate(col).tolist() for col in zip(*parts))
-    table = [
-        AssociationRecord(assoc, *row)
-        for assoc, row in zip(itertools.product(range(w), repeat=n), zip(*columns))
-    ]
-    best = max(range(len(table)), key=lambda j: table[j].sum_rate)
-    top_pot = max(range(len(table)), key=lambda j: table[j].potential)
+    rates, potentials, converged = (np.concatenate(col).tolist() for col in zip(*parts))
+    assocs = itertools.product(range(w), repeat=n)
+    table = tuple(map(AssociationRecord._make, zip(assocs, rates, potentials, converged)))
+    best = max(range(count), key=rates.__getitem__)
+    top_pot = max(range(count), key=potentials.__getitem__)
     return ExhaustiveResult(
         best_association=table[best].association,
-        best_sum_rate=table[best].sum_rate,
+        best_sum_rate=rates[best],
         max_potential_association=table[top_pot].association,
-        max_potential=table[top_pot].potential,
-        table=tuple(table),
+        max_potential=potentials[top_pot],
+        table=table,
     )
 
 

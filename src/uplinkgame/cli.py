@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import os
 import statistics
@@ -28,9 +27,10 @@ from .inner import StepsizeSchedule
 from .jaspa import JaspaConfig, jaspa, se_jaspa, si_jaspa
 from .jjaspa import j_jaspa
 from .scenario import ScenarioGenParams, generate_scenario, load_scenario, save_scenario
-from .trace import TraceRow, association_label, inner_rows, write_summary, write_trace
+from .trace import association_label, inner_rows, outer_row, write_summary, write_trace
 
 JOINT_ALGOS = {"jaspa": jaspa, "se_jaspa": se_jaspa, "si_jaspa": si_jaspa, "j_jaspa": j_jaspa}
+COST_ALGOS = ("jaspa", "si_jaspa")  # the dynamics that read connection_cost
 ALGORITHMS = ("a_iwf", "s_iwf", *JOINT_ALGOS, "closest_ap", "exhaustive", "virtual_bound")
 
 
@@ -109,8 +109,9 @@ def _run_one(scenario, algo: str, args):
         assoc = closest_ap(scenario) if algo == "closest_ap" else _inner_association(scenario, args)
         res = inner.run(scenario, assoc)
         rows = inner_rows(0, assoc, res.trace)
-        last = dataclasses.replace(rows[-1], inner_iter=-1)  # the closing record
-        rows.append(last)
+        r = rows[-1]
+        last = outer_row(0, assoc, r.system_potential, r.sum_rate, r.residual_inf_norm)
+        rows.append(last)  # the closing record
         report = verify_jep(scenario, assoc, res.powers, args.eps_eq)
         return rows, {
             "converged": res.converged,
@@ -124,8 +125,7 @@ def _run_one(scenario, algo: str, args):
     if algo == "exhaustive":
         ex = exhaustive_search(scenario, inner, enumeration_cap=args.enumeration_cap)
         rows = [
-            TraceRow(j, -1, rec.potential, rec.sum_rate, 0.0,
-                     association_label(rec.association), 0)
+            outer_row(j, rec.association, rec.potential, rec.sum_rate)
             for j, rec in enumerate(ex.table)
         ]
         witness = np.asarray(ex.max_potential_association, dtype=np.intp)
@@ -143,12 +143,7 @@ def _run_one(scenario, algo: str, args):
 
     if algo == "virtual_bound":
         vr = virtual_ap_bound(scenario, inner)
-        rows = [
-            TraceRow(
-                0, -1, vr.capacity_bound, vr.equilibrium_sum_rate, 0.0,
-                "-".join(["1"] * scenario.num_mus), 0,
-            )
-        ]
+        rows = [outer_row(0, [0] * scenario.num_mus, vr.capacity_bound, vr.equilibrium_sum_rate)]
         return rows, {
             "converged": vr.converged,
             "final_sum_rate": vr.equilibrium_sum_rate,
@@ -209,13 +204,13 @@ def _cost_list(text: str) -> list[float]:
 
 def _expand_compare_algos(args) -> dict[str, tuple[str, float | None]]:
     """The compare entries as {label: (algorithm, connection cost or None)};
-    a joint algorithm gives one entry per ``--costs`` value."""
+    an algorithm of COST_ALGOS gives one entry per ``--costs`` value."""
     out = {}
     for algo in args.algos.split(","):
         algo = algo.strip()
         if algo not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {algo!r}")
-        costs = args.costs if algo in JOINT_ALGOS and args.costs else [None]
+        costs = args.costs if algo in COST_ALGOS and args.costs else [None]
         for cost in costs:
             label = algo if cost is None else f"{algo}(c={cost:g})"
             if label in out:

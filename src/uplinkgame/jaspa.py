@@ -26,7 +26,7 @@ from .inner import (
     InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings,
     evaluate_profile, keeps_hold, s_iwf,
 )
-from .trace import TraceRow, association_label, inner_rows
+from .trace import inner_rows, outer_row
 from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
 
 # Unused all_rates, verify_power_ne and water_fill_batch stay bound for perfbench's hooks.
@@ -177,9 +177,7 @@ class RunRecorder:
         res_inf, _, potential, total, rates = metrics[:5]
         here = tuple(association.tolist())
         self.streak = self.streak + 1 if self.detail and self.detail[-1].association == here else 1
-        self.rows.append(
-            TraceRow(t, -1, potential, total, res_inf, association_label(here), switch_count)
-        )
+        self.rows.append(outer_row(t, here, potential, total, res_inf, switch_count))
         beta, stay_counts = (None if a is None else a.copy() for a in (beta, stay_counts))
         self.detail.append(OuterRecord(t, here, total, potential, res_inf, rates, switch_count,
                                        beta, copy_powers(powers), stay_counts))

@@ -60,7 +60,6 @@ class ApMemory:
     def __init__(self, num_aps: int, cap: int):
         self.tables: list[dict] = [{} for _ in range(num_aps)]
         self.cap = cap
-        self.entries = 0
 
     def get(self, ap: int, coalition: tuple):
         return self.tables[ap].get(coalition)
@@ -81,8 +80,7 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
     table = memory.tables[int(ap)]
     rec = table.get(key)
     if rec is None:
-        memory.entries += 1
-        if memory.entries > memory.cap:
+        if sum(map(len, memory.tables)) >= memory.cap:
             raise ResourceError(
                 f"AP memory exceeded {memory.cap} coalition entries; raise "
                 "coalition_cap or reduce churn"
@@ -108,7 +106,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     never-seen coalition. Termination is proposed when the association is
     constant over memory_len+1 iterations and the best-response residual is
     below eps_wf, and declared only once the profile verifies as a joint
-    equilibrium."""
+    equilibrium. No connection costs: config.connection_cost has no effect."""
     n, w = scenario.num_mus, scenario.num_aps
     _warn_short_memory(config, n)
     rngs = per_mu_rngs(config.seed, n)

@@ -40,9 +40,17 @@ def association_label(association) -> str:
     return "-".join(str(int(a) + 1) for a in association)
 
 
+def outer_row(outer_iter, association, potential, sum_rate, residual_inf=0.0,
+              switch_count=0) -> TraceRow:
+    """An outer-level record: inner_iter -1, the association as its label."""
+    return TraceRow(outer_iter, -1, potential, sum_rate, residual_inf,
+                    association_label(association), switch_count)
+
+
 # One CSV record: csv.writer's bytes (its terminator is \r\n, and no field
 # here needs quoting), floats as format(x, ".17g").
 _LINE = "%d,%d,%.17g,%.17g,%.17g,%s,%d\r\n"
+_TYPES = (int, int, float, float, float, str, int)  # what read_trace converts back
 
 
 def write_trace(path, rows) -> None:
@@ -56,24 +64,22 @@ def write_trace(path, rows) -> None:
 
 
 def read_trace(path) -> list[TraceRow]:
+    """The rows of a trace file, each field converted with the type that
+    write_trace wrote it from. No header, a wrong one, a record of the wrong
+    length or a field that does not convert raises a ValidationError naming
+    the file and the line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRACE_HEADER:
-            raise ValidationError(f"{path}: unexpected trace header {header}")
-        for rec in reader:
-            rows.append(
-                TraceRow(
-                    outer_iter=int(rec[0]),
-                    inner_iter=int(rec[1]),
-                    system_potential=float(rec[2]),
-                    sum_rate=float(rec[3]),
-                    residual_inf_norm=float(rec[4]),
-                    association=rec[5],
-                    switch_count=int(rec[6]),
-                )
-            )
+        try:
+            if tuple(next(reader, ())) != TRACE_HEADER:
+                raise ValueError(f"expected the header {','.join(TRACE_HEADER)}")
+            for rec in reader:
+                if len(rec) != len(_TYPES):
+                    raise ValueError(f"expected {len(_TYPES)} fields, got {len(rec)}")
+                rows.append(TraceRow(*[kind(text) for kind, text in zip(_TYPES, rec)]))
+        except (ValueError, csv.Error) as exc:
+            raise ValidationError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return rows
 
 

@@ -307,3 +307,24 @@ def test_exhaustive_optimum_dominates_every_joint_equilibrium():
             run = algo(sc, cfg)
             assert run.converged
             assert sum_rate(sc, run.association, run.powers) <= tstar + 1e-9
+
+
+def test_footnote_argmaxes_read_the_table(footnote2):
+    # (0, 1) and (1, 0) tie; the first maximizer in lexicographic order wins.
+    result = exhaustive_search(footnote2)
+    assert result.max_potential_association == (0, 1)
+    rates = [rec.sum_rate for rec in result.table]
+    potentials = [rec.potential for rec in result.table]
+    assert result.best_sum_rate == rates[rates.index(max(rates))]
+    assert result.max_potential == potentials[potentials.index(max(potentials))]
+    assert result.table[potentials.index(max(potentials))].association == (0, 1)
+    for rec in result.table:
+        assert isinstance(rec, AssociationRecord)
+        association, sum_rate, potential, converged = rec
+        assert rec == AssociationRecord(association, sum_rate, potential, converged)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 0, -1, "8", None])
+def test_enumeration_cap_is_a_positive_integer(footnote2, cap):
+    with pytest.raises(ValidationError, match="enumeration_cap"):
+        exhaustive_search(footnote2, enumeration_cap=cap)

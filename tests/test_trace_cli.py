@@ -9,9 +9,9 @@ import pytest
 
 import uplinkgame as ug
 import uplinkgame.cli as cli_module
-from uplinkgame import JaspaConfig, StepsizeSchedule, jaspa, load_scenario
+from uplinkgame import JaspaConfig, StepsizeSchedule, ValidationError, jaspa, load_scenario
 from uplinkgame.cli import main
-from uplinkgame.trace import TRACE_HEADER, TraceRow, read_trace, write_trace
+from uplinkgame.trace import TRACE_HEADER, TraceRow, association_label, read_trace, write_trace
 
 
 def test_trace_round_trip(tmp_path):
@@ -415,3 +415,69 @@ def test_compare_loads_its_scenario_once(tmp_path, scenario_file, monkeypatch):
         "--m", 4, "--out", tmp_path / "c.csv",
     ) == 0
     assert loads == [str(scenario_file)]
+
+
+_GOOD = "0,-1,0.5,1,0,1-2,0\r\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),  # no header
+        ("outer_iter,inner_iter\r\n" + _GOOD, 1),
+        (",".join(TRACE_HEADER) + "\r\n" + _GOOD + "1,-1,0.5,1,0,1-2\r\n", 3),
+        (",".join(TRACE_HEADER) + "\r\n" + "1,-1,0.5,1,0,1-2,0,7\r\n", 2),
+        (",".join(TRACE_HEADER) + "\r\n" + _GOOD + _GOOD + "1,-1,x,1,0,1-2,0\r\n", 4),
+    ],
+    ids=["empty", "header", "six-fields", "eight-fields", "float"],
+)
+def test_read_trace_refuses_what_write_trace_does_not_write(tmp_path, text, line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValidationError, match=re.escape(f"{path}, line {line}:")):
+        read_trace(path)
+
+
+def test_outer_rows_equal_the_exhaustive_and_bound_rows(tmp_path, scenario_file):
+    from uplinkgame.trace import outer_row
+
+    sc = load_scenario(scenario_file)
+    traces = {}
+    for algo in ("exhaustive", "virtual_bound"):
+        traces[algo] = tmp_path / f"{algo}.csv"
+        assert run_cli(
+            "run", "--algo", algo, "--scenario", scenario_file,
+            "--out-trace", traces[algo], "--out-summary", tmp_path / f"{algo}.json",
+        ) == 0
+    inner = ug.InnerConfig(eps_wf=1e-8)
+    table = ug.exhaustive_search(sc, inner).table
+    want = [  # the rows as they were written by hand
+        TraceRow(j, -1, rec.potential, rec.sum_rate, 0.0, association_label(rec.association), 0)
+        for j, rec in enumerate(table)
+    ]
+    assert [outer_row(j, rec.association, rec.potential, rec.sum_rate)
+            for j, rec in enumerate(table)] == want == read_trace(traces["exhaustive"])
+    vr = ug.virtual_ap_bound(sc, inner)
+    bound = outer_row(0, [0] * sc.num_mus, vr.capacity_bound, vr.equilibrium_sum_rate)
+    assert bound.association == "-".join(["1"] * sc.num_mus) == "1-1-1-1"
+    assert [bound] == read_trace(traces["virtual_bound"])
+
+
+def test_compare_costs_sweep_only_the_dynamics_that_read_them(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run_cli(
+        "compare", "--algos", "jaspa,se_jaspa,j_jaspa", "--costs", "0,5", "--reps", 2,
+        "--n", 4, "--w", 2, "--k", 8, "--m", 4, "--out", out,
+    ) == 0
+    with open(out, newline="") as fh:
+        labels = [row["algorithm"] for row in csv.DictReader(fh)]
+    assert labels == ["jaspa(c=0)", "jaspa(c=5)", "se_jaspa", "j_jaspa"]
+
+
+def test_bad_enumeration_cap_is_a_validation_error(tmp_path, scenario_file, capsys):
+    code = run_cli(
+        "run", "--algo", "exhaustive", "--scenario", scenario_file, "--enumeration-cap", 0,
+        "--out-trace", tmp_path / "t.csv", "--out-summary", tmp_path / "s.json",
+    )
+    assert code == 3
+    assert "enumeration_cap" in capsys.readouterr().err

@@ -20,6 +20,15 @@ Per scenario size and seed it hashes every float bit of:
   the ``s_iwf`` inner solver, and ``jaspa`` and ``si_jaspa`` with
   ``selection="best"`` and with a connection cost of 0.05.
 
+At seed 0 of every size where the dynamics run, it also hashes the CLI's
+outputs, each run in-process in a temporary directory: ``generate``'s
+scenario file; ``run --algo X`` of all nine algorithms (exit code, trace CSV,
+and the summary without ``wall_time_s``, ``scenario`` and ``trace``), where
+``exhaustive`` over the enumeration cap is its exit code 4; and the CSV of
+two ``compare`` runs over two generated scenarios, one of every algorithm
+(``exhaustive`` under the cap only) and one of the four dynamics with
+``--costs 0,0.05``.
+
 The sizes include mixed channel widths (12,5,23), width-1 blocks (6,4,5),
 one AP (10,1,16), one MU (1,2,4) and blocks of up to 31 members (48,3,31),
 where ``s_iwf`` and ``solve_profiles`` sweep 20 or more member slots.
@@ -30,12 +39,18 @@ prints each case's digest, to find where two runs part.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import uplinkgame as ug
+from uplinkgame import cli
 from uplinkgame.inner import evaluate_profile, solve_profiles
 from uplinkgame.waterfill import best_reply_table
 
@@ -59,6 +74,9 @@ VARIANTS = (
     ("jaspa/cost", {"connection_cost": 0.05}),
     ("si_jaspa/cost", {"connection_cost": 0.05}),
 )
+ENUMERATION_CAP = 100_000  # the CLI's default
+# Summary fields that name a path or a time, not a result.
+UNHASHED_FIELDS = ("wall_time_s", "scenario", "trace")
 
 
 def feed(h, x) -> None:
@@ -70,6 +88,9 @@ def feed(h, x) -> None:
         h.update(f"{type(x).__name__}:{x!r};".encode())
     elif isinstance(x, (float, np.floating)):
         h.update(f"f{float(x).hex()};".encode())
+    elif isinstance(x, bytes):
+        h.update(f"b{len(x)};".encode())
+        h.update(x)
     elif dataclasses.is_dataclass(x):
         h.update(type(x).__name__.encode())
         for f in dataclasses.fields(x):
@@ -89,6 +110,47 @@ def random_feasible(scenario, association, rng) -> list:
         k = scenario.chan_idx[ap].size
         out.append(scenario.budget[i] * rng.uniform(0.2, 1.0) * rng.dirichlet(np.ones(k)))
     return out
+
+
+def cli_run(argv, *paths) -> list:
+    """The exit code of ``cli.main(argv)``, run with its output captured,
+    then the bytes of each of ``paths`` that it wrote (None for the others)."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    return [code, *(path.read_bytes() if path.exists() else None for path in paths)]
+
+
+def cli_cases(n, w, k, seed):
+    """(name, outputs) pairs of the CLI on one scenario size."""
+    flags = ("--m", n, "--max-outer", 60, "--max-inner", MAX_ITERS,
+             "--enumeration-cap", ENUMERATION_CAP)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scenario, trace, summary, table = (tmp / name for name in (
+            "s.scn", "run.trace.csv", "run.summary.json", "compare.csv"))
+        yield "cli/generate", cli_run(
+            ["generate", "--n", n, "--w", w, "--k", k, "--seed", seed, "--out", scenario], scenario
+        )
+        for algo in cli.ALGORITHMS:
+            code, rows, fields = cli_run(
+                ["run", "--algo", algo, "--scenario", scenario, "--seed", seed, *flags,
+                 "--out-trace", trace, "--out-summary", summary], trace, summary
+            )
+            if fields is not None:
+                fields = {key: value for key, value in json.loads(fields).items()
+                          if key not in UNHASHED_FIELDS}
+                fields = json.dumps(fields).encode()
+            yield f"cli/run/{algo}", [code, rows, fields]
+        every = [a for a in cli.ALGORITHMS if a != "exhaustive" or w**n <= ENUMERATION_CAP]
+        runs = (("cli/compare", every, ()),
+                ("cli/compare/costs", cli.JOINT_ALGOS, ("--costs", "0,0.05")))
+        for name, algos, costs in runs:
+            yield name, cli_run(
+                ["compare", "--algos", ",".join(algos), "--reps", 2, "--seed-base", seed,
+                 "--n", n, "--w", w, "--k", k, *flags, *costs, "--out", table], table
+            )
 
 
 def cases(n, w, k, seed):
@@ -123,6 +185,8 @@ def cases(n, w, k, seed):
         )
         for algo in ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa"):
             yield f"{algo}/{name}", getattr(ug, algo)(sc, config)
+    if seed == 0:
+        yield from cli_cases(n, w, k, seed)
     if n > DYNAMICS_MAX_MUS:
         return
     for label, settings in VARIANTS:
