@@ -29,9 +29,11 @@ the j-th member of every block at once equals stepping MU by MU, because
 blocks are independent and a block's members move in ascending MU order.
 
 An evaluation computes only what a step and the stop test read: one ``G*P``,
-scattered into ``Z`` through one flat row index, the totals and the noise
-plus interference, one water-fill call, the residual, the ``log2`` of the
-totals and the block potentials (which the safeguarded rule reads). The
+scattered into ``Z`` through one flat row index (whose slot sum, less each
+row, is also a profile's (N, K) interference matrix, on demand), the totals
+and the noise plus interference, one water-fill call, the residual, the
+``log2`` of the totals and the block potentials (which the safeguarded rule
+reads). The
 trace columns no step reads, per-MU rates and the sum rate, per-block
 squared residuals and their 2-norm, and the potential summed over the
 blocks, are functions of the kept log totals, noise plus interference,
@@ -81,6 +83,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -236,25 +239,29 @@ class _Blocks:
     below the previous one; ``history`` is an accelerated solve's memory."""
 
     def __init__(self, scenario, aps, members, ids=None, rows=None, pmat=None):
-        block, mus = np.nonzero(members)
+        block, mus = members.nonzero()
         self.scenario, self.aps, self.width = scenario, aps, scenario.chan_width[aps]
         self.members, self.block, self.mus = members, block, mus
         self.ids = np.arange(aps.size) if ids is None else ids
         self.rows = np.arange(mus.size) if rows is None else rows
-        self.widths = np.flatnonzero(np.bincount(self.width)).tolist()  # ascending
-        c, narrowest = self.widths[-1], self.widths[0]
-        cols = scenario.chan_table[aps, :c]
+        self.widths = sorted(set(self.width.tolist()))
+        self.one_width = len(self.widths) == 1
+        c = self.widths[-1]
+        self.num_channels = k = scenario.num_channels
+        self.cols = scenario.chan_table[aps, :c]  # each block's channels; a pad reads 0
         self.pmat = np.zeros((mus.size, c)) if pmat is None else np.ascontiguousarray(pmat[:, :c])
-        self.num_channels = scenario.num_channels
         self.sizes = np.bincount(block, minlength=aps.size)
-        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.starts = self.sizes.cumsum() - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
-        self.gain = scenario.gain_sq[mus[:, None], cols[block]]
-        self.noise = scenario.noise[cols]
-        pad = np.arange(c) >= self.width[:, None]  # all False for one width
-        self.real = ~pad[block]  # each row's own channels
-        self.gain[pad[block]] = 1.0
-        self.noise[pad] = np.inf
+        self.cell = mus[:, None] * k + self.cols[block]  # each row's cells in an (N, K) matrix
+        self.gain = scenario.gain_sq.take(self.cell)
+        self.noise = scenario.noise[self.cols]
+        self.real = np.ones(self.pmat.shape, dtype=bool)  # each row's own channels
+        if not self.one_width:
+            pad = np.arange(c) >= self.width[:, None]
+            self.real = ~pad[block]
+            self.gain[pad[block]] = 1.0
+            self.noise[pad] = np.inf
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
@@ -265,11 +272,11 @@ class _Blocks:
         self.flat = self.slot * aps.size + block
         # (block, size) of each width-1 block, in block order.
         self.singles = []
-        if narrowest == 1:
+        if self.widths[0] == 1:
             self.singles = [(b, int(self.sizes[b])) for b in np.flatnonzero(self.width == 1)]
-        self.potential = np.full(aps.size, -np.inf)
+        self.potential = np.empty(aps.size)
+        self.potential.fill(-np.inf)
         self.held = np.ones(aps.size, dtype=bool)
-        self.one_width = len(self.widths) == 1
         # Scratch for G*P or a step (rows, C), and the block totals (blocks, C).
         self.gp, self.tot = np.empty(self.pmat.shape), np.empty(self.noise.shape)
 
@@ -281,14 +288,13 @@ class _Blocks:
         out = []
         for w in self.widths:
             blocks = rows = slice(None)
-            if len(self.widths) > 1:
+            if not self.one_width:
                 blocks = np.flatnonzero(self.width == w)
                 rows = np.flatnonzero(self.width[self.block] == w)
-            sizes = self.sizes[blocks]
-            ends = np.cumsum(sizes)
-            ids = np.arange(self.width.size)[blocks].tolist()
-            bounds = list(zip(ids, (ends - sizes).tolist(), ends.tolist()))
-            out.append((w, blocks, rows, bounds))
+            sizes = self.sizes[blocks].tolist()
+            ids = range(len(sizes)) if self.one_width else blocks.tolist()
+            ends = accumulate(sizes)
+            out.append((w, blocks, rows, [(b, e - m, e) for b, m, e in zip(ids, sizes, ends)]))
         return out
 
     @cached_property
@@ -296,6 +302,17 @@ class _Blocks:
         """Per member slot j, the number of blocks with more than j members:
         the first ones, since blocks come largest first."""
         return [int(np.count_nonzero(self.sizes > j)) for j in range(int(self.sizes[0]))]
+
+    @cached_property
+    def cells(self):
+        """Where the blocks and the rows go in an (N, K) matrix: the channel
+        of each (block, column), K on a pad; each row's own cells' flat (N*K)
+        index, and where those cells lie in the rows (all of them with one
+        width)."""
+        if self.one_width:
+            return self.cols, self.cell, slice(None)
+        channel = np.where(self.real[self.starts], self.cols, self.num_channels)
+        return channel, self.cell[self.real], self.real
 
     @cached_property
     def padded(self):
@@ -535,6 +552,27 @@ class ProfileLayout:
         """Values (blocks,) of one evaluation, or (F, blocks) of F, added
         block by block in AP order from 0.0."""
         return reduce(operator.add, values.T[self.ap_order], 0.0)
+
+    def interference(self) -> np.ndarray:
+        """The (N, K) interference of the profile last evaluated, bit for bit
+        ``profile_table(..., rates=False)[1]``: on AP w's columns, w's block
+        total without the noise, less the row's own ``G*P`` (a non-member's
+        row keeps the total; an empty AP's columns are 0.0). A total is
+        ``Z``'s slot sum, the members' rows added in member order, as
+        ``profile_table`` adds its (N, K) rows, except for one lone column (a
+        profile whose only block has width 1): numpy reduces a (slots, 1, 1)
+        ``Z`` pairwise, so that sum runs in order here."""
+        b = self.blocks
+        n, k = self.association.size, b.num_channels
+        channel, flat, own = b.cells
+        z = b.z
+        received = np.add.reduce(z, axis=0) if z[0].size > 1 else np.cumsum(z, axis=0)[-1]
+        total = np.zeros(k + 1)
+        total[channel] = received
+        out = np.empty((n, k))
+        out[:] = total[:k]
+        out.reshape(-1)[flat] -= b.gp[own]
+        return out
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""

@@ -27,7 +27,7 @@ from .inner import (
     evaluate_profile, keeps_hold, s_iwf,
 )
 from .trace import inner_rows, outer_row
-from .waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
+from .waterfill import best_replies, best_reply_table, water_fill_batch
 
 # Unused all_rates, verify_power_ne and water_fill_batch stay bound for perfbench's hooks.
 
@@ -138,10 +138,22 @@ def sample_associations(rngs, probs: np.ndarray) -> np.ndarray:
 
 def uniform_picks(mask: np.ndarray, rngs) -> np.ndarray:
     """Per row i of ``mask`` (N, W), its ``rngs[i].integers(count)``-th True
-    column in ascending order: a uniform pick among them."""
-    order = np.argsort(~mask, axis=1, kind="stable")  # each row's True columns first
+    column in ascending order: a uniform pick among them. A row with one
+    True column draws nothing: ``integers(1)`` is 0 and leaves the stream's
+    state as it was, so every later draw is the same."""
     counts = np.count_nonzero(mask, axis=1).tolist()
-    return order[np.arange(mask.shape[0]), [int(r.integers(c)) for r, c in zip(rngs, counts)]]
+    draws = [0 if c == 1 else int(r.integers(c)) for r, c in zip(rngs, counts)]
+    if not any(draws):  # each row's first True column
+        return mask.argmax(axis=1)
+    order = np.argsort(~mask, axis=1, kind="stable")  # each row's True columns first
+    return order[np.arange(mask.shape[0]), draws]
+
+
+def ap_members(association: np.ndarray, num_aps: int) -> list:
+    """Each AP's members, ascending (an empty array at an empty AP)."""
+    order = np.argsort(association, kind="stable")
+    bounds = np.searchsorted(association[order], np.arange(num_aps + 1)).tolist()
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -378,9 +390,9 @@ def se_jaspa(scenario, config: JaspaConfig) -> RunResult:
     quiet = 0
     for body in range(config.max_outer):
         i = body % n
-        # Only the acting MU's row of the best-reply table.
-        interf = profile_table(scenario, assoc, powers, rates=False)[1]
-        br_rates, br_vecs = best_replies(scenario, interf[i : i + 1], [i])
+        # Only the acting MU's row of the best-reply table, against the
+        # interference of the profile just evaluated.
+        br_rates, br_vecs = best_replies(scenario, layout.interference()[i : i + 1], [i])
         pick = int(uniform_picks(br_rates == br_rates.max(), [rngs[i]])[0])  # among exact ties
         changed = pick != int(assoc[i])
         new_p = br_vecs[pick][0]
@@ -427,23 +439,32 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     for body in range(config.max_outer):
         nxt, (_, _, br_vecs) = _reselect(scenario, state, costs, config, rngs)
         # The (AP, member set) blocks whose members are the same in both profiles.
+        groups = ap_members(nxt, scenario.num_aps)
         kept = [
-            (ap, tuple(np.flatnonzero(nxt == ap).tolist()))
-            for ap in range(scenario.num_aps)
+            (ap, tuple(mus.tolist()))
+            for ap, mus in enumerate(groups)
             if np.array_equal(nxt == ap, state.association == ap)
         ]
         held = {ap for ap, members in kept if (ap, members) not in fallen}
-        new_powers = []
-        for i in range(scenario.num_mus):
-            target = br_vecs[int(nxt[i])][i]
-            if nxt[i] != state.association[i]:
-                state.stay_counts[i] = 1
-                new_powers.append(target.copy())
-            else:
-                state.stay_counts[i] += 1
-                alpha = config.schedule.block_alpha(int(state.stay_counts[i]), int(nxt[i]) in held)
-                new_powers.append((1.0 - alpha) * np.asarray(state.powers[i]) + alpha * target)
-        switch_count = int(np.sum(nxt != state.association))
+        moved = nxt != state.association
+        state.stay_counts += 1
+        state.stay_counts[moved] = 1
+        new_powers = [None] * scenario.num_mus
+        for ap, mus in enumerate(groups):
+            if not mus.size:
+                continue
+            # Row operations per AP: a mover takes its target, a stayer steps
+            # alpha of the way to it, each alpha the float block_alpha gives.
+            targets = br_vecs[ap].take(mus, axis=0)
+            stay = np.flatnonzero(~moved[mus])
+            if stay.size:
+                alpha = np.array([config.schedule.block_alpha(t, ap in held)
+                                  for t in state.stay_counts[mus[stay]].tolist()])[:, None]
+                current = np.array([state.powers[i] for i in mus[stay].tolist()])
+                targets[stay] = (1.0 - alpha) * current + alpha * targets[stay]
+            for i, row in zip(mus.tolist(), targets):
+                new_powers[i] = row
+        switch_count = int(np.count_nonzero(moved))
         state.association = nxt
         state.powers = new_powers
         last = metrics[5]

@@ -3,10 +3,14 @@ while APs remember the last power/interference profile of every coalition
 (exact MU set) that visited them.
 
 An MU's memory is a FIFO of (AP, interference row, rate) snapshots, the row
-from ``profile_table``'s (N, K) matrix; all MUs push at once, so one deque of
-(association, interference, rates) holds them all. An AP keeps, per
-coalition, the members' (members, K_w) power and interference rows in
-ascending MU order.
+from the (N, K) interference matrix that ``ProfileLayout.interference`` reads
+off the profile's evaluation (``profile_table``'s, bit for bit); all MUs push
+at once, so one deque of (association, interference, rates) holds them all.
+An AP keeps, per coalition, the members' (members, K_w) power and
+interference rows in ascending MU order. Each AP's members and power rows
+are built once per iteration, when the powers are set, and handed to the
+next iteration's coalition update; the returning coalitions water-fill in
+one padded call.
 
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes
@@ -28,9 +32,9 @@ from .game import verify_jep
 from .inner import ProfileLayout, evaluate_profile, keeps_hold
 from .jaspa import (
     JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _warn_short_memory,
-    per_mu_rngs, uniform_picks,
+    ap_members, per_mu_rngs, uniform_picks,
 )
-from .waterfill import best_replies, profile_table, water_fill_batch
+from .waterfill import best_replies, padded_noise, water_fill_batch
 
 
 def sample_mu_memory(memory: deque, rng: np.random.Generator):
@@ -71,11 +75,15 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
     key and bump its visit count; a potential strictly below the stored one
     releases the coalition's hold. Row r of the (members, K_w) ``powers``
     and ``interference`` belongs to ``coalition[r]``; the rows are stored in
-    the sorted key's order."""
+    the sorted key's order, and as given (not copied) when the coalition is
+    already ascending."""
     coalition = np.asarray(coalition, dtype=np.intp)
-    order = np.argsort(coalition, kind="stable")
-    key = tuple(coalition[order].tolist())
-    powers, interference = np.asarray(powers)[order], np.asarray(interference)[order]
+    key = tuple(coalition.tolist())
+    powers, interference = np.asarray(powers), np.asarray(interference)
+    if list(key) != sorted(key):
+        order = np.argsort(coalition, kind="stable")
+        key = tuple(coalition[order].tolist())
+        powers, interference = powers[order], interference[order]
     potential = float(potential)
     table = memory.tables[int(ap)]
     rec = table.get(key)
@@ -90,6 +98,45 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
     rec.held &= keeps_hold(rec.potential, potential)
     rec.powers, rec.interference, rec.potential = powers, interference, potential
     rec.visits += 1
+
+
+def _returning_steps(scenario, config: JaspaConfig, noise, groups: list, back: list) -> None:
+    """The power step of every returning coalition, in one padded
+    ``water_fill_batch`` call: ``back`` holds (AP, record) pairs, and
+    ``groups[ap]`` becomes (members, its (members, K_w) new power rows).
+    Each member steps the coalition's ``block_alpha`` of the way from its
+    stored powers to its water-fill against the stored interference. Rows
+    are padded to the widest AP's width C; a pad's noise in ``noise`` (W, C)
+    is +inf, an absent channel, and its stored power 0.0 stays 0.0."""
+    c = noise.shape[1]
+    aps = [ap for ap, _ in back]
+    mus = np.concatenate([groups[ap][0] for ap in aps])
+    sizes = [groups[ap][0].size for ap in aps]
+    row_aps = np.array(aps).repeat(sizes)
+    gains = scenario.gain_sq[mus[:, None], scenario.chan_table[row_aps]]  # a pad reads channel 0
+    floors = noise[row_aps]
+    floors += _padded([rec.interference for _, rec in back], c)
+    phi, _ = water_fill_batch(gains, floors, scenario.budget[mus])
+    alpha = np.array([config.schedule.block_alpha(rec.visits, rec.held) for _, rec in back])
+    alpha = alpha.repeat(sizes)[:, None]
+    new = (1.0 - alpha) * _padded([rec.powers for _, rec in back], c) + alpha * phi
+    lo = 0
+    for ap, m in zip(aps, sizes):
+        groups[ap] = (groups[ap][0], new[lo : lo + m, : scenario.chan_width[ap]])
+        lo += m
+
+
+def _padded(stacks: list, c: int) -> np.ndarray:
+    """The rows of (m, w) arrays, w <= c, stacked as one (rows, c) array,
+    zeros on the pads."""
+    if all(a.shape[1] == c for a in stacks):
+        return np.concatenate(stacks)
+    out = np.zeros((sum(len(a) for a in stacks), c))
+    lo = 0
+    for a in stacks:
+        out[lo : lo + len(a), : a.shape[1]] = a
+        lo += len(a)
+    return out
 
 
 def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
@@ -117,48 +164,46 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     layout = ProfileLayout()
     metrics = evaluate_profile(scenario, assoc, powers, layout)
     log.record(0, metrics, assoc, 0, powers)
+    # Each AP's members, ascending, and their (members, K_w) power rows.
+    groups = [(mus, np.reshape([powers[i] for i in mus.tolist()], (-1, cols.size)))
+              for mus, cols in zip(ap_members(assoc, w), scenario.chan_idx)]
+    noise = padded_noise(scenario)
     converged = False
     for body in range(config.max_outer):
         # Snapshots hold arrays that are never written again.
-        interf = profile_table(scenario, assoc, powers, rates=False)[1]
+        interf = layout.interference()
         memory.append((assoc, interf, metrics[4]))
-        for ap, cols in enumerate(scenario.chan_idx):
-            members = np.flatnonzero(assoc == ap)
-            stacked = np.reshape([powers[i] for i in members], (-1, cols.size))
-            ap_memory_update(
-                apmem, ap, members, stacked, interf[members].take(cols, axis=1), metrics[5][ap]
-            )
+        for ap, ((mus, stack), cols) in enumerate(zip(groups, scenario.chan_idx)):
+            ap_memory_update(apmem, ap, mus, stack, interf.take(mus, axis=0).take(cols, axis=1),
+                             metrics[5][ap])
 
         sampled = [sample_mu_memory(memory, rng) for rng in rngs]
         a_hat, rows, r_hat = (np.array([s[c][i] for i, s in enumerate(sampled)]) for c in range(3))
         best, _ = best_replies(scenario, rows)
         nxt = uniform_picks((best > r_hat[:, None]) | (np.arange(w) == a_hat[:, None]), rngs)
 
-        # One water-fill per returning coalition: its rows are independent.
-        new_powers: list = [None] * n
-        for ap in range(w):
-            members = np.flatnonzero(nxt == ap)
-            if members.size == 0:
-                continue
-            coalition = members.tolist()
-            rec = apmem.get(ap, tuple(coalition))
-            cols = scenario.chan_idx[ap]
+        # Each AP's members and (members, K_w) power rows: uniform random
+        # feasible rows for a new coalition, and one padded water-fill for
+        # the returning ones, whose rows are independent.
+        groups, back = [], []
+        for ap, (mus, cols) in enumerate(zip(ap_members(nxt, w), scenario.chan_idx)):
+            rec = apmem.get(ap, tuple(mus.tolist())) if mus.size else None
             if rec is None:
-                for i in coalition:
-                    frac = rngs[i].dirichlet(np.ones(cols.size + 1))[: cols.size]
-                    new_powers[i] = scenario.budget[i] * frac
-                continue
-            alpha = config.schedule.block_alpha(rec.visits, rec.held)
-            gains = scenario.gain_sq[np.ix_(members, cols)]
-            phi, _ = water_fill_batch(
-                gains, scenario.noise[cols] + rec.interference, scenario.budget[members]
-            )
-            for i, row in zip(coalition, (1.0 - alpha) * rec.powers + alpha * phi):
-                new_powers[i] = row
+                ones = np.ones(cols.size + 1)
+                stack = [scenario.budget[i] * rngs[i].dirichlet(ones)[: cols.size] for i in mus.tolist()]
+                groups.append((mus, np.reshape(stack, (-1, cols.size))))
+            else:
+                groups.append((mus, None))
+                back.append((ap, rec))
+        if back:
+            _returning_steps(scenario, config, noise, groups, back)
 
-        switch_count = int(np.sum(nxt != assoc))
+        powers = [None] * n
+        for mus, stack in groups:
+            for i, row in zip(mus.tolist(), stack):
+                powers[i] = row
+        switch_count = int(np.count_nonzero(nxt != assoc))
         assoc = nxt
-        powers = new_powers
         metrics = evaluate_profile(scenario, assoc, powers, layout)
         log.record(body + 1, metrics, assoc, switch_count, powers)
         if log.streak > config.memory_len and metrics[0] <= config.eps_wf:

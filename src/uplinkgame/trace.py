@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -50,7 +51,12 @@ def outer_row(outer_iter, association, potential, sum_rate, residual_inf=0.0,
 # One CSV record: csv.writer's bytes (its terminator is \r\n, and no field
 # here needs quoting), floats as format(x, ".17g").
 _LINE = "%d,%d,%.17g,%.17g,%.17g,%s,%d\r\n"
-_TYPES = (int, int, float, float, float, str, int)  # what read_trace converts back
+# What read_trace accepts and converts back, field by field: the forms that
+# %d, %.17g and association_label write.
+_INT = (int, re.compile(r"-?[0-9]+"))
+_FLOAT = (float, re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan"))
+_LABEL = (str, re.compile(r"[1-9][0-9]*(?:-[1-9][0-9]*)*"))
+_FIELDS = (_INT, _INT, _FLOAT, _FLOAT, _FLOAT, _LABEL, _INT)
 
 
 def write_trace(path, rows) -> None:
@@ -66,8 +72,9 @@ def write_trace(path, rows) -> None:
 def read_trace(path) -> list[TraceRow]:
     """The rows of a trace file, each field converted with the type that
     write_trace wrote it from. No header, a wrong one, a record of the wrong
-    length or a field that does not convert raises a ValidationError naming
-    the file and the line."""
+    length or a field in a form that write_trace does not write (an integer
+    as %d, a float as %.17g, an association as its label) raises a
+    ValidationError naming the file and the line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -75,9 +82,14 @@ def read_trace(path) -> list[TraceRow]:
             if tuple(next(reader, ())) != TRACE_HEADER:
                 raise ValueError(f"expected the header {','.join(TRACE_HEADER)}")
             for rec in reader:
-                if len(rec) != len(_TYPES):
-                    raise ValueError(f"expected {len(_TYPES)} fields, got {len(rec)}")
-                rows.append(TraceRow(*[kind(text) for kind, text in zip(_TYPES, rec)]))
+                if len(rec) != len(_FIELDS):
+                    raise ValueError(f"expected {len(_FIELDS)} fields, got {len(rec)}")
+                values = []
+                for name, (kind, form), text in zip(TRACE_HEADER, _FIELDS, rec):
+                    if not form.fullmatch(text):
+                        raise ValueError(f"{name} {text!r} is not in the form write_trace writes")
+                    values.append(kind(text))
+                rows.append(TraceRow(*values))
         except (ValueError, csv.Error) as exc:
             raise ValidationError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return rows

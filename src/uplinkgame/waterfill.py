@@ -8,7 +8,9 @@ sorted floors, so no iterative tolerance is involved.
 
 ``profile_table`` is the one pass over a profile: it gives the (N, K)
 interference matrix, which ``best_replies`` water-fills at every AP (for
-every MU or some), and, unless told not to, every MU's current rate.
+every MU or some), and, unless told not to, every MU's current rate. After
+an evaluation, ``inner.ProfileLayout.interference`` reads the same matrix
+off it, bit for bit.
 ``best_reply_table`` chains the two; it is the one kernel behind the joint
 dynamics' best replies and the equilibrium verifiers. ``wf_operator`` and
 the scalar functions in ``game`` are the reference oracles both are tested
@@ -25,6 +27,12 @@ from .errors import ValidationError
 
 
 _LARGEST = np.finfo(float).max
+# The most cells of one stacked ``best_replies`` call (96 KiB of floats). The C
+# allocator serves blocks of 128 KiB and more from fresh pages, whose faults
+# cost more than the calls a split adds: at (200,10,256) one call took 1.45×
+# the time of the per-AP calls, while two APs a call take about 0.9× of it,
+# as fast as three, with a third less memory for the temporaries.
+_STACK_CELLS = 12288
 
 
 @dataclass(frozen=True)
@@ -179,28 +187,61 @@ def profile_table(scenario, association, powers, rates: bool = True):
     return current, total - received
 
 
+def padded_noise(scenario) -> np.ndarray:
+    """Each AP's channel noise as one (W, C) array, C the widest AP's width,
+    and +inf on a narrower AP's pad columns: a floor over it is +inf, an
+    absent channel to ``water_fill_batch``."""
+    width = scenario.chan_width
+    noise = scenario.noise.take(scenario.chan_table)
+    if width.min() < noise.shape[1]:
+        noise[np.arange(noise.shape[1]) >= width[:, None]] = np.inf
+    return noise
+
+
 def best_replies(scenario, interference: np.ndarray, mus=None):
     """The batched ``wf_operator``: every MU's water-fill at every AP against
-    the given (N, K) interference rows, one ``water_fill_batch`` call per AP;
-    an AP where every gain of an MU vanishes gets power 0 and rate 0 from it.
-    ``mus`` restricts it to those MUs' rows (``interference`` then holds one
-    row each); the rows of ``water_fill_batch`` are independent, so each is
-    the full table's row bit for bit. Returns (rates (R, W), per-AP list of
-    (R, K_w) powers), R rows."""
+    the given (N, K) interference rows; an AP where every gain of an MU
+    vanishes gets power 0 and rate 0 from it. ``mus`` restricts it to those
+    MUs' rows (``interference`` then holds one row each). Returns (rates (R,
+    W), per-AP list of (R, K_w) powers), R rows.
+
+    Every (row, AP) pair is a row of one ``water_fill_batch`` call of width
+    C, the widest AP's: a narrower AP's pad columns have noise +inf, so their
+    floors are +inf, absent channels that move no bit of the real ones. The
+    rows of ``water_fill_batch`` are independent, so each pair is the
+    per-AP call's row bit for bit, and a ``mus`` row is the full table's.
+    The rates take one log pass; each AP's channels are summed over its own
+    width, once per distinct width, since numpy's pairwise row sum regroups
+    when the row length changes."""
     gain_sq, budget = scenario.gain_sq, scenario.budget
     if mus is not None:
         gain_sq, budget = gain_sq[mus], budget[mus]
-    rates = np.empty((budget.size, scenario.num_aps))
-    vecs = []
-    for ap in range(scenario.num_aps):
-        # take, not [:, cols]: the fancy gather is F-ordered, and the channel
-        # sum below would then run sequentially instead of pairwise.
-        cols = scenario.chan_idx[ap]
-        gains = gain_sq.take(cols, axis=1)
-        floors_phys = scenario.noise[cols] + interference.take(cols, axis=1)
-        phi, _ = water_fill_batch(gains, floors_phys, budget)
-        rates[:, ap] = np.log2(1.0 + gains * phi / floors_phys).sum(axis=1) / scenario.num_channels
-        vecs.append(phi)
+    r, (w, c) = budget.size, scenario.chan_table.shape
+    noise = padded_noise(scenario)
+    rates, vecs = np.empty((r, w)), []
+    step = max(1, _STACK_CELLS // (r * c))
+    for lo in range(0, w, step):
+        aps = slice(lo, lo + step)
+        table, width = scenario.chan_table[aps], scenario.chan_width[aps]
+        m = width.size
+        # take, not [:, table]: a fancy gather may come out F-ordered, and the
+        # channel sums below would then run sequentially instead of pairwise.
+        gains = gain_sq.take(table, axis=1)  # (R, m, C); a pad reads channel 0
+        floors = interference.take(table, axis=1)
+        floors += noise[aps]
+        phi, _ = water_fill_batch(gains.reshape(-1, c), floors.reshape(-1, c), budget.repeat(m))
+        phi = phi.reshape(r, m, c)
+        cells = np.multiply(gains, phi, out=gains)
+        cells /= floors
+        cells += 1.0
+        np.log2(cells, out=cells)  # 0.0 on the pads
+        widths = width.tolist()
+        distinct = set(widths)
+        for k in distinct:
+            own = slice(None) if len(distinct) == 1 else width == k
+            rates[:, lo : lo + m][:, own] = cells[:, own, :k].sum(axis=-1)
+        vecs += [phi[:, j, :k] for j, k in enumerate(widths)]
+    rates /= scenario.num_channels
     return rates, vecs
 
 

@@ -682,3 +682,35 @@ def test_accelerated_inner_solves_cut_jaspa_inner_iterations_fivefold(monkeypatc
             rates[accelerate] = run.detail[-1].sum_rate
         assert rates[True] == pytest.approx(rates[False], abs=1e-9)
     assert 5 * totals[True] <= totals[False]
+
+
+# ---------------------------------------------------------------------------
+# A one-AP pick draws nothing: numpy's integers(1) is 0 and moves no state.
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("before", ["fresh", "random", "integers"])
+def test_integers_of_one_is_zero_and_leaves_the_stream(seed, before):
+    rng = np.random.default_rng(seed)
+    if before == "random":
+        rng.random()
+    elif before == "integers":  # a bounded draw may leave half a 64-bit word buffered
+        rng.integers(5)
+    state = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == state
+
+
+def test_uniform_picks_on_one_ap_rows_advance_no_stream():
+    rngs = per_mu_rngs(3, 6)
+    states = [r.bit_generator.state for r in rngs]
+    mask = np.zeros((6, 4), dtype=bool)
+    picks = [0, 3, 1, 2, 3, 0]
+    mask[np.arange(6), picks] = True
+    assert uniform_picks(mask, rngs).tolist() == picks
+    assert [r.bit_generator.state for r in rngs] == states
+    # Rows with more than one AP draw once each; the one-AP rows still do not.
+    mask[[1, 4], 0] = True
+    uniform_picks(mask, rngs)
+    moved = [r.bit_generator.state != s for r, s in zip(rngs, states)]
+    assert moved == [False, True, False, False, True, False]

@@ -481,3 +481,42 @@ def test_bad_enumeration_cap_is_a_validation_error(tmp_path, scenario_file, caps
     )
     assert code == 3
     assert "enumeration_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        " 1_0,-1,1_0.5, 2 ,0,hello,1",  # each field in a form int() or float() would take
+        "1_0,-1,0.5,1,0,1-2,0",
+        " 1,-1,0.5,1,0,1-2,0",
+        "1,+1,0.5,1,0,1-2,0",
+        "1,-1,1_0.5,1,0,1-2,0",
+        "1,-1,0.5, 2 ,0,1-2,0",
+        "1,-1,0.5,1,1E-5,1-2,0",
+        "1,-1,Infinity,1,0,1-2,0",
+        "1,-1,NaN,1,0,1-2,0",
+        "1,-1,.5,1,0,1-2,0",
+        "1,-1,0.5,1,0,hello,0",
+        "1,-1,0.5,1,0,0-2,0",
+        "1,-1,0.5,1,0,1--2,0",
+        "1,-1,0.5,1,0,,0",
+        "1,-1,0.5,1,0,1-2,1.0",
+    ],
+)
+def test_read_trace_refuses_fields_that_write_trace_does_not_write(tmp_path, record):
+    path = tmp_path / "t.csv"
+    path.write_bytes((",".join(TRACE_HEADER) + "\r\n" + _GOOD + record + "\r\n").encode())
+    with pytest.raises(ValidationError, match=re.escape(f"{path}, line 3:")):
+        read_trace(path)
+
+
+def test_read_trace_reads_every_float_form_that_write_trace_writes(tmp_path):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e16, 1e17, 1.0 / 3.0,
+                -2.5, 1e300, 123456789012345678.0]
+    rows = [TraceRow(i, -1, x, -x, x, "1-10-3", 0) for i, x in enumerate(specials)]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trace(first, rows)
+    back = read_trace(first)
+    assert len(back) == len(rows)
+    write_trace(second, back)
+    assert second.read_bytes() == first.read_bytes()

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uplinkgame import (
-    ValidationError, best_response_rate, s_iwf, verify_jep, water_fill, wf_operator
+    NetworkScenario, ValidationError, best_response_rate, s_iwf, verify_jep, water_fill, wf_operator
 )
 from uplinkgame.game import interference_at, rate
+from uplinkgame.inner import ProfileLayout, evaluate_profile
 from uplinkgame.waterfill import best_replies, best_reply_table, profile_table, water_fill_batch
 
 from conftest import footnote_network, make_scenario, random_powers, unusable_ap_scenario
@@ -500,3 +501,127 @@ def test_interference_adds_each_block_in_member_order(n, w, k):
             for i in range(n):
                 own = sc.gain_sq[i, cols] * powers[i] if assoc[i] == ap else 0.0
                 assert np.array_equal(interference[i, cols], total - own)
+
+
+# ---------------------------------------------------------------------------
+# The stacked best-reply table, and the interference read off an evaluation.
+
+
+def per_ap_best_replies(scenario, interference, mus=None):
+    """``best_replies`` as one ``water_fill_batch`` call per AP."""
+    gain_sq, budget = scenario.gain_sq, scenario.budget
+    if mus is not None:
+        gain_sq, budget = gain_sq[mus], budget[mus]
+    rates, vecs = np.empty((budget.size, scenario.num_aps)), []
+    for ap, cols in enumerate(scenario.chan_idx):
+        gains = gain_sq.take(cols, axis=1)
+        floors = scenario.noise[cols] + interference.take(cols, axis=1)
+        phi, _ = water_fill_batch(gains, floors, budget)
+        rates[:, ap] = np.log2(1.0 + gains * phi / floors).sum(axis=1) / scenario.num_channels
+        vecs.append(phi)
+    return rates, vecs
+
+
+def block_scenario(n, widths, seed):
+    """N MUs and APs of the given channel widths, gains over four magnitudes."""
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum([0] + list(widths)).tolist()
+    return NetworkScenario(
+        num_mus=n, num_aps=len(widths), num_channels=bounds[-1],
+        ap_channels=tuple(tuple(range(lo + 1, hi + 1)) for lo, hi in zip(bounds, bounds[1:])),
+        gain_sq=10.0 ** rng.uniform(-3, 1, (n, bounds[-1])), noise=rng.uniform(0.01, 0.1, bounds[-1]),
+        budget=rng.uniform(0.5, 2.0, n), mu_positions=rng.random((n, 2)),
+        ap_positions=rng.random((len(widths), 2)), connection_cost=np.zeros(n),
+    )
+
+
+def assert_same_best_replies(sc, interference, mus=None):
+    got_rates, got_vecs = best_replies(sc, interference, mus)
+    want_rates, want_vecs = per_ap_best_replies(sc, interference, mus)
+    assert np.array_equal(got_rates, want_rates)
+    assert len(got_vecs) == sc.num_aps
+    for got, want in zip(got_vecs, want_vecs):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "n, w, k", [(12, 5, 23), (6, 4, 5), (10, 1, 16), (8, 2, 16), (16, 4, 48), (1, 3, 8)]
+)
+def test_stacked_best_replies_equal_the_per_ap_loop(n, w, k):
+    sc = make_scenario(n, w, k, seed=3)
+    spread = 10.0 ** np.random.default_rng(k).uniform(-4, 4, size=sc.gain_sq.shape)
+    sc = dataclasses.replace(sc, gain_sq=sc.gain_sq * spread)
+    rng = np.random.default_rng(n + w)
+    for assoc in (rng.integers(0, w, n), rng.integers(0, w, n), np.zeros(n, dtype=np.intp)):
+        interference = profile_table(sc, assoc, random_powers(sc, assoc, rng, slack=True))[1]
+        assert_same_best_replies(sc, interference)
+        for mus in ([0], [n - 1], list(range(n - 1, -1, -2))):
+            assert_same_best_replies(sc, interference[mus], mus)
+
+
+@pytest.mark.parametrize(
+    "n, widths",
+    # Stacks split into several calls, some holding only narrower APs, at
+    # widths where a pad column would regroup numpy's pairwise row sum.
+    [(400, (24, 23, 24, 23)), (400, (16, 15, 16, 15, 15)), (5, (24, 23, 1, 17)), (30, (3, 1, 2, 9, 16))],
+)
+def test_stacked_best_replies_sum_each_ap_over_its_own_width(n, widths):
+    sc = block_scenario(n, widths, seed=n)
+    rng = np.random.default_rng(len(widths))
+    assoc = rng.integers(0, sc.num_aps, n)
+    interference = profile_table(sc, assoc, random_powers(sc, assoc, rng, slack=True))[1]
+    assert_same_best_replies(sc, interference)
+    assert_same_best_replies(sc, interference[::3], np.arange(0, n, 3))
+
+
+def test_stacked_best_replies_keep_a_vanishing_gain_mu():
+    sc = unusable_ap_scenario()
+    rng = np.random.default_rng(4)
+    for assoc in ([0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]):
+        assoc = np.asarray(assoc)
+        interference = profile_table(sc, assoc, random_powers(sc, assoc, rng))[1]
+        assert_same_best_replies(sc, interference)
+        assert_same_best_replies(sc, interference[[0]], [0])
+        rates, vecs = best_replies(sc, interference)
+        assert rates[0, 1] == 0.0 and not vecs[1][0].any()
+
+
+def evaluated_interference(sc, assoc, powers, layout):
+    evaluate_profile(sc, assoc, powers, layout)
+    return layout.interference()
+
+
+@pytest.mark.parametrize(
+    "n, w, k",
+    [(12, 1, 1), (20, 1, 1), (40, 2, 2), (30, 3, 4), (16, 5, 6), (6, 4, 5), (12, 5, 23),
+     (10, 1, 16), (9, 4, 6), (8, 2, 16), (48, 3, 31)],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_evaluation_interference_equals_the_profile_table(n, w, k, seed):
+    # Gains over many magnitudes, so that any other order of the adds moves bits.
+    sc = make_scenario(n, w, k, seed=seed)
+    spread = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, size=sc.gain_sq.shape)
+    sc = dataclasses.replace(sc, gain_sq=sc.gain_sq * spread)
+    rng = np.random.default_rng(n + seed)
+    narrowest = int(np.argmin(sc.chan_width))
+    assocs = [rng.integers(0, w, n), rng.integers(0, w, n),
+              np.full(n, narrowest),  # one block: a lone column when it has width 1
+              np.arange(n) % max(w - 1, 1)]  # AP w - 1 empty when w > 1
+    layout = ProfileLayout()
+    for assoc in assocs:
+        for _ in range(2):  # a new association, then the same one again
+            powers = random_powers(sc, assoc, rng, slack=True)
+            got = evaluated_interference(sc, assoc, powers, layout)
+            assert np.array_equal(got, profile_table(sc, assoc, powers, rates=False)[1])
+
+
+def test_evaluation_interference_is_a_new_array_each_time():
+    sc = make_scenario(8, 2, 16, seed=1)
+    assoc = np.arange(8) % 2
+    powers = random_powers(sc, assoc, np.random.default_rng(0))
+    layout = ProfileLayout()
+    first = evaluated_interference(sc, assoc, powers, layout)
+    kept = first.copy()
+    second = evaluated_interference(sc, assoc, [2.0 * p for p in powers], layout)
+    assert second is not first and np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
