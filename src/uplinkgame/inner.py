@@ -12,12 +12,12 @@ layout of stacked rows, whatever the blocks' widths (``partition_channels``
 yields at most two). Blocks come in as (AP, member flags), largest first, and
 each block member is a row of one (rows, C) matrix, C the widest block's
 width, rows ordered by block, then MU index. A narrower block's pad channels
-have gain 1.0, power 0.0 and noise +inf, so their totals and water-fill
-floors are +inf, which ``water_fill_batch`` reads as absent channels (power
-0.0) without moving a bit of the real ones. The solvers pass it the rows'
-gains and noise plus interference; it forms the floors, so an MU whose every
-gain at its AP vanishes has no finite floor and gets power 0.0. One
-``_Blocks`` holds one profile's blocks, in the ``ProfileLayout`` that
+follow ``NetworkScenario.chan_noise``: power 0.0, and totals and water-fill
+floors +inf, absent channels that move no bit of the real ones. The solvers
+pass ``water_fill_batch`` the rows' gains and noise plus interference; it
+forms the floors, so an MU whose every gain at its AP vanishes has no finite
+floor and gets power 0.0.
+One ``_Blocks`` holds one profile's blocks, in the ``ProfileLayout`` that
 ``a_iwf``, ``s_iwf`` and ``evaluate_profile`` load, or the distinct blocks of
 many profiles (``solve_profiles``, where an MU has a row in each of its
 blocks). The two solvers differ only in their step, the ``_Blocks`` method
@@ -227,14 +227,14 @@ class _Blocks:
     row in every block it belongs to. Blocks come largest first, as ``aps``
     and (blocks, N) ``members`` flags; ``block`` and ``mus`` name each row's
     block and MU, rows sorted by block, then MU index. Every block's channels
-    are padded out to the widest block's width C: ``pmat`` (rows, C) holds the
-    rows' powers (zeros unless given; a given array may have more zero
-    columns), 0.0 on the pads, and ``real`` flags each row's own channels. A
-    pad channel has gain 1.0 and noise +inf, so its total and its floor are
-    +inf and its water-fill power is 0.0; with one width there are no pads.
-    Every channel sum runs over each block's own width, per width in
-    ``parts``. ``ids`` and ``rows`` label the blocks and the rows for the
-    caller (default: their positions). Per block, ``potential`` is the last
+    are padded out to the widest block's width C, as
+    ``NetworkScenario.chan_noise`` says: ``pmat`` (rows, C) holds the rows'
+    powers (zeros unless given; a given array may have more zero columns),
+    0.0 on the pads, and ``real`` flags each row's own channels, where its
+    block's ``noise`` is finite; with one width there are no pads. Every
+    channel sum runs over each block's own width, per width in ``parts``.
+    ``ids`` and ``rows`` label the blocks and the rows for the caller
+    (default: their positions). Per block, ``potential`` is the last
     evaluation's potential and ``held`` stays True until a potential falls
     below the previous one; ``history`` is an accelerated solve's memory."""
 
@@ -248,20 +248,15 @@ class _Blocks:
         self.one_width = len(self.widths) == 1
         c = self.widths[-1]
         self.num_channels = k = scenario.num_channels
-        self.cols = scenario.chan_table[aps, :c]  # each block's channels; a pad reads 0
+        self.cols = scenario.chan_table[aps, :c]  # each block's channels
         self.pmat = np.zeros((mus.size, c)) if pmat is None else np.ascontiguousarray(pmat[:, :c])
         self.sizes = np.bincount(block, minlength=aps.size)
         self.starts = self.sizes.cumsum() - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
         self.cell = mus[:, None] * k + self.cols[block]  # each row's cells in an (N, K) matrix
         self.gain = scenario.gain_sq.take(self.cell)
-        self.noise = scenario.noise[self.cols]
-        self.real = np.ones(self.pmat.shape, dtype=bool)  # each row's own channels
-        if not self.one_width:
-            pad = np.arange(c) >= self.width[:, None]
-            self.real = ~pad[block]
-            self.gain[pad[block]] = 1.0
-            self.noise[pad] = np.inf
+        self.noise = scenario.chan_noise[aps, :c]
+        self.real = np.isfinite(self.noise)[block]  # each row's own channels
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
@@ -316,7 +311,8 @@ class _Blocks:
 
     @cached_property
     def padded(self):
-        """The rows' gains (1.0 on pads) and budgets in Z's layout, and a
+        """The rows' gains (1.0 in an empty slot; pads as
+        ``NetworkScenario.chan_noise`` says) and budgets in Z's layout, and a
         power array of that layout for s_iwf's round."""
         shape = self.z.shape
         gain = np.ones(shape)
@@ -555,9 +551,9 @@ class ProfileLayout:
 
     def interference(self) -> np.ndarray:
         """The (N, K) interference of the profile last evaluated, bit for bit
-        ``profile_table(..., rates=False)[1]``: on AP w's columns, w's block
-        total without the noise, less the row's own ``G*P`` (a non-member's
-        row keeps the total; an empty AP's columns are 0.0). A total is
+        ``profile_table(...)[1]``: on AP w's columns, w's block total without
+        the noise, less the row's own ``G*P`` (a non-member's row keeps the
+        total; an empty AP's columns are 0.0). A total is
         ``Z``'s slot sum, the members' rows added in member order, as
         ``profile_table`` adds its (N, K) rows, except for one lone column (a
         profile whose only block has width 1): numpy reduces a (slots, 1, 1)

@@ -34,7 +34,7 @@ from .jaspa import (
     JaspaConfig, RunRecorder, RunResult, _initial_profile, _run_result, _warn_short_memory,
     ap_members, per_mu_rngs, uniform_picks,
 )
-from .waterfill import best_replies, padded_noise, water_fill_batch
+from .waterfill import best_replies, water_fill_batch
 
 
 def sample_mu_memory(memory: deque, rng: np.random.Generator):
@@ -100,21 +100,21 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
     rec.visits += 1
 
 
-def _returning_steps(scenario, config: JaspaConfig, noise, groups: list, back: list) -> None:
+def _returning_steps(scenario, config: JaspaConfig, groups: list, back: list) -> None:
     """The power step of every returning coalition, in one padded
     ``water_fill_batch`` call: ``back`` holds (AP, record) pairs, and
     ``groups[ap]`` becomes (members, its (members, K_w) new power rows).
     Each member steps the coalition's ``block_alpha`` of the way from its
     stored powers to its water-fill against the stored interference. Rows
-    are padded to the widest AP's width C; a pad's noise in ``noise`` (W, C)
-    is +inf, an absent channel, and its stored power 0.0 stays 0.0."""
-    c = noise.shape[1]
+    are padded to the widest AP's width C as ``NetworkScenario.chan_noise``
+    says, so a pad's stored power 0.0 stays 0.0."""
+    c = scenario.chan_noise.shape[1]
     aps = [ap for ap, _ in back]
     mus = np.concatenate([groups[ap][0] for ap in aps])
     sizes = [groups[ap][0].size for ap in aps]
     row_aps = np.array(aps).repeat(sizes)
-    gains = scenario.gain_sq[mus[:, None], scenario.chan_table[row_aps]]  # a pad reads channel 0
-    floors = noise[row_aps]
+    gains = scenario.gain_sq[mus[:, None], scenario.chan_table[row_aps]]
+    floors = scenario.chan_noise[row_aps]
     floors += _padded([rec.interference for _, rec in back], c)
     phi, _ = water_fill_batch(gains, floors, scenario.budget[mus])
     alpha = np.array([config.schedule.block_alpha(rec.visits, rec.held) for _, rec in back])
@@ -167,7 +167,6 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     # Each AP's members, ascending, and their (members, K_w) power rows.
     groups = [(mus, np.reshape([powers[i] for i in mus.tolist()], (-1, cols.size)))
               for mus, cols in zip(ap_members(assoc, w), scenario.chan_idx)]
-    noise = padded_noise(scenario)
     converged = False
     for body in range(config.max_outer):
         # Snapshots hold arrays that are never written again.
@@ -196,7 +195,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
                 groups.append((mus, None))
                 back.append((ap, rec))
         if back:
-            _returning_steps(scenario, config, noise, groups, back)
+            _returning_steps(scenario, config, groups, back)
 
         powers = [None] * n
         for mus, stack in groups:

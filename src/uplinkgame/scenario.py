@@ -78,9 +78,16 @@ class NetworkScenario:
     connection_cost: np.ndarray  # (N,)
     seed: Optional[int] = None
     chan_idx: tuple = field(init=False, repr=False)  # per-AP 0-based columns
-    # chan_idx as one (W, widest) array, zero-padded, and each AP's width.
+    # chan_idx as one (W, C) array, C the widest AP's width; each AP's width;
+    # and each AP's channel noise (W, C). The one pad convention of every
+    # batched kernel: a narrower AP's pad columns read channel 0 in
+    # chan_table, so a pad's gain is channel 0's, and +inf in chan_noise, so
+    # a floor over a pad is +inf, an absent channel to ``water_fill_batch``
+    # (power 0.0, and G*P 0.0). Noise is finite, so the finite entries of
+    # chan_noise are exactly each AP's own channels.
     chan_table: np.ndarray = field(init=False, repr=False)
     chan_width: np.ndarray = field(init=False, repr=False)
+    chan_noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, w, k = self.num_mus, self.num_aps, self.num_channels
@@ -136,11 +143,14 @@ class NetworkScenario:
         table = np.zeros((w, width.max()), dtype=np.intp)
         for ap, a in enumerate(idx):
             table[ap, : a.size] = a
-        for a in (*idx, table, width):
+        noise = self.noise.take(table)
+        noise[np.arange(table.shape[1]) >= width[:, None]] = np.inf
+        for a in (*idx, table, width, noise):
             a.setflags(write=False)
         object.__setattr__(self, "chan_idx", tuple(idx))
         object.__setattr__(self, "chan_table", table)
         object.__setattr__(self, "chan_width", width)
+        object.__setattr__(self, "chan_noise", noise)
 
 
 @dataclass(frozen=True)

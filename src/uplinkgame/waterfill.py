@@ -6,11 +6,11 @@ sum(p) <= budget. The optimum has the form p_k = max(level - f_k, 0) with
 effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
 
-``profile_table`` is the one pass over a profile: it gives the (N, K)
-interference matrix, which ``best_replies`` water-fills at every AP (for
-every MU or some), and, unless told not to, every MU's current rate. After
-an evaluation, ``inner.ProfileLayout.interference`` reads the same matrix
-off it, bit for bit.
+``profile_table`` is the one pass over a profile: it gives every MU's
+current rate and the (N, K) interference matrix, which ``best_replies``
+water-fills at every AP (for every MU or some). After an evaluation,
+``inner.ProfileLayout.interference`` reads the same matrix off it, bit for
+bit.
 ``best_reply_table`` chains the two; it is the one kernel behind the joint
 dynamics' best replies and the equilibrium verifiers. ``wf_operator`` and
 the scalar functions in ``game`` are the reference oracles both are tested
@@ -153,26 +153,24 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
     ).powers
 
 
-def profile_table(scenario, association, powers, rates: bool = True):
-    """The current rates (N,), None unless ``rates``, and the interference
-    (N, K) of a profile. APs own disjoint channels, so on AP w's columns MU
-    i's row holds w's block total less i's own received power (zero for
-    non-members): what i sees, or would see, there. A block total adds the
-    MUs' rows of ``G*P`` (zero outside their own blocks) from zero in MU
-    order, so in member order. The rates take one pass per AP, each MU's
-    interferers summed as ``game.interference_at`` sums them (predecessors'
-    cumulative sum, then successors one by one), so each equals
-    ``game.rate`` bit for bit."""
+def profile_table(scenario, association, powers):
+    """The current rates (N,) and the interference (N, K) of a profile. APs
+    own disjoint channels, so on AP w's columns MU i's row holds w's block
+    total less i's own received power (zero for non-members): what i sees,
+    or would see, there. A block total adds the MUs' rows of ``G*P`` (zero
+    outside their own blocks) from zero in MU order, so in member order. The
+    rates take one pass per AP, each MU's interferers summed as
+    ``game.interference_at`` sums them (predecessors' cumulative sum, then
+    successors one by one), so each equals ``game.rate`` bit for bit."""
     a = np.asarray(association)
-    width = scenario.chan_width[a]
-    rows = np.repeat(np.arange(a.size), width)
-    cols = scenario.chan_table[a][np.arange(scenario.chan_table.shape[1]) < width[:, None]]
+    rows = np.repeat(np.arange(a.size), scenario.chan_width[a])
+    cols = scenario.chan_table[a][np.isfinite(scenario.chan_noise[a])]  # each MU's own channels
     received = np.zeros((scenario.num_mus, scenario.num_channels))
     received[rows, cols] = scenario.gain_sq[rows, cols] * np.concatenate(powers)
     # numpy adds the rows of an (N, K) array one by one, but a lone column pairwise.
     total = received.sum(axis=0) if received.shape[1] > 1 else received.cumsum()[-1:]
-    current = np.zeros(scenario.num_mus) if rates else None
-    for ap in range(scenario.num_aps if rates else 0):
+    current = np.zeros(scenario.num_mus)
+    for ap in range(scenario.num_aps):
         members = np.flatnonzero(a == ap)
         if members.size == 0:
             continue
@@ -187,17 +185,6 @@ def profile_table(scenario, association, powers, rates: bool = True):
     return current, total - received
 
 
-def padded_noise(scenario) -> np.ndarray:
-    """Each AP's channel noise as one (W, C) array, C the widest AP's width,
-    and +inf on a narrower AP's pad columns: a floor over it is +inf, an
-    absent channel to ``water_fill_batch``."""
-    width = scenario.chan_width
-    noise = scenario.noise.take(scenario.chan_table)
-    if width.min() < noise.shape[1]:
-        noise[np.arange(noise.shape[1]) >= width[:, None]] = np.inf
-    return noise
-
-
 def best_replies(scenario, interference: np.ndarray, mus=None):
     """The batched ``wf_operator``: every MU's water-fill at every AP against
     the given (N, K) interference rows; an AP where every gain of an MU
@@ -206,18 +193,17 @@ def best_replies(scenario, interference: np.ndarray, mus=None):
     W), per-AP list of (R, K_w) powers), R rows.
 
     Every (row, AP) pair is a row of one ``water_fill_batch`` call of width
-    C, the widest AP's: a narrower AP's pad columns have noise +inf, so their
-    floors are +inf, absent channels that move no bit of the real ones. The
-    rows of ``water_fill_batch`` are independent, so each pair is the
-    per-AP call's row bit for bit, and a ``mus`` row is the full table's.
-    The rates take one log pass; each AP's channels are summed over its own
-    width, once per distinct width, since numpy's pairwise row sum regroups
-    when the row length changes."""
+    C, the widest AP's, padded as ``NetworkScenario.chan_noise`` says: pads
+    are absent channels that move no bit of the real ones. The rows of
+    ``water_fill_batch`` are independent, so each pair is the per-AP call's
+    row bit for bit, and a ``mus`` row is the full table's. The rates take
+    one log pass; each AP's channels are summed over its own width, once per
+    distinct width, since numpy's pairwise row sum regroups when the row
+    length changes."""
     gain_sq, budget = scenario.gain_sq, scenario.budget
     if mus is not None:
         gain_sq, budget = gain_sq[mus], budget[mus]
     r, (w, c) = budget.size, scenario.chan_table.shape
-    noise = padded_noise(scenario)
     rates, vecs = np.empty((r, w)), []
     step = max(1, _STACK_CELLS // (r * c))
     for lo in range(0, w, step):
@@ -226,9 +212,9 @@ def best_replies(scenario, interference: np.ndarray, mus=None):
         m = width.size
         # take, not [:, table]: a fancy gather may come out F-ordered, and the
         # channel sums below would then run sequentially instead of pairwise.
-        gains = gain_sq.take(table, axis=1)  # (R, m, C); a pad reads channel 0
+        gains = gain_sq.take(table, axis=1)  # (R, m, C)
         floors = interference.take(table, axis=1)
-        floors += noise[aps]
+        floors += scenario.chan_noise[aps]
         phi, _ = water_fill_batch(gains.reshape(-1, c), floors.reshape(-1, c), budget.repeat(m))
         phi = phi.reshape(r, m, c)
         cells = np.multiply(gains, phi, out=gains)

@@ -210,9 +210,12 @@ TOLERANCE_TAKERS = {
     "InnerConfig": ("eps_wf", lambda sc, a, p, eps: InnerConfig(eps_wf=eps)),
     "JaspaConfig.eps_wf": ("eps_wf", lambda sc, a, p, eps: JaspaConfig(eps_wf=eps)),
     "JaspaConfig.eps_eq": ("eps_eq", lambda sc, a, p, eps: JaspaConfig(eps_eq=eps)),
-    "a_iwf": ("eps_wf", lambda sc, a, p, eps: a_iwf(sc, a, eps_wf=eps)),
-    "s_iwf": ("eps_wf", lambda sc, a, p, eps: s_iwf(sc, a, eps_wf=eps)),
-    "solve_profiles": ("eps_wf", lambda sc, a, p, eps: solve_profiles(sc, a[None], eps_wf=eps)),
+    # A cap, so that eps_wf=0 does not run to the default 100,000 iterations.
+    "a_iwf": ("eps_wf", lambda sc, a, p, eps: a_iwf(sc, a, eps_wf=eps, max_iters=50)),
+    "s_iwf": ("eps_wf", lambda sc, a, p, eps: s_iwf(sc, a, eps_wf=eps, max_iters=50)),
+    "solve_profiles": (
+        "eps_wf", lambda sc, a, p, eps: solve_profiles(sc, a[None], eps_wf=eps, max_iters=50)
+    ),
     "verify_jep": ("eps", lambda sc, a, p, eps: verify_jep(sc, a, p, eps)),
     "verify_power_ne": ("eps", lambda sc, a, p, eps: verify_power_ne(sc, a, p, eps)),
 }

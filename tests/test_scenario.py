@@ -15,6 +15,7 @@ from uplinkgame import (
     partition_channels,
     save_scenario,
 )
+from uplinkgame.baselines import virtual_scenario
 from uplinkgame.cli import main
 from uplinkgame.scenario import sample_gains
 
@@ -289,6 +290,53 @@ def test_generation_params_store_python_ints():
 
 
 def test_scenario_arrays_are_read_only():
-    sc = generate_scenario(ScenarioGenParams(num_mus=2, num_aps=1, num_channels=2, seed=0))
-    with pytest.raises(ValueError):
-        sc.gain_sq[0, 0] = 2.0
+    sc = generate_scenario(ScenarioGenParams(num_mus=6, num_aps=4, num_channels=5, seed=0))
+    # chan_noise at a channel and at a pad.
+    for array, cell in ((sc.gain_sq, (0, 0)), (sc.chan_noise, (0, 0)), (sc.chan_noise, (1, 1))):
+        with pytest.raises(ValueError):
+            array[cell] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.chan_noise = np.ones((4, 2))
+
+
+# ---------------------------------------------------------------------------
+# chan_noise: each AP's channel noise, +inf on a narrower AP's pad columns.
+
+
+def _noisy(n, w, k, seed=0):
+    """A generated scenario with a distinct noise on every channel."""
+    sc = generate_scenario(ScenarioGenParams(n, w, k, seed=seed))
+    return dataclasses.replace(sc, noise=1.0 + np.arange(k) / 8)
+
+
+@pytest.mark.parametrize("n, w, k", [(12, 5, 23), (6, 4, 5)])
+def test_chan_noise_is_each_aps_noise_and_inf_on_its_pads(n, w, k):
+    sc = _noisy(n, w, k)
+    assert np.unique(sc.chan_width).size == 2
+    assert sc.chan_noise.shape == (w, sc.chan_width.max())
+    for ap, cols in enumerate(sc.chan_idx):
+        assert np.array_equal(sc.chan_noise[ap, : cols.size], sc.noise[cols])
+        assert np.all(sc.chan_noise[ap, cols.size :] == np.inf)
+    assert np.count_nonzero(np.isfinite(sc.chan_noise)) == k
+
+
+@pytest.mark.parametrize("n, w, k", [(8, 2, 16), (4, 3, 9), (5, 1, 7), (1, 1, 1)])
+def test_chan_noise_has_no_pads_at_one_width(n, w, k):
+    sc = _noisy(n, w, k)
+    assert np.isfinite(sc.chan_noise).all()
+    assert np.array_equal(sc.chan_noise, sc.noise[sc.chan_table])
+
+
+def test_chan_noise_is_rebuilt_with_the_scenario(tmp_path):
+    sc = _noisy(6, 4, 5)  # widths 2, 1, 1, 1
+    inf = np.inf
+    assert np.array_equal(sc.chan_noise, [[1.0, 1.125], [1.25, inf], [1.375, inf], [1.5, inf]])
+    replaced = dataclasses.replace(sc, noise=np.full(5, 0.5))
+    assert np.array_equal(replaced.chan_noise, [[0.5, 0.5], [0.5, inf], [0.5, inf], [0.5, inf]])
+    pooled = virtual_scenario(sc)
+    assert np.array_equal(pooled.chan_noise, [sc.noise])
+    path = tmp_path / "scenario.json"
+    save_scenario(sc, path)
+    loaded = load_scenario(path)
+    assert np.array_equal(loaded.chan_noise, sc.chan_noise)
+    assert not loaded.chan_noise.flags.writeable

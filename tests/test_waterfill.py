@@ -443,7 +443,7 @@ def test_an_ap_without_a_usable_channel_reads_power_and_rate_zero():
 
 
 # ---------------------------------------------------------------------------
-# The interference without the rates, and best replies for some MUs only.
+# The interference, and best replies for some MUs only.
 
 
 @pytest.mark.parametrize(
@@ -455,9 +455,7 @@ def test_row_only_best_replies_equal_the_full_table_rows(n, w, k):
     for assoc in (rng.integers(0, w, n), np.zeros(n, dtype=np.intp)):
         powers = random_powers(sc, assoc, rng, slack=True)
         current, rates, vecs = best_reply_table(sc, assoc, powers)
-        none, interference = profile_table(sc, assoc, powers, rates=False)
-        assert none is None
-        assert np.array_equal(interference, profile_table(sc, assoc, powers)[1])
+        interference = profile_table(sc, assoc, powers)[1]
         for mus in ([0], [n - 1], list(range(n - 1, -1, -2))):
             got_rates, got_vecs = best_replies(sc, interference[mus], mus)
             assert np.array_equal(got_rates, rates[mus])
@@ -473,7 +471,7 @@ def test_row_only_best_replies_keep_a_vanishing_gain_row():
         assoc = np.asarray(assoc)
         powers = random_powers(sc, assoc, np.random.default_rng(2))
         _, rates, vecs = best_reply_table(sc, assoc, powers)
-        interference = profile_table(sc, assoc, powers, rates=False)[1]
+        interference = profile_table(sc, assoc, powers)[1]
         for mu in range(sc.num_mus):
             got_rates, got_vecs = best_replies(sc, interference[[mu]], [mu])
             assert np.array_equal(got_rates[0], rates[mu])
@@ -492,7 +490,7 @@ def test_interference_adds_each_block_in_member_order(n, w, k):
     rng = np.random.default_rng(n)
     for assoc in (rng.integers(0, w, n), np.zeros(n, dtype=np.intp)):
         powers = random_powers(sc, assoc, rng, slack=True)
-        interference = profile_table(sc, assoc, powers, rates=False)[1]
+        interference = profile_table(sc, assoc, powers)[1]
         for ap in range(w):
             cols = sc.chan_idx[ap]
             total = np.zeros(cols.size)
@@ -612,7 +610,7 @@ def test_evaluation_interference_equals_the_profile_table(n, w, k, seed):
         for _ in range(2):  # a new association, then the same one again
             powers = random_powers(sc, assoc, rng, slack=True)
             got = evaluated_interference(sc, assoc, powers, layout)
-            assert np.array_equal(got, profile_table(sc, assoc, powers, rates=False)[1])
+            assert np.array_equal(got, profile_table(sc, assoc, powers)[1])
 
 
 def test_evaluation_interference_is_a_new_array_each_time():

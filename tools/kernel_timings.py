@@ -7,7 +7,7 @@ Per scenario size, (8,2,16), (16,4,48) and (200,10,256), on the closest-AP
 profile at uniform powers, it times:
 - ``water_fill_batch`` on one AP's (N, K_w) best-reply rows;
 - ``best_replies``, the whole table and one MU's row;
-- ``profile_table`` with and without the rates;
+- ``profile_table``;
 - the evaluation's interference, ``ProfileLayout.interference`` after
   ``evaluate_profile``;
 - ``evaluate_profile`` on the association its layout last loaded, and on a
@@ -53,7 +53,7 @@ def kernels(scenario) -> dict:
     powers = ug.uniform_powers(scenario, assoc)
     other = np.roll(assoc, 1)
     other_powers = ug.uniform_powers(scenario, other)
-    interference = profile_table(scenario, assoc, powers, rates=False)[1]
+    interference = profile_table(scenario, assoc, powers)[1]
     cols = scenario.chan_idx[0]
     gains = scenario.gain_sq.take(cols, axis=1)
     floors = scenario.noise[cols] + interference.take(cols, axis=1)
@@ -76,8 +76,7 @@ def kernels(scenario) -> dict:
         "water_fill_batch (N, K_w)": lambda: water_fill_batch(gains, floors, scenario.budget),
         "best_replies, full table": lambda: best_replies(scenario, interference),
         "best_replies, one row": lambda: best_replies(scenario, interference[:1], [0]),
-        "profile_table, rates": lambda: profile_table(scenario, assoc, powers),
-        "profile_table, no rates": lambda: profile_table(scenario, assoc, powers, rates=False),
+        "profile_table": lambda: profile_table(scenario, assoc, powers),
         "evaluation's interference": getattr(same, "interference", None),
         "evaluate_profile, same assoc": lambda: evaluate_profile(scenario, assoc, powers, same),
         "evaluate_profile, new assoc": new_association,
