@@ -71,8 +71,10 @@ class JaspaConfig:
         self.max_outer = check_count("max_outer", self.max_outer)
         self.seed = check_seed("seed", self.seed)
         self.eps_wf, self.max_inner = check_solver_settings(
-            self.inner_solver, self.eps_wf, self.max_inner, self.schedule, name="max_inner"
+            self.inner_solver, self.eps_wf, self.max_inner, name="max_inner"
         )
+        if not isinstance(self.schedule, StepsizeSchedule):  # None is a_iwf's default, not ours
+            raise ValidationError(f"schedule must be a StepsizeSchedule, got {self.schedule!r}")
         if self.selection not in ("uniform", "best"):
             raise ValidationError(f"unknown selection mode {self.selection!r}")
         self.coalition_cap = check_count("coalition_cap", self.coalition_cap)
@@ -439,31 +441,24 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     for body in range(config.max_outer):
         nxt, (_, _, br_vecs) = _reselect(scenario, state, costs, config, rngs)
         # The (AP, member set) blocks whose members are the same in both profiles.
-        groups = ap_members(nxt, scenario.num_aps)
         kept = [
             (ap, tuple(mus.tolist()))
-            for ap, mus in enumerate(groups)
+            for ap, mus in enumerate(ap_members(nxt, scenario.num_aps))
             if np.array_equal(nxt == ap, state.association == ap)
         ]
         held = {ap for ap, members in kept if (ap, members) not in fallen}
         moved = nxt != state.association
         state.stay_counts += 1
         state.stay_counts[moved] = 1
-        new_powers = [None] * scenario.num_mus
-        for ap, mus in enumerate(groups):
-            if not mus.size:
-                continue
-            # Row operations per AP: a mover takes its target, a stayer steps
-            # alpha of the way to it, each alpha the float block_alpha gives.
-            targets = br_vecs[ap].take(mus, axis=0)
-            stay = np.flatnonzero(~moved[mus])
-            if stay.size:
-                alpha = np.array([config.schedule.block_alpha(t, ap in held)
-                                  for t in state.stay_counts[mus[stay]].tolist()])[:, None]
-                current = np.array([state.powers[i] for i in mus[stay].tolist()])
-                targets[stay] = (1.0 - alpha) * current + alpha * targets[stay]
-            for i, row in zip(mus.tolist(), targets):
-                new_powers[i] = row
+        # A mover takes its target; a stayer steps alpha of the way to it.
+        new_powers = []
+        for i, (ap, move, t) in enumerate(zip(nxt.tolist(), moved.tolist(),
+                                              state.stay_counts.tolist())):
+            if move:
+                new_powers.append(br_vecs[ap][i].copy())
+            else:
+                alpha = config.schedule.block_alpha(t, ap in held)
+                new_powers.append((1.0 - alpha) * state.powers[i] + alpha * br_vecs[ap][i])
         switch_count = int(np.count_nonzero(moved))
         state.association = nxt
         state.powers = new_powers

@@ -9,8 +9,8 @@ at once, so one deque of (association, interference, rates) holds them all.
 An AP keeps, per coalition, the members' (members, K_w) power and
 interference rows in ascending MU order. Each AP's members and power rows
 are built once per iteration, when the powers are set, and handed to the
-next iteration's coalition update; the returning coalitions water-fill in
-one padded call.
+next iteration's coalition update; each returning coalition water-fills in
+one call at its own width.
 
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes
@@ -100,45 +100,6 @@ def ap_memory_update(memory: ApMemory, ap: int, coalition, powers, interference,
     rec.visits += 1
 
 
-def _returning_steps(scenario, config: JaspaConfig, groups: list, back: list) -> None:
-    """The power step of every returning coalition, in one padded
-    ``water_fill_batch`` call: ``back`` holds (AP, record) pairs, and
-    ``groups[ap]`` becomes (members, its (members, K_w) new power rows).
-    Each member steps the coalition's ``block_alpha`` of the way from its
-    stored powers to its water-fill against the stored interference. Rows
-    are padded to the widest AP's width C as ``NetworkScenario.chan_noise``
-    says, so a pad's stored power 0.0 stays 0.0."""
-    c = scenario.chan_noise.shape[1]
-    aps = [ap for ap, _ in back]
-    mus = np.concatenate([groups[ap][0] for ap in aps])
-    sizes = [groups[ap][0].size for ap in aps]
-    row_aps = np.array(aps).repeat(sizes)
-    gains = scenario.gain_sq[mus[:, None], scenario.chan_table[row_aps]]
-    floors = scenario.chan_noise[row_aps]
-    floors += _padded([rec.interference for _, rec in back], c)
-    phi, _ = water_fill_batch(gains, floors, scenario.budget[mus])
-    alpha = np.array([config.schedule.block_alpha(rec.visits, rec.held) for _, rec in back])
-    alpha = alpha.repeat(sizes)[:, None]
-    new = (1.0 - alpha) * _padded([rec.powers for _, rec in back], c) + alpha * phi
-    lo = 0
-    for ap, m in zip(aps, sizes):
-        groups[ap] = (groups[ap][0], new[lo : lo + m, : scenario.chan_width[ap]])
-        lo += m
-
-
-def _padded(stacks: list, c: int) -> np.ndarray:
-    """The rows of (m, w) arrays, w <= c, stacked as one (rows, c) array,
-    zeros on the pads."""
-    if all(a.shape[1] == c for a in stacks):
-        return np.concatenate(stacks)
-    out = np.zeros((sum(len(a) for a in stacks), c))
-    lo = 0
-    for a in stacks:
-        out[lo : lo + len(a), : a.shape[1]] = a
-        lo += len(a)
-    return out
-
-
 def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     """Run the joint-strategy dynamics.
 
@@ -182,20 +143,24 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
         nxt = uniform_picks((best > r_hat[:, None]) | (np.arange(w) == a_hat[:, None]), rngs)
 
         # Each AP's members and (members, K_w) power rows: uniform random
-        # feasible rows for a new coalition, and one padded water-fill for
-        # the returning ones, whose rows are independent.
-        groups, back = [], []
+        # feasible rows for a new coalition; for a returning one, each member
+        # steps the coalition's block_alpha of the way from its stored powers
+        # to its water-fill against the stored interference, one call per
+        # coalition, whose rows are independent.
+        groups = []
         for ap, (mus, cols) in enumerate(zip(ap_members(nxt, w), scenario.chan_idx)):
             rec = apmem.get(ap, tuple(mus.tolist())) if mus.size else None
             if rec is None:
                 ones = np.ones(cols.size + 1)
                 stack = [scenario.budget[i] * rngs[i].dirichlet(ones)[: cols.size] for i in mus.tolist()]
-                groups.append((mus, np.reshape(stack, (-1, cols.size))))
+                stack = np.reshape(stack, (-1, cols.size))
             else:
-                groups.append((mus, None))
-                back.append((ap, rec))
-        if back:
-            _returning_steps(scenario, config, groups, back)
+                alpha = config.schedule.block_alpha(rec.visits, rec.held)
+                phi, _ = water_fill_batch(scenario.gain_sq[mus][:, cols],
+                                          scenario.noise[cols] + rec.interference,
+                                          scenario.budget[mus])
+                stack = (1.0 - alpha) * rec.powers + alpha * phi
+            groups.append((mus, stack))
 
         powers = [None] * n
         for mus, stack in groups:

@@ -90,9 +90,11 @@ class NetworkScenario:
     chan_noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("num_mus", "num_aps", "num_channels"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_seed("seed", self.seed))
         n, w, k = self.num_mus, self.num_aps, self.num_channels
-        if n < 1 or w < 1 or k < 1:
-            raise ValidationError("num_mus, num_aps and num_channels must be >= 1")
         if len(self.ap_channels) != w:
             raise ValidationError("ap_channels: need one channel list per AP")
         seen: set[int] = set()

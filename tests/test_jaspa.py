@@ -142,6 +142,14 @@ def test_config_validation():
         jaspa(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
 
 
+@pytest.mark.parametrize("schedule", [None, "safeguarded", 0.5])
+def test_config_schedule_must_be_a_stepsize_schedule(schedule):
+    # None used to pass: jaspa then ran a_iwf's polynomial default, and
+    # si_jaspa and j_jaspa raised AttributeError.
+    with pytest.raises(ValidationError, match="schedule"):
+        JaspaConfig(schedule=schedule)
+
+
 @pytest.mark.parametrize("field", ["memory_len", "max_outer", "max_inner", "coalition_cap"])
 def test_config_counts_must_be_integers(field):
     for bad in (10.5, True):  # operator.index(True) is 1
@@ -371,15 +379,18 @@ def test_si_unchanged_blocks_replay_the_safeguarded_step(n, w, k, seed):
     # (8,2,16) run takes 148 held and 22 released block steps. In every run a
     # block leaves its AP and later returns; in the last three some return
     # below the potential it had when it left, which a comparison across the
-    # gap would read as a fall.
+    # gap would read as a fall. Every other MU is replayed too: a mover takes
+    # its best reply, and a stayer in a changed block steps alpha(stay count).
     sc = make_scenario(n, w, k, seed=seed)
     run = si_jaspa(sc, JaspaConfig(memory_len=n, seed=seed))
     assert run.converged
     fallen, steps, returns, last_kept = set(), {True: 0, False: 0}, 0, {}
+    moves = changed_stays = 0
     for t, (prev, cur) in enumerate(zip(run.detail, run.detail[1:])):
         before = evaluate_profile(sc, prev.association, prev.powers)[5]
         after = evaluate_profile(sc, cur.association, cur.powers)[5]
         _, _, br_vecs = best_reply_table(sc, np.asarray(prev.association), prev.powers)
+        in_kept = set()
         for ap in range(sc.num_aps):
             members = tuple(i for i, a in enumerate(prev.association) if a == ap)
             if not members or members != tuple(i for i, a in enumerate(cur.association) if a == ap):
@@ -389,12 +400,24 @@ def test_si_unchanged_blocks_replay_the_safeguarded_step(n, w, k, seed):
                 alpha = SAFEGUARD_ALPHA if held else StepsizeSchedule().alpha(cur.stay_counts[i])
                 want = (1.0 - alpha) * prev.powers[i] + alpha * br_vecs[ap][i]
                 assert np.array_equal(cur.powers[i], want)
+            in_kept.update(members)
             steps[held] += 1
             returns += last_kept.get((ap, members), t - 1) < t - 1
             last_kept[ap, members] = t
             if after[ap] < before[ap]:
                 fallen.add((ap, members))
+        for i, (a0, ap) in enumerate(zip(prev.association, cur.association)):
+            if i in in_kept:
+                continue
+            if a0 != ap:
+                want, moves = br_vecs[ap][i], moves + 1
+            else:
+                alpha = StepsizeSchedule().alpha(cur.stay_counts[i])
+                want = (1.0 - alpha) * prev.powers[i] + alpha * br_vecs[ap][i]
+                changed_stays += 1
+            assert np.array_equal(cur.powers[i], want)
     assert steps[True] > 0 and steps[False] > 0 and returns > 0
+    assert moves > 0 and changed_stays > 0
 
 
 def test_si_seeded_runs_reach_equilibria():

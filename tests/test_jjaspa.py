@@ -14,7 +14,7 @@ from uplinkgame import (
 )
 from uplinkgame.jjaspa import ApMemory, ap_memory_update
 
-from conftest import assert_coalition_replay, make_scenario
+from conftest import assert_coalition_replay, coalition_occurrences, make_scenario
 
 
 def base_config(**kw):
@@ -157,17 +157,26 @@ def test_coalition_subsequences_replay_averaged_water_filling():
     # under the paper's rule alpha(visits) throughout; under the default 1/2
     # until the coalition's potential first falls, then alpha(visits). The
     # second run releases coalitions under the default, so both steps replay.
-    runs = [((4, 2, 4, 11), dict(seed=7)), ((5, 2, 8, 2), dict(memory_len=5, seed=2))]
+    # The third has widths 4/3/3, and under both schedules coalitions at the
+    # narrower APs return, each water-filled at its own width.
+    runs = [((4, 2, 4, 11), dict(seed=7)), ((5, 2, 8, 2), dict(memory_len=5, seed=2)),
+            ((6, 3, 10, 0), dict(memory_len=6, seed=2))]
     default_steps = np.zeros(2, dtype=int)
     for (n, w, k, scenario_seed), kw in runs:
         sc = make_scenario(n, w, k, seed=scenario_seed)
         for schedule in (StepsizeSchedule(), JaspaConfig().schedule):
             cfg = base_config(schedule=schedule, **kw)
-            held, released = assert_coalition_replay(sc, cfg, j_jaspa(sc, cfg))
+            result = j_jaspa(sc, cfg)
+            held, released = assert_coalition_replay(sc, cfg, result)
             if schedule.rule == "polynomial":
                 assert held == 0 and released > 0
             else:
                 default_steps += (held, released)
+            if np.unique(sc.chan_width).size > 1:
+                narrow = [len(times) - 1 for (ap, key), times
+                          in coalition_occurrences(result.detail, w).items()
+                          if key and sc.chan_width[ap] < sc.chan_width.max()]
+                assert sum(narrow) > 0
     assert np.all(default_steps > 0)
 
 

@@ -289,6 +289,45 @@ def test_generation_params_store_python_ints():
     assert all(type(v) is int for v in values) and values == (4, 2, 8, 3)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_mus", 3.0),
+        ("num_mus", 0),
+        ("num_aps", True),
+        ("num_channels", 4.0),
+        ("seed", "abc"),
+        ("seed", 2.5),
+        ("seed", True),
+        ("seed", -1),
+    ],
+)
+def test_scenario_counts_and_seed_are_named_validation_errors(field, value):
+    # Each used to construct: a float count then failed in the solvers with
+    # a TypeError, and such a seed saved a file that load_scenario refused.
+    sc = generate_scenario(ScenarioGenParams(num_mus=4, num_aps=2, num_channels=4, seed=0))
+    with pytest.raises(ValidationError, match=field):
+        dataclasses.replace(sc, **{field: value})
+
+
+def test_scenario_stores_python_ints_and_round_trips(tmp_path):
+    sc = generate_scenario(ScenarioGenParams(num_mus=4, num_aps=2, num_channels=4, seed=0))
+    sc = dataclasses.replace(sc, num_mus=np.int64(4), num_aps=np.int32(2),
+                             num_channels=np.int64(4), seed=np.uint8(3))
+    values = (sc.num_mus, sc.num_aps, sc.num_channels, sc.seed)
+    assert all(type(v) is int for v in values) and values == (4, 2, 4, 3)
+    path = tmp_path / "s.scn"
+    save_scenario(sc, path)
+    back = load_scenario(path)
+    assert (back.num_mus, back.num_aps, back.num_channels, back.seed) == values
+    assert back.ap_channels == sc.ap_channels and np.array_equal(back.gain_sq, sc.gain_sq)
+
+
+def test_a_negative_seed_in_a_file_is_refused(tmp_path):
+    with pytest.raises(ValidationError, match="seed"):
+        load_scenario(_doc(tmp_path, seed=-1))
+
+
 def test_scenario_arrays_are_read_only():
     sc = generate_scenario(ScenarioGenParams(num_mus=6, num_aps=4, num_channels=5, seed=0))
     # chan_noise at a channel and at a pad.
