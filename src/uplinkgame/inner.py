@@ -95,6 +95,10 @@ from .waterfill import water_fill_batch
 
 # The step a safeguarded a_iwf block holds until its potential first falls.
 SAFEGUARD_ALPHA = 0.5
+# The tolerance of jaspa's inner solves at an association that just moved
+# (never below its eps_wf): step 3 reads those powers only to draw the next
+# association, and only a solve to eps_wf can end a run.
+LOOSE_EPS = 1e-2
 # The step differences each block of an accelerated a_iwf solve extrapolates
 # from.
 ANDERSON_MEMORY = 5

@@ -23,8 +23,8 @@ from .game import (
     validate_association, validate_costs, validate_powers, verify_jep, verify_power_ne,
 )
 from .inner import (
-    InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf, check_solver_settings,
-    evaluate_profile, keeps_hold, s_iwf,
+    LOOSE_EPS, InnerLoopResult, InnerTrace, ProfileLayout, StepsizeSchedule, a_iwf,
+    check_solver_settings, evaluate_profile, keeps_hold, s_iwf,
 )
 from .trace import inner_rows, outer_row
 from .waterfill import best_replies, best_reply_table, water_fill_batch
@@ -50,6 +50,9 @@ class JaspaConfig:
     set) block until the block's potential first falls, then takes the
     polynomial values. The blocks are the AP blocks of jaspa's a_iwf solves,
     the unchanged blocks of si_jaspa's stay steps and j_jaspa's coalitions.
+    eps_wf is the tolerance of the stop gate and of jaspa's inner solves,
+    except at an association that just moved: there they stop at
+    max(eps_wf, inner.LOOSE_EPS) (``jaspa``).
     """
 
     memory_len: int = 10
@@ -282,19 +285,17 @@ def _reselect(scenario, state: JaspaState, costs, config: JaspaConfig, rngs, tab
     return sample_associations(rngs, state.beta), table
 
 
-def _settled(scenario, state: JaspaState, streak, costs, config: JaspaConfig, residual=None):
+def _settled(scenario, state: JaspaState, streak, costs, config: JaspaConfig, residual):
     """The stop gate of jaspa and si_jaspa, in order: ``streak``, the equal
-    associations in a row ending the window, exceeds memory_len; the residual,
-    when given, is at most eps_wf; the profile verifies as stable under the
+    associations in a row ending the window, exceeds memory_len; the
+    residual is at most eps_wf; the profile verifies as stable under the
     connection costs in force (``verify_jep`` with those costs, the
-    joint-equilibrium test when they are zero)."""
-    return (
-        streak > config.memory_len
-        and (residual is None or residual <= config.eps_wf)
-        and verify_jep(
-            scenario, state.association, state.powers, config.eps_eq, costs
-        ).is_equilibrium
-    )
+    joint-equilibrium test when they are zero). Returns that ``verify_jep``
+    report when the gate passes, else None."""
+    if streak <= config.memory_len or not residual <= config.eps_wf:
+        return None
+    report = verify_jep(scenario, state.association, state.powers, config.eps_eq, costs)
+    return report if report.is_equilibrium else None
 
 
 def _run_result(algorithm, scenario, config, log, association, powers, converged,
@@ -314,31 +315,45 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     association (an Anderson-accelerated ``a_iwf`` solve, or ``s_iwf`` under
     inner_solver="s_iwf"), record a best reply per MU (uniform over the qualifying AP
     set), refresh the probability vectors, then resample every association.
+    A solve starts from the last powers: a stayer keeps its own, and a mover
+    enters its new AP at its water-fill there in the best-reply table step 3
+    just read. Step 3 reads a solve's powers only to draw the next
+    association, so while the association moves (the iteration's switch
+    count is positive) the solve stops at max(eps_wf, LOOSE_EPS); iteration
+    0 and every repeated association solve to eps_wf.
     A repeat of the association across memory_len+1 consecutive iterations
-    proposes termination; convergence is declared only if the profile then
-    verifies as stable under the connection costs in force, ``verify_jep``
-    with those costs (a constant window can occur by chance before stability,
-    since every qualifying set contains the current AP). With zero costs the
-    gate is exactly the joint equilibrium test. Deterministic under the
-    config seed. When no MU moved after a converged inner solve, a fresh solve
-    would stop at once on the bits of that solve's last evaluation and a fresh
-    table would repeat the last, so the iteration reuses both (0 iterations,
-    that trace row, the table); every random draw still happens."""
+    proposes termination; convergence is declared only if the last solve met
+    eps_wf and the profile then verifies as stable under the connection
+    costs in force, ``verify_jep`` with those costs (a constant window can
+    occur by chance before stability, since every qualifying set contains
+    the current AP). With zero costs the gate is exactly the joint
+    equilibrium test. A loose solve never ends a run, so a converged run is
+    certified on a tight solve; what convergence needs of step 3 is only
+    that the association settles, after which every solve is tight: inexact
+    best responses whose errors vanish (Scutari, Facchinei, Song, Palomar
+    and Pang, "Decomposition by Partial Linearization", IEEE TSP 2014).
+    Deterministic under the config seed. When no MU moved after a solve that
+    met eps_wf, a fresh solve would stop at once on the bits of that solve's
+    last evaluation and a fresh table would repeat the last, so the
+    iteration reuses both (0 iterations, that trace row, the table); every
+    random draw still happens. inner_nonconverged counts the solves that
+    stopped at max_inner, short of their own tolerance."""
     _warn_short_memory(config, scenario.num_mus)
     costs, rngs, state, log = _start(scenario, config, random_powers=False)
-    converged = False
+    report = None
     switch_count = 0
     inner_nonconverged = 0
     repeat = table = None  # a repeated profile's solve, and its table
     for body in range(config.max_outer):
+        eps = max(config.eps_wf, LOOSE_EPS) if switch_count else config.eps_wf
         if repeat is not None:
             inner = repeat
         elif config.inner_solver == "s_iwf":
-            inner = s_iwf(scenario, state.association, eps_wf=config.eps_wf,
+            inner = s_iwf(scenario, state.association, eps_wf=eps,
                           max_iters=config.max_inner, initial_powers=state.powers)
         else:
             inner = a_iwf(scenario, state.association, schedule=config.schedule,
-                          eps_wf=config.eps_wf, max_iters=config.max_inner,
+                          eps_wf=eps, max_iters=config.max_inner,
                           initial_powers=state.powers, accelerate=True)
         state.powers = inner.powers
         inner_nonconverged += not inner.converged
@@ -346,32 +361,32 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
 
         nxt, table = _reselect(scenario, state, costs, config, rngs, table)
         tr, cur_rates = inner.trace, table[0]
-        metrics = (float(tr.residual_inf[-1]), None, float(tr.potential[-1]),
-                   float(cur_rates.sum()), cur_rates)
+        residual = float(tr.residual_inf[-1])
+        metrics = (residual, None, float(tr.potential[-1]), float(cur_rates.sum()), cur_rates)
         log.record(body, metrics, state.association, switch_count, state.powers, beta=state.beta)
         streak = log.streak + 1 if np.array_equal(nxt, state.association) else 0
-        if _settled(scenario, state, streak, costs, config):
+        report = _settled(scenario, state, streak, costs, config, residual)
+        if report is not None:
             # The sampled association equals the evaluated one, so the latest
             # inner equilibrium is the final power profile.
-            converged = True
             break
 
-        # Warm-start the next inner loop: movers restart from a uniform spread.
+        # Warm-start the next inner loop: a mover enters its new AP at its
+        # water-fill there in this profile's best-reply table.
         moved = np.flatnonzero(nxt != state.association)
-        for i in moved:
-            k = scenario.chan_idx[int(nxt[i])].size
-            state.powers[i] = np.full(k, scenario.budget[i] / k)
+        for i in moved.tolist():
+            state.powers[i] = table[2][int(nxt[i])][i].copy()
         switch_count = moved.size
         state.association = nxt
-        if moved.size or not inner.converged:
+        if moved.size or not residual <= config.eps_wf:
             repeat = table = None
         else:  # the trace's last row, whose alpha is nan
             last = InnerTrace(*(column[-1:] for column in vars(tr).values()))
             repeat = InnerLoopResult(inner.powers, 0, True, last)
 
     return _run_result(
-        "jaspa", scenario, config, log, state.association, state.powers, converged,
-        len(log.detail) + 1, inner_nonconverged,
+        "jaspa", scenario, config, log, state.association, state.powers, report is not None,
+        len(log.detail) + 1, inner_nonconverged, None if costs.any() else report,
     )
 
 
@@ -437,7 +452,7 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
     metrics = evaluate_profile(scenario, state.association, state.powers, layout)
     log.record(0, metrics, state.association, 0, state.powers, state.beta, state.stay_counts)
     fallen: set = set()
-    converged = False
+    report = None
     for body in range(config.max_outer):
         nxt, (_, _, br_vecs) = _reselect(scenario, state, costs, config, rngs)
         # The (AP, member set) blocks whose members are the same in both profiles.
@@ -469,11 +484,11 @@ def si_jaspa(scenario, config: JaspaConfig) -> RunResult:
             body + 1, metrics, state.association, switch_count, state.powers,
             state.beta, state.stay_counts,
         )
-        if _settled(scenario, state, log.streak, costs, config, metrics[0]):
-            converged = True
+        report = _settled(scenario, state, log.streak, costs, config, metrics[0])
+        if report is not None:
             break
 
     return _run_result(
-        "si_jaspa", scenario, config, log, state.association, state.powers, converged,
-        len(log.detail),
+        "si_jaspa", scenario, config, log, state.association, state.powers, report is not None,
+        len(log.detail), report=None if costs.any() else report,
     )

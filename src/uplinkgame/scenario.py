@@ -253,11 +253,13 @@ def save_scenario(scenario: NetworkScenario, path) -> None:
 def _indented(value, depth: int = 0):
     """The text of ``json.dumps(value, indent=1)``, in pieces. An indent
     selects json's pure-Python encoder, so the layout is made here and each
-    list of scalars is one C-encoder call, its items joined by the indent."""
+    list of scalars is one C-encoder call, its items joined by the indent.
+    Every list is an ``ndarray.tolist()`` or a list of int lists, so its first
+    item tells whether it holds scalars."""
     pad = "\n" + " " * (depth + 1)
     if not value or not isinstance(value, (list, dict)):
         yield json.dumps(value)
-    elif isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
+    elif isinstance(value, list) and not isinstance(value[0], (list, dict)):
         yield "[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + pad[:-1] + "]"
     else:
         keyed = isinstance(value, dict)

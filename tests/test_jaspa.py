@@ -462,21 +462,25 @@ def test_verifiers_and_dynamics_avoid_the_scalar_oracles(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# A profile that repeats after a converged inner solve is not solved again
+# A profile that repeats after a solve that met eps_wf is not solved again
 
-# (solver, max_inner) at (8,2,16), seed 3: every solve converges; a cap of
-# one round leaves 8 of 19 s_iwf solves unconverged; a cap of 3 leaves every
-# a_iwf solve unconverged, so every iteration solves.
+# (solver, max_inner) at (8,2,16), seed 3: every a_iwf solve converges, at a
+# cap of 3 too; a cap of one round leaves 2 of 15 s_iwf solves unconverged.
+# Iteration 9 follows a move, and its loose solve ends above eps_wf under a_iwf
+# (either cap) and under an s_iwf cap of one round, so the repeat at iteration
+# 10 solves again there.
 REPEATS = [("a_iwf", 100_000), ("s_iwf", 100_000), ("s_iwf", 1), ("a_iwf", 3)]
 
 
 def _spy_jaspa(monkeypatch, sc, config):
-    """Run jaspa; return the run, its inner solves and, per outer
-    iteration, the (association, powers, best-reply table) of step 3."""
+    """Run jaspa; return the run, its inner solves, per outer iteration the
+    (association, powers, best-reply table) of step 3, and per solve its
+    (eps_wf, initial powers)."""
     jaspa_module = importlib.import_module("uplinkgame.jaspa")
-    solves, tables = [], []
+    solves, tables, calls = [], [], []
     for name in ("a_iwf", "s_iwf"):
         def solve(*args, _real=getattr(jaspa_module, name), **kwargs):
+            calls.append((kwargs["eps_wf"], game.copy_powers(kwargs["initial_powers"])))
             solves.append(_real(*args, **kwargs))
             return solves[-1]
 
@@ -489,20 +493,27 @@ def _spy_jaspa(monkeypatch, sc, config):
         return out
 
     monkeypatch.setattr(jaspa_module, "_reselect", reselect)
-    return jaspa(sc, config), solves, tables
+    return jaspa(sc, config), solves, tables, calls
 
 
-def _repeats(run, solves):
+def _repeats(run, solves, eps_wf):
     """The outer iterations whose association equals the previous one's
-    after a converged solve, replayed from the run's records."""
-    reused, calls, converged = [], iter(solves), False
+    after a solve whose last residual met ``eps_wf``, replayed from the
+    run's records."""
+    reused, calls, tight = [], iter(solves), False
     for t, rec in enumerate(run.detail):
-        if t and converged and rec.association == run.detail[t - 1].association:
+        if t and tight and rec.association == run.detail[t - 1].association:
             reused.append(t)
         else:
-            converged = next(calls).converged
+            tight = next(calls).trace.residual_inf[-1] <= eps_wf
     assert next(calls, None) is None
     return reused
+
+
+def _solved(run, solves, eps_wf):
+    """The outer iterations that solved, in the order of ``solves``."""
+    reused = set(_repeats(run, solves, eps_wf))
+    return [t for t in range(len(run.detail)) if t not in reused]
 
 
 @pytest.mark.parametrize("solver, max_inner", REPEATS)
@@ -511,23 +522,27 @@ def test_jaspa_solves_once_per_outer_iteration_unless_a_converged_profile_repeat
 ):
     sc = make_scenario(8, 2, 16, seed=3)
     config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, max_inner=max_inner)
-    run, solves, _ = _spy_jaspa(monkeypatch, sc, config)
+    run, solves, _, _ = _spy_jaspa(monkeypatch, sc, config)
     assert run.converged
-    reused = _repeats(run, solves)
+    reused = _repeats(run, solves, config.eps_wf)
     assert len(solves) + len(reused) == len(run.detail)
-    assoc = [rec.association for rec in run.detail]
-    repeated = [t for t in range(1, len(assoc)) if assoc[t] == assoc[t - 1]]
-    if max_inner > 3:
-        assert reused == repeated != []
-    else:  # some repeats follow an unconverged solve, and solve again
-        assert set(reused) < set(repeated)
+    detail = run.detail
+    repeated = [t for t in range(1, len(detail)) if detail[t].association == detail[t - 1].association]
+    # A repeat is reused exactly when the record before it met eps_wf.
+    assert reused == [t for t in repeated if detail[t - 1].residual_inf <= config.eps_wf] != []
+    if max_inner > 3:  # every repeat that solves again follows a loose solve
+        assert all(detail[t - 1].switch_count > 0 for t in set(repeated) - set(reused))
+    if (solver, max_inner) == ("s_iwf", 100_000):
+        assert reused == repeated
+    else:  # the repeat after iteration 9's loose solve solves again
+        assert set(reused) == set(repeated) - {10}
 
 
 @pytest.mark.parametrize("solver, max_inner", REPEATS)
 def test_jaspa_reused_iterations_equal_a_fresh_solve_and_table(monkeypatch, solver, max_inner):
     sc = make_scenario(8, 2, 16, seed=3)
     config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, max_inner=max_inner)
-    run, solves, tables = _spy_jaspa(monkeypatch, sc, config)
+    run, solves, tables, _ = _spy_jaspa(monkeypatch, sc, config)
     monkeypatch.undo()
     solve = a_iwf if solver == "a_iwf" else s_iwf
     kwargs = {"schedule": config.schedule} if solver == "a_iwf" else {}
@@ -538,7 +553,7 @@ def test_jaspa_reused_iterations_equal_a_fresh_solve_and_table(monkeypatch, solv
     rows = {}
     for r in run.rows:
         rows.setdefault(r.outer_iter, []).append(r)
-    for t in _repeats(run, solves):
+    for t in _repeats(run, solves, config.eps_wf):
         assoc, powers, _ = tables[t]
         again = solve(sc, assoc, eps_wf=config.eps_wf, max_iters=max_inner,
                       initial_powers=powers, **kwargs)
@@ -550,6 +565,113 @@ def test_jaspa_reused_iterations_equal_a_fresh_solve_and_table(monkeypatch, solv
         assert (inner.system_potential, inner.sum_rate, inner.residual_inf_norm) == want
         assert outer.residual_inf_norm == again.trace.residual_inf[0]
         assert outer.system_potential == again.trace.potential[0]
+
+
+# ---------------------------------------------------------------------------
+# A mover starts at its best reply; a solve is loose while the association moves
+
+
+@pytest.mark.parametrize("solver", ["a_iwf", "s_iwf"])
+@pytest.mark.parametrize("n, w, k, seed", [(8, 2, 16, 3), (6, 4, 5, 1), (12, 5, 23, 0)])
+def test_jaspa_movers_start_at_their_table_water_fill_and_stayers_keep_their_powers(
+    monkeypatch, solver, n, w, k, seed
+):
+    sc = make_scenario(n, w, k, seed=seed)
+    config = JaspaConfig(memory_len=n, seed=seed, inner_solver=solver)
+    run, solves, tables, calls = _spy_jaspa(monkeypatch, sc, config)
+    assert run.converged
+    movers = 0
+    for t, (_, start) in zip(_solved(run, solves, config.eps_wf), calls):
+        if t == 0:
+            continue
+        before, after = (np.array(run.detail[u].association) for u in (t - 1, t))
+        _, powers, (_, _, br_vecs) = tables[t - 1]
+        for i, (was, ap) in enumerate(zip(before.tolist(), after.tolist())):
+            want = powers[i] if was == ap else br_vecs[ap][i]
+            assert start[i].tobytes() == want.tobytes(), (t, i)
+            movers += was != ap
+    assert movers > 0
+
+
+@pytest.mark.parametrize("solver", ["a_iwf", "s_iwf"])
+@pytest.mark.parametrize("eps_wf, eps_eq", [(1e-8, 1e-6), (1e-5, 1e-4), (0.05, 0.5)])
+def test_jaspa_solves_loosely_exactly_while_the_association_moves(
+    monkeypatch, solver, eps_wf, eps_eq
+):
+    # Above 1e-2, eps_wf is the tolerance of every solve.
+    sc = make_scenario(8, 2, 16, seed=3)
+    config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, eps_wf=eps_wf, eps_eq=eps_eq)
+    run, solves, _, calls = _spy_jaspa(monkeypatch, sc, config)
+    assert run.converged and run.jep_report.is_equilibrium
+    tolerances = dict(zip(_solved(run, solves, eps_wf), (eps for eps, _ in calls)))
+    for t, eps in tolerances.items():
+        moved = run.detail[t].switch_count > 0
+        assert eps == (max(eps_wf, 1e-2) if moved else eps_wf), t
+    assert any(run.detail[t].switch_count > 0 for t in tolerances)
+    # The last record, which the gate passed, solved or reused a tight solve.
+    assert run.detail[-1].switch_count == 0 and run.detail[-1].residual_inf <= eps_wf
+
+
+def test_jaspa_counts_capped_solves_but_not_loose_solves_that_met_their_tolerance(monkeypatch):
+    # (8,2,16), seed 0, max_inner=3: one tight solve stops at the cap, and one
+    # loose solve meets 1e-2 but not eps_wf.
+    sc = make_scenario(8, 2, 16, seed=0)
+    config = JaspaConfig(memory_len=8, seed=0, max_inner=3)
+    run, solves, _, calls = _spy_jaspa(monkeypatch, sc, config)
+    assert run.converged and run.jep_report.is_equilibrium
+    ends = [(s, eps, s.trace.residual_inf[-1]) for s, (eps, _) in zip(solves, calls)]
+    capped = [s for s, eps, res in ends if res > eps and s.iterations == 3]
+    loose_met = [s for s, eps, res in ends if eps == 1e-2 and config.eps_wf < res <= eps]
+    assert len(capped) == 1 and len(loose_met) == 1
+    assert all(not s.converged for s in capped) and all(s.converged for s in loose_met)
+    assert run.inner_nonconverged == sum(not s.converged for s in solves) == 1
+
+
+def test_loose_solves_halve_jaspa_inner_iterations_at_paper_scale(monkeypatch):
+    # jaspa's accelerated inner iterations at (16,4,48), seeds 0-2: 1,670 when
+    # every solve went to eps_wf and movers restarted from a uniform spread.
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+    real, iterations = jaspa_module.a_iwf, []
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(jaspa_module, "a_iwf", counted)
+    for seed in range(3):
+        run = jaspa(make_scenario(16, 4, 48, seed=seed), JaspaConfig(memory_len=16, seed=seed))
+        assert run.converged and run.jep_report.is_equilibrium
+    assert sum(iterations) <= 835
+
+
+@pytest.mark.parametrize("cost", [None, 0.0, 0.05])
+@pytest.mark.parametrize("name", ["jaspa", "si_jaspa"])
+def test_a_cost_free_gate_report_is_the_final_report(monkeypatch, name, cost):
+    # Every cost in force 0.0: the gate's verify_jep report is the run's, and
+    # it is verified once; a nonzero cost keeps a second, cost-free verify.
+    jaspa_module = importlib.import_module("uplinkgame.jaspa")
+    calls = []  # (costs, report) per verify_jep call
+
+    def verify(*args):
+        calls.append((args[4] if len(args) > 4 else None, verify_jep(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(jaspa_module, "verify_jep", verify)
+    sc = make_scenario(8, 2, 16, seed=0)
+    config = JaspaConfig(memory_len=8, seed=0, connection_cost=cost)
+    run = getattr(jaspa_module, name)(sc, config)
+    assert run.converged
+    costs, report = calls[-1]
+    assert run.jep_report is report
+    if cost:  # the gate's verify with the costs, then the cost-free one
+        assert costs is None and np.all(calls[-2][0] == cost)
+    else:
+        assert np.all(costs == 0.0)
+    fresh = verify_jep(sc, run.association, run.powers, config.eps_eq)
+    for field, value in vars(fresh).items():
+        got = getattr(report, field)
+        assert got.tobytes() == value.tobytes() if isinstance(value, np.ndarray) else got == value
 
 
 # ---------------------------------------------------------------------------

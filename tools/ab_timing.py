@@ -2,7 +2,7 @@
 (the base) and this one (the change):
 
     python tools/ab_timing.py BASE_SRC [--algos jaspa,si_jaspa] [--size 8,2,16]
-                              [--scenarios 6] [--passes 20]
+                              [--scenarios 6] [--passes 20] [--moved]
 
 BASE_SRC is a ``src`` directory that holds an ``uplinkgame`` package, for
 example a ``git archive`` of the parent commit. Both packages are copied to a
@@ -11,7 +11,11 @@ both load in one process. The suite is ``generate_scenario`` at the size with
 seeds 0..S-1, each run with ``JaspaConfig(memory_len=N, seed=s)`` as
 ``perfbench``'s ``desk_sweep`` does. Before timing, the tool checks that both
 trees give each run the same outer iterations, final association and last
-trace row, and stops with exit code 1 when they do not.
+trace row, and stops with exit code 1 when they do not. ``--moved`` is for a
+change that moves results: instead of that check it prints, per algorithm and
+tree, the suite's total outer and inner iterations (an inner iteration is a
+trace row with ``inner_iter`` above 0) and how many runs converged and end at
+a verified joint equilibrium, then times both trees alike.
 
 Each pass times every algorithm's whole suite on both trees, the order
 alternating from pass to pass. Per algorithm it prints each tree's minimum
@@ -61,6 +65,13 @@ def fingerprint(result) -> tuple:
     return result.outer_iterations, result.association.tolist(), vars(result.rows[-1])
 
 
+def counts(results) -> tuple:
+    """Total outer and inner iterations, converged runs and verified JEPs."""
+    return (sum(r.outer_iterations for r in results),
+            sum(row.inner_iter > 0 for r in results for row in r.rows),
+            sum(r.converged for r in results), sum(r.jep_report.is_equilibrium for r in results))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src", type=Path, help="src directory of the base tree")
@@ -68,6 +79,8 @@ def main(argv=None) -> int:
     parser.add_argument("--size", default="8,2,16", help="N,W,K")
     parser.add_argument("--scenarios", type=int, default=6)
     parser.add_argument("--passes", type=int, default=20)
+    parser.add_argument("--moved", action="store_true",
+                        help="print each tree's iteration totals and verdicts; skip the identity check")
     args = parser.parse_args(argv)
     algos = args.algos.split(",")
     size = tuple(int(v) for v in args.size.split(","))
@@ -79,10 +92,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = load_trees(args.base_src, Path(tmp))
         suites = {name: suite(ug, size, args.scenarios) for name, ug in trees.items()}
+        if args.moved:
+            print(f"{'algorithm':<10}{'tree':<8}{'outer':>8}{'inner':>8}{'converged':>11}{'jep':>6}")
         for algo in algos:
-            runs = {name: [fingerprint(getattr(ug, algo)(*case)) for case in suites[name]]
+            runs = {name: [getattr(ug, algo)(*case) for case in suites[name]]
                     for name, ug in trees.items()}
-            if runs["base"] != runs["change"]:
+            if args.moved:
+                for name, results in runs.items():
+                    outer, inner, converged, jep = counts(results)
+                    n = len(results)
+                    print(f"{algo:<10}{name:<8}{outer:8d}{inner:8d}{converged:>8}/{n}{jep:>4}/{n}")
+            elif [*map(fingerprint, runs["base"])] != [*map(fingerprint, runs["change"])]:
                 print(f"{algo}: the trees' runs differ", file=sys.stderr)
                 return 1
         times = {(algo, name): [] for algo in algos for name in trees}
