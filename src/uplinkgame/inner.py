@@ -29,19 +29,20 @@ the j-th member of every block at once equals stepping MU by MU, because
 blocks are independent and a block's members move in ascending MU order.
 
 An evaluation computes only what a step and the stop test read: one ``G*P``,
-scattered into ``Z`` through one flat row index (whose slot sum, less each
-row, is also a profile's (N, K) interference matrix, on demand), the totals
-and the noise plus interference, one water-fill call, the residual, the
-``log2`` of the totals and the block potentials (which the safeguarded rule
-reads). The
-trace columns no step reads, per-MU rates and the sum rate, per-block
-squared residuals and their 2-norm, and the potential summed over the
-blocks, are functions of the kept log totals, noise plus interference,
-residual rows and block potentials, of one evaluation or of F buffered
-ones (a leading axis F). a_iwf and s_iwf write their evaluations into a
-buffer of at most ``_TRACE_CELLS`` cells and turn each full buffer into
-trace rows in one batched pass; ``evaluate_profile`` calls the same
-functions on one evaluation's arrays.
+scattered into ``Z`` through one flat row index, the totals and the noise
+plus interference, one water-fill call, the residual, the ``log2`` of the
+totals and the block potentials (which the safeguarded rule reads). On
+demand, ``ProfileLayout.interference`` gives the profile's (N, K)
+interference from its ``G*P`` rows through
+``waterfill.interference_matrix``, the one kernel that forms it. The trace
+columns no step reads, per-MU rates and the sum rate, per-block squared
+residuals and their 2-norm, and the potential summed over the blocks, are
+functions of the kept log totals, noise plus interference, residual rows and
+block potentials, of one evaluation or of F buffered ones (a leading axis
+F). a_iwf and s_iwf write their evaluations into a buffer of at most
+``_TRACE_CELLS`` cells and turn each full buffer into trace rows in one
+batched pass; ``evaluate_profile`` calls the same functions on one
+evaluation's arrays.
 
 Results are bit-identical to solving each profile's AP blocks one by one,
 because every sum keeps numpy's per-block order:
@@ -90,7 +91,7 @@ import numpy as np
 
 from .errors import ValidationError, check_count, check_real, check_tolerance
 from .game import uniform_powers, validate_association, validate_powers
-from .waterfill import water_fill_batch
+from .waterfill import interference_matrix, water_fill_batch
 
 
 # The step a safeguarded a_iwf block holds until its potential first falls.
@@ -301,17 +302,6 @@ class _Blocks:
         """Per member slot j, the number of blocks with more than j members:
         the first ones, since blocks come largest first."""
         return [int(np.count_nonzero(self.sizes > j)) for j in range(int(self.sizes[0]))]
-
-    @cached_property
-    def cells(self):
-        """Where the blocks and the rows go in an (N, K) matrix: the channel
-        of each (block, column), K on a pad; each row's own cells' flat (N*K)
-        index, and where those cells lie in the rows (all of them with one
-        width)."""
-        if self.one_width:
-            return self.cols, self.cell, slice(None)
-        channel = np.where(self.real[self.starts], self.cols, self.num_channels)
-        return channel, self.cell[self.real], self.real
 
     @cached_property
     def padded(self):
@@ -554,25 +544,14 @@ class ProfileLayout:
         return reduce(operator.add, values.T[self.ap_order], 0.0)
 
     def interference(self) -> np.ndarray:
-        """The (N, K) interference of the profile last evaluated, bit for bit
-        ``profile_table(...)[1]``: on AP w's columns, w's block total without
-        the noise, less the row's own ``G*P`` (a non-member's row keeps the
-        total; an empty AP's columns are 0.0). A total is
-        ``Z``'s slot sum, the members' rows added in member order, as
-        ``profile_table`` adds its (N, K) rows, except for one lone column (a
-        profile whose only block has width 1): numpy reduces a (slots, 1, 1)
-        ``Z`` pairwise, so that sum runs in order here."""
+        """The (N, K) interference of the profile last evaluated:
+        ``waterfill.interference_matrix`` of its ``G*P`` rows, scattered onto
+        each MU's own channels, as ``profile_table`` gets it."""
         b = self.blocks
-        n, k = self.association.size, b.num_channels
-        channel, flat, own = b.cells
-        z = b.z
-        received = np.add.reduce(z, axis=0) if z[0].size > 1 else np.cumsum(z, axis=0)[-1]
-        total = np.zeros(k + 1)
-        total[channel] = received
-        out = np.empty((n, k))
-        out[:] = total[:k]
-        out.reshape(-1)[flat] -= b.gp[own]
-        return out
+        received = np.zeros((self.association.size, b.num_channels))
+        own = slice(None) if b.one_width else b.real
+        received.reshape(-1)[b.cell[own]] = b.gp[own]
+        return interference_matrix(received)
 
     def powers(self) -> list:
         """Each MU's power vector over its own block's channels, in MU order."""

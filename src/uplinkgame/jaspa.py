@@ -52,7 +52,8 @@ class JaspaConfig:
     the unchanged blocks of si_jaspa's stay steps and j_jaspa's coalitions.
     eps_wf is the tolerance of the stop gate and of jaspa's inner solves,
     except at an association that just moved: there they stop at
-    max(eps_wf, inner.LOOSE_EPS) (``jaspa``).
+    max(eps_wf, inner.LOOSE_EPS) (``jaspa``, which warns when eps_wf is above
+    eps_eq: its stop gate may then never pass).
     """
 
     memory_len: int = 10
@@ -250,6 +251,15 @@ def _warn_short_memory(config: JaspaConfig, n: int) -> None:
         )
 
 
+def _warn_loose_gate(config: JaspaConfig) -> None:
+    if config.eps_wf > config.eps_eq:
+        warnings.warn(
+            f"eps_wf={config.eps_wf} > eps_eq={config.eps_eq}: jaspa's inner solves stop at "
+            "eps_wf, so the stop gate's verify_jep at eps_eq may never pass",
+            stacklevel=3,
+        )
+
+
 def _start(scenario, config: JaspaConfig, random_powers: bool):
     """The start of jaspa and si_jaspa: the connection costs in force, the
     per-MU streams, the state at the initial profile and the recorder."""
@@ -339,6 +349,7 @@ def jaspa(scenario, config: JaspaConfig) -> RunResult:
     random draw still happens. inner_nonconverged counts the solves that
     stopped at max_inner, short of their own tolerance."""
     _warn_short_memory(config, scenario.num_mus)
+    _warn_loose_gate(config)
     costs, rngs, state, log = _start(scenario, config, random_powers=False)
     report = None
     switch_count = 0

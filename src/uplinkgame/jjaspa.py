@@ -3,14 +3,15 @@ while APs remember the last power/interference profile of every coalition
 (exact MU set) that visited them.
 
 An MU's memory is a FIFO of (AP, interference row, rate) snapshots, the row
-from the (N, K) interference matrix that ``ProfileLayout.interference`` reads
-off the profile's evaluation (``profile_table``'s, bit for bit); all MUs push
-at once, so one deque of (association, interference, rates) holds them all.
-An AP keeps, per coalition, the members' (members, K_w) power and
-interference rows in ascending MU order. Each AP's members and power rows
-are built once per iteration, when the powers are set, and handed to the
-next iteration's coalition update; each returning coalition water-fills in
-one call at its own width.
+from the (N, K) interference matrix of the profile's evaluation, which
+``ProfileLayout.interference`` forms with ``waterfill.interference_matrix``,
+the kernel ``profile_table`` uses too; all MUs push at once, so one deque of
+(association, interference, rates) holds them all. An AP keeps, per
+coalition, the members' (members, K_w) power and interference rows in
+ascending MU order. Each AP's members and power rows are built once per
+iteration, when the powers are set, and handed to the next iteration's
+coalition update; each returning coalition water-fills in one call at its own
+width.
 
 Restricted to the iterations in which a fixed coalition occupies an AP, the
 power updates reproduce the averaged water-filling recursion with stepsizes

@@ -8,9 +8,10 @@ sorted floors, so no iterative tolerance is involved.
 
 ``profile_table`` is the one pass over a profile: it gives every MU's
 current rate and the (N, K) interference matrix, which ``best_replies``
-water-fills at every AP (for every MU or some). After an evaluation,
-``inner.ProfileLayout.interference`` reads the same matrix off it, bit for
-bit.
+water-fills at every AP (for every MU or some). ``interference_matrix`` is
+the one kernel that forms that matrix, from the received powers; after an
+evaluation, ``inner.ProfileLayout.interference`` calls it on the
+evaluation's received powers.
 ``best_reply_table`` chains the two; it is the one kernel behind the joint
 dynamics' best replies and the equilibrium verifiers. ``wf_operator`` and
 the scalar functions in ``game`` are the reference oracles both are tested
@@ -154,12 +155,9 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
 
 
 def profile_table(scenario, association, powers):
-    """The current rates (N,) and the interference (N, K) of a profile. APs
-    own disjoint channels, so on AP w's columns MU i's row holds w's block
-    total less i's own received power (zero for non-members): what i sees,
-    or would see, there. A block total adds the MUs' rows of ``G*P`` (zero
-    outside their own blocks) from zero in MU order, so in member order. The
-    rates take one pass per AP, each MU's interferers summed as
+    """The current rates (N,) and the interference (N, K) of a profile, the
+    latter ``interference_matrix`` of its received powers. The rates take
+    one pass per AP, each MU's interferers summed as
     ``game.interference_at`` sums them (predecessors' cumulative sum, then
     successors one by one), so each equals ``game.rate`` bit for bit."""
     a = np.asarray(association)
@@ -167,8 +165,6 @@ def profile_table(scenario, association, powers):
     cols = scenario.chan_table[a][np.isfinite(scenario.chan_noise[a])]  # each MU's own channels
     received = np.zeros((scenario.num_mus, scenario.num_channels))
     received[rows, cols] = scenario.gain_sq[rows, cols] * np.concatenate(powers)
-    # numpy adds the rows of an (N, K) array one by one, but a lone column pairwise.
-    total = received.sum(axis=0) if received.shape[1] > 1 else received.cumsum()[-1:]
     current = np.zeros(scenario.num_mus)
     for ap in range(scenario.num_aps):
         members = np.flatnonzero(a == ap)
@@ -182,7 +178,19 @@ def profile_table(scenario, association, powers):
             interf[:s] += rx[s]
         sinr = rx / (scenario.noise[cols] + interf)
         current[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
-    return current, total - received
+    return current, interference_matrix(received)
+
+
+def interference_matrix(received: np.ndarray) -> np.ndarray:
+    """The (N, K) interference from the (N, K) received powers ``G*P``, each
+    MU's row on its own AP's channels and zero elsewhere: every channel's
+    total over the rows, added in row order (so a block's members in member
+    order), less each row's own term. APs own disjoint channels, so on AP
+    w's columns MU i's row holds w's block total less i's own power (the
+    whole total for a non-member): what i sees, or would see, there."""
+    # numpy adds the rows of an (N, K) array one by one, but a lone column pairwise.
+    total = received.sum(axis=0) if received.shape[1] > 1 else received.cumsum()[-1:]
+    return total - received
 
 
 def best_replies(scenario, interference: np.ndarray, mus=None):

@@ -27,7 +27,7 @@ from uplinkgame import (
     water_fill,
 )
 from uplinkgame.errors import ValidationError
-from uplinkgame.game import validate_powers
+from uplinkgame.game import validate_association, validate_powers
 
 from conftest import make_scenario, random_powers
 
@@ -630,3 +630,16 @@ def test_validate_powers_budget_sums_are_each_vectors_own_sum():
         assert got == validation_message(validate_powers_reference, trial, assoc, powers, 0.0)
         verdicts.append(got)
     assert None in verdicts and len(set(verdicts)) > 1  # some pass, some fail
+
+
+@pytest.mark.parametrize(
+    "check, field",
+    [
+        (lambda sc: validate_association(sc, [0, 1, 0]), "association: expected shape"),
+        (lambda sc: validate_association(sc, [[0, 1]]), "association: expected shape"),
+        (lambda sc: validate_powers(sc, [0, 1], [np.ones(2)]), "powers: expected 2 vectors"),
+    ],
+)
+def test_profiles_of_the_wrong_size_are_refused_by_name(check, field):
+    with pytest.raises(ValidationError, match=field):
+        check(make_scenario(2, 2, 4, seed=0))

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,25 @@ def test_short_memory_warns():
     sc = make_scenario(3, 2, 4, seed=1)
     with pytest.warns(UserWarning, match="memory_len"):
         jaspa(sc, JaspaConfig(memory_len=2, seed=0, max_outer=50))
+
+
+def test_jaspa_warns_when_its_solves_stop_above_the_gate_tolerance():
+    sc = make_scenario(8, 2, 16, seed=3)
+    with pytest.warns(UserWarning, match=r"eps_wf=0\.05 > eps_eq=1e-06"):
+        jaspa(sc, JaspaConfig(memory_len=8, seed=3, eps_wf=0.05, max_outer=20))
+
+
+@pytest.mark.parametrize(
+    "algo, eps",
+    [(jaspa, {}), (jaspa, {"eps_wf": 1e-6, "eps_eq": 1e-6}),
+     # their residuals keep falling once the association settles
+     (si_jaspa, {"eps_wf": 0.05}), (j_jaspa, {"eps_wf": 0.05})],
+)
+def test_no_warning_when_the_gate_tolerance_can_be_met(algo, eps):
+    sc = make_scenario(8, 2, 16, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        algo(sc, JaspaConfig(memory_len=8, seed=3, max_outer=20, **eps))
 
 
 def test_single_ap_terminates_after_memory_plus_one():
@@ -464,12 +484,14 @@ def test_verifiers_and_dynamics_avoid_the_scalar_oracles(monkeypatch):
 # ---------------------------------------------------------------------------
 # A profile that repeats after a solve that met eps_wf is not solved again
 
-# (solver, max_inner) at (8,2,16), seed 3: every a_iwf solve converges, at a
-# cap of 3 too; a cap of one round leaves 2 of 15 s_iwf solves unconverged.
+# (solver, max_inner) at (8,2,16), seed 3: every uncapped solve converges; a
+# cap of one round leaves 2 of 15 s_iwf solves unconverged, and a cap of 2
+# iterations 3 of 16 a_iwf solves (at 3 every a_iwf solve converges).
 # Iteration 9 follows a move, and its loose solve ends above eps_wf under a_iwf
-# (either cap) and under an s_iwf cap of one round, so the repeat at iteration
-# 10 solves again there.
-REPEATS = [("a_iwf", 100_000), ("s_iwf", 100_000), ("s_iwf", 1), ("a_iwf", 3)]
+# and under an s_iwf cap of one round, so the repeat at iteration 10 solves
+# again there; under the a_iwf cap, iteration 10's solve stops at the cap, so
+# the repeat at 11 solves again too.
+REPEATS = [("a_iwf", 100_000), ("s_iwf", 100_000), ("s_iwf", 1), ("a_iwf", 2)]
 
 
 def _spy_jaspa(monkeypatch, sc, config):
@@ -524,6 +546,8 @@ def test_jaspa_solves_once_per_outer_iteration_unless_a_converged_profile_repeat
     config = JaspaConfig(memory_len=8, seed=3, inner_solver=solver, max_inner=max_inner)
     run, solves, _, _ = _spy_jaspa(monkeypatch, sc, config)
     assert run.converged
+    if max_inner == 2:  # some a_iwf solve stops at the cap
+        assert run.inner_nonconverged > 0
     reused = _repeats(run, solves, config.eps_wf)
     assert len(solves) + len(reused) == len(run.detail)
     detail = run.detail
@@ -534,6 +558,8 @@ def test_jaspa_solves_once_per_outer_iteration_unless_a_converged_profile_repeat
         assert all(detail[t - 1].switch_count > 0 for t in set(repeated) - set(reused))
     if (solver, max_inner) == ("s_iwf", 100_000):
         assert reused == repeated
+    elif (solver, max_inner) == ("a_iwf", 2):  # and the repeat after 10's capped solve
+        assert set(reused) == set(repeated) - {10, 11}
     else:  # the repeat after iteration 9's loose solve solves again
         assert set(reused) == set(repeated) - {10}
 

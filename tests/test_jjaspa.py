@@ -8,6 +8,7 @@ from uplinkgame import (
     JaspaConfig,
     ResourceError,
     StepsizeSchedule,
+    ValidationError,
     j_jaspa,
     sample_mu_memory,
     water_fill,
@@ -286,3 +287,8 @@ def test_coalition_step_water_fills_each_coalition_once(monkeypatch):
     occupied = sum(len(set(rec.association)) for rec in result.detail[1:])
     assert 0 < len(calls) <= occupied
     assert sum(calls) <= sc.num_mus * (len(result.detail) - 1)
+
+
+def test_sampling_an_empty_memory_is_refused():
+    with pytest.raises(ValidationError, match="empty memory"):
+        sample_mu_memory(deque(maxlen=4), np.random.default_rng(0))

@@ -379,3 +379,44 @@ def test_chan_noise_is_rebuilt_with_the_scenario(tmp_path):
     loaded = load_scenario(path)
     assert np.array_equal(loaded.chan_noise, sc.chan_noise)
     assert not loaded.chan_noise.flags.writeable
+
+
+def _replaced(**fields):
+    """A call building the (2, 2, 2) scenario with ``fields`` replaced."""
+    def build(tmp_path):
+        sc = generate_scenario(ScenarioGenParams(num_mus=2, num_aps=2, num_channels=2, seed=0))
+        return dataclasses.replace(sc, **fields)
+    return build
+
+
+def _loaded(**overrides):
+    """A call loading the (2, 2, 2) scenario file with ``overrides``."""
+    return lambda tmp_path: load_scenario(_doc(tmp_path, **overrides))
+
+
+def _loaded_text(text):
+    def load(tmp_path):
+        path = tmp_path / "s.scn"
+        path.write_text(text)
+        return load_scenario(path)
+    return load
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (_replaced(ap_channels=((1, 2),)), ValidationError, "ap_channels: need one"),
+        (_replaced(ap_channels=((1, 2), ())), ValidationError, "ap_channels: AP 1 has no"),
+        (_replaced(ap_channels=((1,), (3,))), ValidationError, "ap_channels: channel 3 outside"),
+        (_replaced(gain_sq=np.ones((2, 3))), ValidationError, "gain_sq: expected shape"),
+        (_replaced(noise=[1.0, np.nan]), ValidationError, "noise: entries must be finite"),
+        (_replaced(budget=[1.0, 0.0]), ValidationError, "budget: entries must be strictly"),
+        (_replaced(connection_cost=[0.0, -1.0]), ValidationError, "connection_cost: entries"),
+        (lambda tmp_path: partition_channels(4, 0), ValidationError, "num_aps"),
+        (_loaded_text("[1, 2]"), ScenarioParseError, "top level"),
+        (_loaded(positions={"mus": [[0.0, 0.0], [1.0, 1.0]]}), ValidationError, "positions: expected"),
+    ],
+)
+def test_invalid_scenarios_are_refused_by_name(tmp_path, call, error, field):
+    with pytest.raises(error, match=field):
+        call(tmp_path)

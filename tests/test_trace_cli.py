@@ -392,10 +392,12 @@ def test_compare_has_no_seed_flag(tmp_path, capsys):
         (("--algos", "closest_ap", "--reps", -1), "reps"),
         (("--algos", "closest_ap,closest_ap"), "closest_ap"),
         (("--algos", "jaspa", "--costs", "0,0.0"), r"jaspa\(c=0\)"),
+        (("--algos", "nope"), "nope"),
     ],
 )
 def test_compare_refuses_no_reps_and_repeated_entries(tmp_path, capsys, argv, field):
-    # A header-only table, or one row counting a repeated entry's runs twice.
+    # A header-only table, or one row counting a repeated entry's runs twice;
+    # an unknown algorithm is refused the same way.
     out = tmp_path / "c.csv"
     assert run_cli("compare", *argv, "--n", 4, "--w", 2, "--k", 4, "--out", out) == 3
     assert re.search(f"validation error: .*{field}", capsys.readouterr().err)
@@ -520,3 +522,4 @@ def test_read_trace_reads_every_float_form_that_write_trace_writes(tmp_path):
     assert len(back) == len(rows)
     write_trace(second, back)
     assert second.read_bytes() == first.read_bytes()
+

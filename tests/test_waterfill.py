@@ -623,3 +623,16 @@ def test_evaluation_interference_is_a_new_array_each_time():
     second = evaluated_interference(sc, assoc, [2.0 * p for p in powers], layout)
     assert second is not first and np.array_equal(first, kept)
     assert not np.array_equal(first, second)
+
+
+@pytest.mark.parametrize(
+    "gain, noise, field",
+    [
+        (np.ones((2, 2)), np.ones((2, 2)), "1-D gain and noise"),
+        ([1.0, np.inf], [1.0, 1.0], "inputs must be finite"),
+        ([1.0, 1.0], [np.nan, 1.0], "inputs must be finite"),
+    ],
+)
+def test_water_fill_refuses_what_it_cannot_fill(gain, noise, field):
+    with pytest.raises(ValidationError, match=field):
+        water_fill(gain, noise, 1.0)

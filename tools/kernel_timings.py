@@ -3,8 +3,8 @@ joint dynamics makes, in process, as the minimum over repeats:
 
     PYTHONPATH=src python tools/kernel_timings.py [--quick]
 
-Per scenario size, (8,2,16), (16,4,48) and (200,10,256), on the closest-AP
-profile at uniform powers, it times:
+Per scenario size, (8,2,16), (16,4,48), (50,5,128) and (200,10,256), on
+the closest-AP profile at uniform powers, it times:
 - ``water_fill_batch`` on one AP's (N, K_w) best-reply rows;
 - ``best_replies``, the whole table and one MU's row;
 - ``profile_table``;
@@ -15,7 +15,8 @@ profile at uniform powers, it times:
 - ``uniform_picks`` on N rows with two qualifying APs, and on N rows with
   one (no generator call);
 - one outer iteration of each joint dynamic: a run's time over its outer
-  iterations (``jaspa``'s inner solves included), at the two smaller sizes.
+  iterations (``jaspa``'s inner solves included), at the sizes of at most
+  16 MUs.
 
 A kernel that the source lacks prints as ``-``, so the tool also runs on
 older sources (``PYTHONPATH=<their src>``). ``--quick`` takes fewer repeats
@@ -35,7 +36,7 @@ from uplinkgame.inner import ProfileLayout, evaluate_profile
 from uplinkgame.jaspa import per_mu_rngs, uniform_picks
 from uplinkgame.waterfill import best_replies, profile_table, water_fill_batch
 
-SIZES = [(8, 2, 16), (16, 4, 48), (200, 10, 256)]
+SIZES = [(8, 2, 16), (16, 4, 48), (50, 5, 128), (200, 10, 256)]
 DYNAMICS = ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa")
 DYNAMICS_MAX_MUS = 16
 
