@@ -99,8 +99,9 @@ def exhaustive_search(
             )
         )
     rates, potentials, converged = (np.concatenate(col).tolist() for col in zip(*parts))
-    assocs = itertools.product(range(w), repeat=n)
-    table = tuple(map(AssociationRecord._make, zip(assocs, rates, potentials, converged)))
+    # One C call per record: ``AssociationRecord._make`` without its Python frame.
+    fields = zip(itertools.product(range(w), repeat=n), rates, potentials, converged)
+    table = tuple(map(tuple.__new__, itertools.repeat(AssociationRecord, count), fields))
     best = max(range(count), key=rates.__getitem__)
     top_pot = max(range(count), key=potentials.__getitem__)
     return ExhaustiveResult(

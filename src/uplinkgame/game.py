@@ -30,17 +30,20 @@ def members_of(association: np.ndarray, ap: int) -> np.ndarray:
     return np.flatnonzero(np.asarray(association) == ap)
 
 
-def validate_association(scenario, association) -> np.ndarray:
+def validate_association(scenario, association, batch: bool = False) -> np.ndarray:
+    """``association`` as an intp array of AP indices, whole numbers in
+    0..W-1, of shape (N,); with ``batch``, a (profiles, N) array of
+    ``associations``, every row checked at once by the same rules."""
+    name, n = "associations" if batch else "association", scenario.num_mus
     raw = np.asarray(association)
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
-        raise ValidationError("association: AP indices must be whole numbers")
+        raise ValidationError(f"{name}: AP indices must be whole numbers")
     a = raw.astype(np.intp)
-    if a.shape != (scenario.num_mus,):
-        raise ValidationError(
-            f"association: expected shape ({scenario.num_mus},), got {a.shape}"
-        )
+    if a.ndim != 1 + batch or a.shape[-1:] != (n,):
+        want = f"(profiles, {n})" if batch else f"({n},)"
+        raise ValidationError(f"{name}: expected shape {want}, got {a.shape}")
     if np.any(a < 0) or np.any(a >= scenario.num_aps):
-        raise ValidationError("association: AP index out of range")
+        raise ValidationError(f"{name}: AP index out of range")
     return a
 
 

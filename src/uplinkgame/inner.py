@@ -29,7 +29,7 @@ the j-th member of every block at once equals stepping MU by MU, because
 blocks are independent and a block's members move in ascending MU order.
 
 An evaluation computes only what a step and the stop test read: one ``G*P``,
-scattered into ``Z`` through one flat row index, the totals and the noise
+scattered into ``Z`` through one flat cell index, the totals and the noise
 plus interference, one water-fill call, the residual, the ``log2`` of the
 totals and the block potentials (which the safeguarded rule reads). On
 demand, ``ProfileLayout.interference`` gives the profile's (N, K)
@@ -224,6 +224,13 @@ class InnerDiagnostics:
     stepsize_weighted_residual: float
 
 
+def _take_rows(a, index, c):
+    """The rows ``index`` of the 2-D ``a``, cut to their first ``c`` columns,
+    as a contiguous array: numpy takes whole rows several times faster than
+    it gathers them by a fancy or mask index."""
+    return np.ascontiguousarray(a.take(index, axis=0)[:, :c])
+
+
 class _Blocks:
     """Independent AP blocks of any channel widths in one padded layout.
 
@@ -245,31 +252,41 @@ class _Blocks:
 
     def __init__(self, scenario, aps, members, ids=None, rows=None, pmat=None):
         block, mus = members.nonzero()
-        self.scenario, self.aps, self.width = scenario, aps, scenario.chan_width[aps]
-        self.members, self.block, self.mus = members, block, mus
+        width = scenario.chan_width[aps]
+        c = int(width.max())
+        cols = scenario.chan_table.take(aps, axis=0)[:, :c]  # each block's channels
+        # Each row's cells in an (N, K) matrix.
+        self.cell = mus[:, None] * scenario.num_channels + cols.take(block, axis=0)
+        self.gain = scenario.gain_sq.take(self.cell)
+        self.noise = _take_rows(scenario.chan_noise, aps, c)
+        self.real = np.isfinite(self.noise).take(block, axis=0)  # each row's own channels
+        self.log_noise = np.log2(self.noise)
+        self.budgets = scenario.budget[mus]
+        self._lay_out(scenario, aps, width, block, mus, ids, rows, pmat)
+
+    def _lay_out(self, scenario, aps, width, block, mus, ids, rows, pmat):
+        """Everything but the rows' cells, gains, budgets and own-channel
+        flags and the blocks' noise, which the caller has set."""
+        self.scenario, self.aps, self.width = scenario, aps, width
+        self.block, self.mus = block, mus
         self.ids = np.arange(aps.size) if ids is None else ids
         self.rows = np.arange(mus.size) if rows is None else rows
         self.widths = sorted(set(self.width.tolist()))
         self.one_width = len(self.widths) == 1
         c = self.widths[-1]
-        self.num_channels = k = scenario.num_channels
-        self.cols = scenario.chan_table[aps, :c]  # each block's channels
+        self.num_channels = scenario.num_channels
         self.pmat = np.zeros((mus.size, c)) if pmat is None else np.ascontiguousarray(pmat[:, :c])
         self.sizes = np.bincount(block, minlength=aps.size)
         self.starts = self.sizes.cumsum() - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
-        self.cell = mus[:, None] * k + self.cols[block]  # each row's cells in an (N, K) matrix
-        self.gain = scenario.gain_sq.take(self.cell)
-        self.noise = scenario.chan_noise[aps, :c]
-        self.real = np.isfinite(self.noise)[block]  # each row's own channels
-        self.log_noise = np.log2(self.noise)
-        self.budgets = scenario.budget[mus]
         self.limits = self.budgets + 1e-9
         # Z: the (member slot, block, channel) scatter of G*P, zero-padded;
-        # ``flat`` is each row's row of Z viewed as (slots * blocks, C).
+        # ``flat`` is each row's row of Z viewed as (slots * blocks, C), and
+        # ``z_cells`` its cells in Z viewed flat: numpy scatters a 1-D index
+        # several times faster than whole rows.
         self.z = np.zeros((self.sizes[0], aps.size, c))
-        self.z_rows = self.z.reshape(-1, c)
         self.flat = self.slot * aps.size + block
+        self.z_cells = (self.flat[:, None] * c + np.arange(c)).reshape(-1)
         # (block, size) of each width-1 block, in block order.
         self.singles = []
         if self.widths[0] == 1:
@@ -282,19 +299,22 @@ class _Blocks:
 
     @cached_property
     def parts(self) -> list:
-        """Per channel width w, narrowest first: (w, its blocks, its rows,
-        (block, start, end) of each of its blocks' rows within its rows);
+        """Per channel width w, narrowest first: (w, its blocks, its rows);
         slices, not index arrays, when every block has width w."""
+        if self.one_width:
+            return [(self.widths[0], slice(None), slice(None))]
+        return [(w, np.flatnonzero(self.width == w), np.flatnonzero(self.width[self.block] == w))
+                for w in self.widths]
+
+    @cached_property
+    def bounds(self) -> list:
+        """Per part, (block, start, end) of each of its blocks' rows within
+        its rows."""
         out = []
-        for w in self.widths:
-            blocks = rows = slice(None)
-            if not self.one_width:
-                blocks = np.flatnonzero(self.width == w)
-                rows = np.flatnonzero(self.width[self.block] == w)
+        for _, blocks, _ in self.parts:
             sizes = self.sizes[blocks].tolist()
             ids = range(len(sizes)) if self.one_width else blocks.tolist()
-            ends = accumulate(sizes)
-            out.append((w, blocks, rows, [(b, e - m, e) for b, m, e in zip(ids, sizes, ends)]))
+            out.append([(b, e - m, e) for b, m, e in zip(ids, sizes, accumulate(sizes))])
         return out
 
     @cached_property
@@ -310,10 +330,14 @@ class _Blocks:
         power array of that layout for s_iwf's round."""
         shape = self.z.shape
         gain = np.ones(shape)
-        gain[self.slot, self.block] = self.gain
+        gain.reshape(-1)[self.z_cells] = self.gain.reshape(-1)
         budgets = np.zeros(shape[:2])
-        budgets[self.slot, self.block] = self.budgets
+        budgets.reshape(-1)[self.flat] = self.budgets
         return gain, budgets, np.zeros(shape)
+
+    def scatter(self, gp):
+        """Write the rows' ``G*P`` (rows, C), contiguous, into ``Z``."""
+        self.z.reshape(-1)[self.z_cells] = gp.reshape(-1)
 
     def totals(self, nb=None):
         """Received totals, noise plus every member's ``G*P`` row, of the
@@ -337,7 +361,7 @@ class _Blocks:
         potential fell."""
         log_tot, others, residual = out or (None, None, None)
         gp = np.multiply(self.gain, self.pmat, out=self.gp)
-        self.z_rows[self.flat] = gp
+        self.scatter(gp)
         tot = self.totals()
         self.others = tot.take(self.block, axis=0, out=others)
         self.others -= gp
@@ -351,7 +375,7 @@ class _Blocks:
     def potentials_at(self, powers):
         """The block potentials at ``powers`` (rows, C). Spends the scratch
         ``gp``, ``Z`` and ``tot``."""
-        self.z_rows[self.flat] = np.multiply(self.gain, powers, out=self.gp)
+        self.scatter(np.multiply(self.gain, powers, out=self.gp))
         tot = self.totals()
         return self.block_potentials(np.log2(tot, out=tot))
 
@@ -363,7 +387,7 @@ class _Blocks:
             potential /= self.num_channels
             return potential
         potential = np.empty(self.width.size)
-        for w, blocks, _, _ in self.parts:  # over each block's own width
+        for w, blocks, _ in self.parts:  # over each block's own width
             own = log_tot[blocks, :w] - self.log_noise[blocks, :w]
             potential[blocks] = np.add.reduce(own, axis=1) / self.num_channels
         return potential
@@ -376,8 +400,8 @@ class _Blocks:
         """Per-row rates (..., rows) from the log totals (..., blocks, C) and
         the noise plus interference (..., rows, C)."""
         rates = np.empty(others.shape[:-1])
-        for w, _, rows, _ in self.parts:
-            own = log_tot[..., self.block[rows], :w] - np.log2(others[..., rows, :w])
+        for w, _, rows in self.parts:
+            own = log_tot.take(self.block[rows], axis=-2)[..., :w] - np.log2(others[..., rows, :w])
             rates[..., rows] = own.sum(axis=-1) / self.num_channels
         return rates
 
@@ -387,7 +411,7 @@ class _Blocks:
         as one flat run."""
         lead = residual.shape[:-2]
         out = np.empty(lead + self.width.shape)
-        for w, _, rows, bounds in self.parts:
+        for (w, _, rows), bounds in zip(self.parts, self.bounds):
             r = residual[..., rows, :w]
             s2 = r * r
             for b, lo, hi in bounds:
@@ -474,7 +498,7 @@ class _Blocks:
             within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
         else:  # budget sums over each row's own width
             within = all((np.add.reduce(self.pmat[rows, :w], axis=1) <= self.limits[rows]).all()
-                         for w, _, rows, _ in self.parts)
+                         for w, _, rows in self.parts)
         if not (within and np.minimum.reduce(self.pmat, axis=None) >= 0.0):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
@@ -485,7 +509,7 @@ class _Blocks:
         MU order and blocks are independent, so this equals stepping MU by
         MU. An exact step has no stepsize: returns nan."""
         gain, budgets, powers = self.padded
-        self.z_rows[self.flat] = np.multiply(self.gain, self.pmat, out=self.gp)
+        self.scatter(np.multiply(self.gain, self.pmat, out=self.gp))
         for j, nb in enumerate(self.slots):
             g, z = gain[j, :nb], self.z[j, :nb]
             others = self.totals(nb)
@@ -493,16 +517,26 @@ class _Blocks:
             phi, _ = water_fill_batch(g, others, budgets[j, :nb])
             powers[j, :nb] = phi
             np.multiply(g, phi, out=z)
-        self.pmat = powers[self.slot, self.block]
+        self.pmat = powers.reshape(-1, powers.shape[-1]).take(self.flat, axis=0)
         return math.nan
 
     def subset(self, keep):
         """The blocks where ``keep`` holds, in order, with their rows' powers
-        and residuals and their potentials and held flags."""
-        rows = keep[self.block]
-        sub = _Blocks(self.scenario, self.aps[keep], self.members[keep], self.ids[keep],
-                      self.rows[rows], self.pmat[rows])
-        sub.residual = self.residual[rows, : sub.pmat.shape[1]]
+        and residuals and their potentials and held flags: the layout a fresh
+        ``_Blocks`` of those blocks has, its rows' and blocks' arrays taken
+        from this one's, not from the scenario."""
+        blocks, rows = np.flatnonzero(keep), np.flatnonzero(keep[self.block])
+        c = int(self.width[keep].max())
+        sub = _Blocks.__new__(_Blocks)
+        sub.cell, sub.gain, sub.real, pmat, sub.residual = (
+            _take_rows(a, rows, c)
+            for a in (self.cell, self.gain, self.real, self.pmat, self.residual)
+        )
+        sub.noise, sub.log_noise = (_take_rows(a, blocks, c) for a in (self.noise, self.log_noise))
+        sub.budgets = self.budgets[rows]
+        block = (np.cumsum(keep) - 1)[self.block[rows]]
+        sub._lay_out(self.scenario, self.aps[keep], self.width[keep], block, self.mus[rows],
+                     self.ids[keep], self.rows[rows], pmat)
         sub.potential, sub.held = self.potential[keep], self.held[keep]
         return sub
 
@@ -675,23 +709,36 @@ def _distinct_blocks(scenario, associations: np.ndarray):
     order, and the index of every (profile, AP)'s block, profile-major; an
     empty AP is a block of size 0, so the empty blocks come last. Equal to
     ``np.unique`` of all the rows with ``axis=0``, which sorts rows far more
-    slowly than a 1-D ``np.unique`` of the rows' packed (AP one-hot, member
-    flags) bits."""
+    slowly than one ``np.lexsort`` of a packed key per (AP, profile): the
+    (-size, width, AP) order as one integer, then the member flags as
+    big-endian bytes, MU 0 the top bit of the first, which order as the flag
+    columns do (byte keys sort by radix). Neighbours in that order that
+    differ nowhere are one block."""
     profiles, n = associations.shape
-    w = scenario.num_aps
-    member = (associations[:, None, :] == np.arange(w)[:, None]).reshape(-1, n)
-    one_hot = np.tile(np.eye(w, dtype=bool), (profiles, 1))
-    packed = np.packbits(np.concatenate([one_hot, member], axis=1), axis=1)
-    packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    ap, flags = first % w, member[first]
-    size = flags.sum(axis=1)
-    width = scenario.chan_width[ap]
-    order = np.lexsort(np.vstack([flags.T[::-1], ap, width, -size]))
-    keys = np.column_stack([-size, width, ap, flags])[order].astype(np.int32)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return keys, rank[inverse.reshape(-1)]
+    w, width = scenario.num_aps, scenario.chan_width
+    nbytes = -(-n // 8)
+    padded = np.full((profiles, 8 * nbytes), -1, dtype=associations.dtype)
+    padded[:, :n] = associations
+    member = (padded == np.arange(w)[:, None, None]).reshape(w * profiles, 8 * nbytes)  # AP-major
+    flags = np.packbits(member.reshape(-1)).reshape(w * profiles, nbytes)
+    size = np.bincount((associations * profiles + np.arange(profiles)[:, None]).ravel(),
+                       minlength=w * profiles)
+    key = ((n - size).reshape(w, profiles) * (w * (int(width.max()) + 1))
+           + (width * w + np.arange(w))[:, None]).ravel()
+    order = np.lexsort([*flags.T[::-1], key])
+    key, flags = key[order], flags.take(order, axis=0)
+    new = np.ones(order.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    for column in flags.T:
+        new[1:] |= column[1:] != column[:-1]
+    first = order[new]
+    ap = first // profiles
+    keys = np.empty((first.size, n + 3), dtype=np.int32)
+    keys[:, 0], keys[:, 1], keys[:, 2] = -size[first], width[ap], ap
+    keys[:, 3:] = member.take(first, axis=0)[:, :n]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return keys, inverse.reshape(w, profiles).T.ravel()
 
 
 def solve_profiles(
@@ -704,61 +751,76 @@ def solve_profiles(
 ):
     """Final sum rate, potential and converged flag of ``solver`` (a_iwf or
     s_iwf) run from uniform powers on every row of ``associations``, a
-    (profiles, N) array, as three arrays; each equals that profile's own run
-    (``trace.sum_rate[-1]``, ``trace.potential[-1]``, ``converged``), bit for
-    bit.
+    (profiles, N) array of AP indices, as three arrays; each equals that
+    profile's own run (``trace.sum_rate[-1]``, ``trace.potential[-1]``,
+    ``converged``), bit for bit. Zero profiles give three empty arrays.
 
     Each distinct (AP, member set) block is stacked once, however many
-    profiles share it, and all blocks step together. A profile stops at the
-    first evaluation where every one of its blocks has residual at most
-    ``eps_wf`` (converged), or at ``max_iters``; a block is dropped when no
-    running profile uses it. The sum rate sums the N MU rates in MU order;
+    profiles share it, and all blocks step together. Each round flags every
+    block whose residual is at most ``eps_wf``; a profile stops at the first
+    evaluation where every one of its blocks is flagged (converged), or at
+    ``max_iters``, and a block is dropped when no running profile uses it.
+    Rates are formed only in a round where a profile stops, and summed only
+    for the profiles that stop: the sum rate sums the N MU rates in MU order,
     the potential adds the block potentials in AP order, from 0.0."""
     eps_wf, max_iters = check_solver_settings(solver, eps_wf, max_iters, schedule)
+    associations = validate_association(scenario, associations, batch=True)
     step = _Blocks.average if solver == "a_iwf" else _Blocks.sweep
     schedule = schedule or StepsizeSchedule()
-    profiles, n = associations.shape
-    w = scenario.num_aps
+    (profiles, n), w = associations.shape, scenario.num_aps
+    if not profiles:
+        return np.empty(0), np.empty(0), np.zeros(0, dtype=bool)
     # The keys' order is the layout order: largest block first.
     keys, inverse = _distinct_blocks(scenario, associations)
     count = int(np.count_nonzero(keys[:, 0]))
     # Block of each (profile, AP); an empty AP points at entry ``count``.
-    block_of = np.minimum(inverse, count).reshape(profiles, w)
+    block_of = np.minimum(inverse, count)
     keys = keys[:count]
     flags = keys[:, 3:].astype(bool)
-    row_id = (np.cumsum(flags) - 1).reshape(flags.shape)
-    row_of = row_id[np.take_along_axis(block_of, associations, axis=1), np.arange(n)]
+    # The row of each (profile, MU): rows are numbered flag by flag, in block
+    # order, and an MU's block in a profile is its AP's.
+    row_id = np.cumsum(flags) - 1
+    mu_block = block_of.take(associations + np.arange(0, block_of.size, w)[:, None])
+    row_of = row_id.take(mu_block * n + np.arange(n))
     blocks = _Blocks(scenario, keys[:, 2], flags)
     share = scenario.budget[blocks.mus] / blocks.width[blocks.block]
     np.copyto(blocks.pmat, share[:, None], where=blocks.real)  # uniform powers
 
-    total, potential = np.empty(profiles), np.zeros(profiles)
+    total, potential = np.empty(profiles), np.empty(profiles)
     converged = np.zeros(profiles, dtype=bool)
-    block_inf, block_pot = np.zeros(count + 1), np.zeros(count + 1)
+    # Per block: its residual is within eps_wf, and its potential; the empty
+    # block ``count`` is always within and adds 0.0.
+    ok, block_pot = np.ones(count + 1, dtype=bool), np.zeros(count + 1)
     rates = np.empty(blocks.mus.size)
     live = np.arange(profiles)
+    live_blocks = np.ascontiguousarray(block_of.reshape(profiles, w).T)  # (AP, live profile)
     t = 0
     while True:
         blocks.evaluate()
-        block_pot[blocks.ids] = blocks.potential
-        row_inf = np.abs(blocks.residual).max(axis=1)
-        block_inf[blocks.ids] = np.maximum.reduceat(row_inf, blocks.starts)
-        done = block_inf[block_of[live]].max(axis=1) <= eps_wf
+        # A block's residual rows are one contiguous run of the flat residual.
+        residual = np.abs(blocks.residual)
+        block_inf = np.maximum.reduceat(residual.reshape(-1), blocks.starts * residual.shape[1])
+        ok[blocks.ids] = block_inf <= eps_wf
+        done = np.logical_and.reduce(ok[live_blocks], axis=0)
         stop = done | (t >= max_iters)
-        end = live[stop]
-        converged[end] = done[stop]
-        if end.size:
+        if stop.any():
+            ending, going = np.flatnonzero(stop), np.flatnonzero(~stop)
+            end = live[ending]
+            converged[end] = done[ending]
             rates[blocks.rows] = blocks.rates(blocks.log_tot, blocks.others)
-        total[end] = rates[row_of[end]].sum(axis=1)
-        for ap in range(w):
-            potential[end] += block_pot[block_of[end, ap]]
-        live = live[~stop]
-        if not live.size:
-            return total, potential, converged
-        needed = np.zeros(count + 1, dtype=bool)
-        needed[block_of[live]] = True
-        if not needed[blocks.ids].all():
-            blocks = blocks.subset(needed[blocks.ids])
+            total[end] = rates.take(row_of.take(ending, axis=0)).sum(axis=1)
+            block_pot[blocks.ids] = blocks.potential
+            ap_pot = block_pot.take(live_blocks.take(ending, axis=1))  # (AP, ending profile)
+            potential[end] = reduce(operator.add, ap_pot, 0.0)
+            live, live_blocks, row_of = (
+                live[going], live_blocks.take(going, axis=1), row_of.take(going, axis=0)
+            )
+            if not live.size:
+                return total, potential, converged
+            needed = np.zeros(count + 1, dtype=bool)
+            needed[live_blocks] = True
+            if not needed[blocks.ids].all():
+                blocks = blocks.subset(needed[blocks.ids])
         t += 1
         step(blocks, t, schedule)
 

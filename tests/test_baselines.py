@@ -67,10 +67,17 @@ def test_enumeration_cap():
         exhaustive_search(sc, enumeration_cap=100)
 
 
-@pytest.mark.parametrize("n, w, k", [(7, 3, 12), (4, 4, 9), (9, 2, 5), (3, 5, 10), (1, 3, 8)])
+@pytest.mark.parametrize(
+    "n, w, k",
+    [
+        (7, 3, 12), (4, 4, 9), (9, 2, 5), (3, 5, 10), (1, 3, 8),
+        (70, 1, 8),  # one profile whose member flags pass one 64-bit word
+        (12, 2, 12),
+    ],
+)
 def test_distinct_blocks_equal_row_unique(n, w, k):
-    # The packed 1-D unique plus lexsort must reproduce np.unique(axis=0) of
-    # the (-size, width, AP, member flags) rows: sorted keys and inverse.
+    # The packed sort must reproduce np.unique(axis=0) of the (-size, width,
+    # AP, member flags) rows: sorted keys and inverse.
     sc = make_scenario(n, w, k, seed=4)
     profiles = np.array(list(itertools.product(range(w), repeat=n)))
     for chunk in (profiles, profiles[::3], profiles[1:2]):
@@ -172,6 +179,35 @@ def test_solve_profiles_checks_its_settings():
     for bad in ({"solver": "a-iwf"}, {"eps_wf": math.nan}, {"max_iters": 0}):
         with pytest.raises(ValidationError):
             baselines_module.solve_profiles(sc, profiles, **bad)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [[0, 1, -1, 0]],  # a negative AP: used to return a sum rate and a potential
+        [[0, 1, 0]],  # one MU short: likewise
+        [[0, 1, 2, 0]],  # an AP >= W
+        [[0, 1, 0.5, 0]],  # not a whole number
+        [0, 1, 0, 1],  # 1-D
+        np.zeros((2, 4, 1), dtype=int),  # 3-D
+    ],
+    ids=["negative", "short", "too-large", "fraction", "1-D", "3-D"],
+)
+def test_solve_profiles_refuses_a_malformed_batch(batch):
+    sc = make_scenario(4, 2, 8, seed=0)
+    with pytest.raises(ValidationError, match="associations"):
+        baselines_module.solve_profiles(sc, np.asarray(batch))
+
+
+def test_solve_profiles_takes_an_empty_batch_and_whole_floats():
+    sc = make_scenario(4, 2, 8, seed=0)
+    empty = baselines_module.solve_profiles(sc, np.zeros((0, 4), dtype=np.intp))
+    assert [(a.shape, a.dtype) for a in empty] == [((0,), float), ((0,), float), ((0,), bool)]
+    # validate_association's rules, row by row: whole floats are AP indices.
+    batch = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
+    got = baselines_module.solve_profiles(sc, batch.astype(float))
+    want = baselines_module.solve_profiles(sc, batch)
+    assert all(np.array_equal(g, x) for g, x in zip(got, want))
 
 
 def test_exhaustive_search_solves_profiles_in_batches(monkeypatch):

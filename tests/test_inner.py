@@ -756,7 +756,7 @@ def test_block_totals_equal_member_order_sums(n, w, k, assoc):
         stack = inner_module.ProfileLayout().load(sc, association, powers)
         b = stack.blocks
         gp = b.gain * b.pmat
-        b.z_rows[b.flat] = gp
+        b.scatter(gp)
         for nb in sorted(set(b.slots)):
             tot = b.totals(nb)
             assert tot.shape == (nb, b.pmat.shape[1])
@@ -802,7 +802,10 @@ def test_a_reused_layout_evaluates_as_a_fresh_one(n, w, k):
 # _Blocks.subset: the kept blocks, laid out as a fresh _Blocks would be.
 
 
-LAYOUT_ARRAYS = ("block", "mus", "sizes", "starts", "slot", "flat", "gain", "noise", "real")
+LAYOUT_ARRAYS = (
+    "block", "mus", "width", "sizes", "starts", "slot", "flat", "z_cells", "cell", "gain",
+    "budgets", "noise", "log_noise", "real",
+)
 
 
 @pytest.mark.parametrize("n, w, k", [(6, 4, 5), (12, 5, 23)])

@@ -1,21 +1,24 @@
-"""In-process A/B timing of the joint dynamics between another source tree
-(the base) and this one (the change):
+"""In-process A/B timing of the joint dynamics and the exhaustive search
+between another source tree (the base) and this one (the change):
 
-    python tools/ab_timing.py BASE_SRC [--algos jaspa,si_jaspa] [--size 8,2,16]
-                              [--scenarios 6] [--passes 20] [--moved]
+    python tools/ab_timing.py BASE_SRC [--algos jaspa,si_jaspa,exhaustive]
+                              [--size 8,2,16] [--scenarios 6] [--passes 20] [--moved]
 
 BASE_SRC is a ``src`` directory that holds an ``uplinkgame`` package, for
 example a ``git archive`` of the parent commit. Both packages are copied to a
 temporary directory under two names; the package imports only relatively, so
 both load in one process. The suite is ``generate_scenario`` at the size with
 seeds 0..S-1, each run with ``JaspaConfig(memory_len=N, seed=s)`` as
-``perfbench``'s ``desk_sweep`` does. Before timing, the tool checks that both
-trees give each run the same outer iterations, final association and last
-trace row, and stops with exit code 1 when they do not. ``--moved`` is for a
-change that moves results: instead of that check it prints, per algorithm and
-tree, the suite's total outer and inner iterations (an inner iteration is a
-trace row with ``inner_iter`` above 0) and how many runs converged and end at
-a verified joint equilibrium, then times both trees alike.
+``perfbench``'s ``desk_sweep`` does; ``exhaustive`` runs ``exhaustive_search``
+on each suite scenario with the default ``InnerConfig``. Before timing, the
+tool checks that both trees give each run the same outer iterations, final
+association and last trace row (for ``exhaustive``, the same table and both
+argmax associations), and stops with exit code 1 when they do not.
+``--moved`` is for a change to the dynamics that moves results: instead of
+that check it prints, per algorithm and tree, the suite's total outer and
+inner iterations (an inner iteration is a trace row with ``inner_iter`` above
+0) and how many runs converged and end at a verified joint equilibrium, then
+times both trees alike.
 
 Each pass times every algorithm's whole suite on both trees, the order
 alternating from pass to pass. Per algorithm it prints each tree's minimum
@@ -38,6 +41,7 @@ import numpy as np
 
 HERE_SRC = Path(__file__).resolve().parents[1] / "src"
 DYNAMICS = ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa")
+ALGOS = DYNAMICS + ("exhaustive",)
 
 
 def load_trees(base_src: Path, tmp: Path) -> dict:
@@ -59,9 +63,20 @@ def suite(ug, size, count: int) -> list:
              ug.JaspaConfig(memory_len=n, seed=s)) for s in range(count)]
 
 
+def runner(ug, algo: str):
+    """The tree ``ug``'s call of ``algo`` on one suite case."""
+    if algo == "exhaustive":
+        return lambda scenario, config: ug.exhaustive_search(scenario)
+    return getattr(ug, algo)
+
+
 def fingerprint(result) -> tuple:
-    """Outer iterations, final association and the last trace row's fields
-    (each tree has its own ``TraceRow`` class)."""
+    """A joint run's outer iterations, final association and last trace row's
+    fields (each tree has its own ``TraceRow`` class); an exhaustive search's
+    whole table, as plain tuples, and both argmax associations."""
+    if hasattr(result, "table"):
+        return ([*map(tuple, result.table)], result.best_association,
+                result.max_potential_association)
     return result.outer_iterations, result.association.tolist(), vars(result.rows[-1])
 
 
@@ -84,8 +99,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     algos = args.algos.split(",")
     size = tuple(int(v) for v in args.size.split(","))
-    if unknown := set(algos) - set(DYNAMICS):
+    if unknown := set(algos) - set(ALGOS):
         parser.error(f"unknown algorithms {sorted(unknown)}")
+    if args.moved and "exhaustive" in algos:
+        parser.error("--moved counts the joint dynamics' iterations; leave out exhaustive")
     if len(size) != 3 or args.scenarios < 1 or args.passes < 1:
         parser.error("--size takes N,W,K; --scenarios and --passes at least 1")
 
@@ -95,7 +112,7 @@ def main(argv=None) -> int:
         if args.moved:
             print(f"{'algorithm':<10}{'tree':<8}{'outer':>8}{'inner':>8}{'converged':>11}{'jep':>6}")
         for algo in algos:
-            runs = {name: [getattr(ug, algo)(*case) for case in suites[name]]
+            runs = {name: [runner(ug, algo)(*case) for case in suites[name]]
                     for name, ug in trees.items()}
             if args.moved:
                 for name, results in runs.items():
@@ -109,7 +126,7 @@ def main(argv=None) -> int:
         for p in range(args.passes):
             for name in ("base", "change") if p % 2 == 0 else ("change", "base"):
                 for algo in algos:
-                    run = getattr(trees[name], algo)
+                    run = runner(trees[name], algo)
                     start = time.perf_counter()
                     for case in suites[name]:
                         run(*case)

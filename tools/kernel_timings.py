@@ -18,6 +18,11 @@ the closest-AP profile at uniform powers, it times:
   iterations (``jaspa``'s inner solves included), at the sizes of at most
   16 MUs.
 
+A second table, the L4 row, gives ``exhaustive_search`` in ms per call (its
+whole per-profile equilibrium table under the default ``InnerConfig``) at
+(8,2,16), the size ``desk_sweep`` searches, and (7,3,12), the size of
+``ground_truth_w3``; ``--quick`` runs it too.
+
 A kernel that the source lacks prints as ``-``, so the tool also runs on
 older sources (``PYTHONPATH=<their src>``). ``--quick`` takes fewer repeats
 and skips the dynamics at (16,4,48), in a few seconds. Times move with the
@@ -39,6 +44,7 @@ from uplinkgame.waterfill import best_replies, profile_table, water_fill_batch
 SIZES = [(8, 2, 16), (16, 4, 48), (50, 5, 128), (200, 10, 256)]
 DYNAMICS = ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa")
 DYNAMICS_MAX_MUS = 16
+EXHAUSTIVE_SIZES = [(8, 2, 16), (7, 3, 12)]
 
 
 def best_of(fn, repeat: int, budget_s: float) -> float:
@@ -123,6 +129,16 @@ def main(argv=None) -> int:
         cells = (row.get(size) for size in SIZES)
         print(f"{label:<{width}}" + "".join("-".rjust(15) if v is None else f"{v:15.1f}"
                                            for v in cells))
+    print()
+    heads = [f"({n},{w},{k})" for n, w, k in EXHAUSTIVE_SIZES]
+    print(f"{'ms per call':<{width}}" + "".join(f"{h:>15}" for h in heads))
+    cells = []
+    for n, w, k in EXHAUSTIVE_SIZES:
+        scenario = ug.generate_scenario(
+            ug.ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=1)
+        )
+        cells.append(best_of(lambda: ug.exhaustive_search(scenario), repeat, budget_s) / 1e3)
+    print(f"{'exhaustive_search':<{width}}" + "".join(f"{v:15.2f}" for v in cells))
     return 0
 
 
