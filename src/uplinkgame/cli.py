@@ -204,7 +204,8 @@ def _cost_list(text: str) -> list[float]:
 
 def _expand_compare_algos(args) -> dict[str, tuple[str, float | None]]:
     """The compare entries as {label: (algorithm, connection cost or None)};
-    an algorithm of COST_ALGOS gives one entry per ``--costs`` value."""
+    an algorithm of COST_ALGOS gives one entry per ``--costs`` value, and
+    ``--costs`` with none of them listed is refused."""
     out = {}
     for algo in args.algos.split(","):
         algo = algo.strip()
@@ -216,6 +217,8 @@ def _expand_compare_algos(args) -> dict[str, tuple[str, float | None]]:
             if label in out:
                 raise ValidationError(f"compare entry {label} is listed twice")
             out[label] = (algo, cost)
+    if args.costs and all(cost is None for _, cost in out.values()):
+        raise ValidationError(f"--costs sweeps only {', '.join(COST_ALGOS)}, and none is listed")
     return out
 
 

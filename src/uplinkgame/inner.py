@@ -35,17 +35,17 @@ totals and the block potentials (which the safeguarded rule reads). On
 demand, ``ProfileLayout.interference`` gives the profile's (N, K)
 interference from its ``G*P`` rows through
 ``waterfill.interference_matrix``, the one kernel that forms it. The trace
-columns no step reads, per-MU rates and the sum rate, per-block squared
-residuals and their 2-norm, and the potential summed over the blocks, are
-functions of the kept log totals, noise plus interference, residual rows and
-block potentials, of one evaluation or of F buffered ones (a leading axis
-F). a_iwf and s_iwf write their evaluations into a buffer of at most
-``_TRACE_CELLS`` cells and turn each full buffer into trace rows in one
-batched pass; ``evaluate_profile`` calls the same functions on one
-evaluation's arrays.
+columns no step reads, per-MU rates and the sum rate, the residual 2-norm,
+and the potential summed over the blocks, are functions of the kept log
+totals, noise plus interference, residual rows and block potentials, of one
+evaluation or of F buffered ones (a leading axis F). a_iwf and s_iwf write
+their evaluations into a buffer of at most ``_TRACE_CELLS`` cells and turn
+each full buffer into trace rows in one batched pass; ``evaluate_profile``
+calls the same functions on one evaluation's arrays.
 
-Results are bit-identical to solving each profile's AP blocks one by one,
-because every sum keeps numpy's per-block order:
+Every result that a step, a stop test or an output reads is bit-identical to
+solving each profile's AP blocks one by one, because every such sum keeps
+numpy's per-block order:
 - block totals are ``noise + Z[:, :nb].sum(axis=0)``: numpy adds the slots'
   contiguous (nb, C) slabs elementwise in slot order, so a block's total is
   its members' rows added one by one in member order (the adds a (block,
@@ -53,25 +53,28 @@ because every sum keeps numpy's per-block order:
   members add exactly (a lone block's ``Z`` holds just its rows, so this is
   its slice sum). Width-1 blocks are summed block by block: numpy sums an
   (m, 1) column pairwise, and padding would move its bits;
-- every channel-axis sum runs over each block's own width: block
-  potentials, rates, squared residuals and the budget check of a_iwf's
-  step. numpy's pairwise row sum regroups when a row's length changes, so a
-  sum over the pad columns would move bits;
-- a profile's squared residual sums each block's contiguous (members, width)
-  slice, and its potential adds the block potentials in AP order, from 0.0
-  (an empty AP adds 0.0, which is exact);
+- block potentials and rates sum each block's channels over its own width.
+  numpy's pairwise row sum regroups when a row's length changes, so a sum
+  over the pad columns would move bits;
+- a profile's potential adds the block potentials in AP order, from 0.0 (an
+  empty AP adds 0.0, which is exact);
 - a profile's sum rate sums its N MU rates in MU order (a row sum of a
   (profiles, N) gather has the bits of the 1-D sum);
 - a block's safeguarded step reads only that block's own potentials, and
   a per-AP potential of ``evaluate_profile`` is its block's own potential.
 
-Batching the trace columns over F buffered evaluations moves no bit either,
-because each batched sum is the sum it replaces:
+Two sums that feed no step, stop test or output run over the padded rows
+(pads are exact zeros), so they agree with per-block sums to rounding only:
+a_iwf's budget check, with 1e-9 of slack, and the residual 2-norm, which
+only ``convergence_diagnostics`` reads.
+
+Batching the trace columns over F buffered evaluations moves no bit, because
+each batched sum is the sum it replaces:
 - a last-axis reduce of an (F, rows, w) array sums each row pairwise, as the
   (rows, w) reduce of one evaluation does: every rate is the same sum;
-- a block's squared residual is the (F, m*w) view of its contiguous (m, w)
-  slice, reduced on the last axis: per evaluation the flat pairwise sum of
-  the same m*w squares;
+- the squared residual is the (F, rows*C) view of the residual rows,
+  reduced on the last axis: per evaluation the flat pairwise sum of the same
+  rows*C squares;
 - the sum rate is a row sum of an (F, N) array, the 1-D sum of each row;
 - adding the blocks' (F,) columns in AP order, from 0.0, makes the same
   IEEE additions as a float loop over one evaluation's blocks, and
@@ -84,7 +87,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -241,16 +243,16 @@ class _Blocks:
     block and MU, rows sorted by block, then MU index. Every block's channels
     are padded out to the widest block's width C, as
     ``NetworkScenario.chan_noise`` says: ``pmat`` (rows, C) holds the rows'
-    powers (zeros unless given; a given array may have more zero columns),
-    0.0 on the pads, and ``real`` flags each row's own channels, where its
-    block's ``noise`` is finite; with one width there are no pads. Every
-    channel sum runs over each block's own width, per width in ``parts``.
-    ``ids`` and ``rows`` label the blocks and the rows for the caller
-    (default: their positions). Per block, ``potential`` is the last
+    powers (zeros from the constructor), 0.0 on the pads, and ``real`` flags
+    each row's own channels, where its block's ``noise`` is finite; with one
+    width there are no pads. Block potentials and rates sum each block's
+    channels over its own width, per width in ``parts``; the budget check
+    sums the padded rows. ``ids`` and ``rows`` label the blocks and the rows
+    for the caller (their positions, until ``subset`` keeps some). Per block, ``potential`` is the last
     evaluation's potential and ``held`` stays True until a potential falls
     below the previous one; ``history`` is an accelerated solve's memory."""
 
-    def __init__(self, scenario, aps, members, ids=None, rows=None, pmat=None):
+    def __init__(self, scenario, aps, members):
         block, mus = members.nonzero()
         width = scenario.chan_width[aps]
         c = int(width.max())
@@ -262,20 +264,18 @@ class _Blocks:
         self.real = np.isfinite(self.noise).take(block, axis=0)  # each row's own channels
         self.log_noise = np.log2(self.noise)
         self.budgets = scenario.budget[mus]
-        self._lay_out(scenario, aps, width, block, mus, ids, rows, pmat)
+        self._lay_out(scenario, aps, width, block, mus, np.arange(aps.size), np.arange(mus.size),
+                      np.zeros((mus.size, c)))
 
     def _lay_out(self, scenario, aps, width, block, mus, ids, rows, pmat):
         """Everything but the rows' cells, gains, budgets and own-channel
         flags and the blocks' noise, which the caller has set."""
         self.scenario, self.aps, self.width = scenario, aps, width
-        self.block, self.mus = block, mus
-        self.ids = np.arange(aps.size) if ids is None else ids
-        self.rows = np.arange(mus.size) if rows is None else rows
+        self.block, self.mus, self.ids, self.rows, self.pmat = block, mus, ids, rows, pmat
         self.widths = sorted(set(self.width.tolist()))
         self.one_width = len(self.widths) == 1
         c = self.widths[-1]
         self.num_channels = scenario.num_channels
-        self.pmat = np.zeros((mus.size, c)) if pmat is None else np.ascontiguousarray(pmat[:, :c])
         self.sizes = np.bincount(block, minlength=aps.size)
         self.starts = self.sizes.cumsum() - self.sizes
         self.slot = np.arange(mus.size) - self.starts[block]
@@ -305,17 +305,6 @@ class _Blocks:
             return [(self.widths[0], slice(None), slice(None))]
         return [(w, np.flatnonzero(self.width == w), np.flatnonzero(self.width[self.block] == w))
                 for w in self.widths]
-
-    @cached_property
-    def bounds(self) -> list:
-        """Per part, (block, start, end) of each of its blocks' rows within
-        its rows."""
-        out = []
-        for _, blocks, _ in self.parts:
-            sizes = self.sizes[blocks].tolist()
-            ids = range(len(sizes)) if self.one_width else blocks.tolist()
-            out.append([(b, e - m, e) for b, m, e in zip(ids, sizes, accumulate(sizes))])
-        return out
 
     @cached_property
     def slots(self) -> list:
@@ -405,19 +394,6 @@ class _Blocks:
             rates[..., rows] = own.sum(axis=-1) / self.num_channels
         return rates
 
-    def squared_residuals(self, residual):
-        """Each block's squared residual (..., blocks), the sum of its
-        contiguous (members, width) slice of the residual rows (..., rows, C)
-        as one flat run."""
-        lead = residual.shape[:-2]
-        out = np.empty(lead + self.width.shape)
-        for (w, _, rows), bounds in zip(self.parts, self.bounds):
-            r = residual[..., rows, :w]
-            s2 = r * r
-            for b, lo, hi in bounds:
-                out[..., b] = s2[..., lo:hi, :].reshape(lead + (-1,)).sum(axis=-1)
-        return out
-
     def average(self, t, schedule):
         """a_iwf's step: every row moves ``schedule.block_alpha(t, held)`` of
         its block of its last residual. Raises RuntimeError if that leaves the
@@ -492,13 +468,9 @@ class _Blocks:
         return np.zeros((rows, ANDERSON_MEMORY, c)), np.zeros((rows, ANDERSON_MEMORY + 1, c))
 
     def check_feasible(self, t):
-        """Raise RuntimeError unless every power is nonnegative and every row
-        within its budget plus 1e-9, summed over the row's own width."""
-        if self.one_width:
-            within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
-        else:  # budget sums over each row's own width
-            within = all((np.add.reduce(self.pmat[rows, :w], axis=1) <= self.limits[rows]).all()
-                         for w, _, rows in self.parts)
+        """Raise RuntimeError unless every power is nonnegative and every
+        padded row sums to within its budget plus 1e-9."""
+        within = (np.add.reduce(self.pmat, axis=1) <= self.limits).all()
         if not (within and np.minimum.reduce(self.pmat, axis=None) >= 0.0):
             raise RuntimeError(f"a_iwf: infeasible powers after step {t}")
 
@@ -565,11 +537,13 @@ class ProfileLayout:
         """(potential, sum rate, residual 2-norm, per-MU rates) of one
         evaluation or of F (a leading axis F), from ``_Blocks.evaluate``'s
         arrays and the block potentials (..., blocks). Blocks add in AP order
-        from 0.0, and the N MU rates in MU order."""
+        from 0.0, the N MU rates in MU order, and the squared residuals as
+        one flat run of the padded rows."""
         b = self.blocks
         rates = np.empty(others.shape[:-2] + self.association.shape)
         rates[..., b.mus] = b.rates(log_tot, others)
-        res_two = np.sqrt(self.ap_sum(b.squared_residuals(residual)))
+        flat = residual.reshape(residual.shape[:-2] + (-1,))  # pads are 0.0
+        res_two = np.sqrt(np.add.reduce(flat * flat, axis=-1))
         return self.ap_sum(potential), rates.sum(axis=-1), res_two, rates
 
     def ap_sum(self, values):

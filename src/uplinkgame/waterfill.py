@@ -28,12 +28,6 @@ from .errors import ValidationError
 
 
 _LARGEST = np.finfo(float).max
-# The most cells of one stacked ``best_replies`` call (96 KiB of floats). The C
-# allocator serves blocks of 128 KiB and more from fresh pages, whose faults
-# cost more than the calls a split adds: at (200,10,256) one call took 1.45×
-# the time of the per-AP calls, while two APs a call take about 0.9× of it,
-# as fast as three, with a third less memory for the temporaries.
-_STACK_CELLS = 12288
 
 
 @dataclass(frozen=True)
@@ -200,43 +194,37 @@ def best_replies(scenario, interference: np.ndarray, mus=None):
     MUs' rows (``interference`` then holds one row each). Returns (rates (R,
     W), per-AP list of (R, K_w) powers), R rows.
 
-    Every (row, AP) pair is a row of one ``water_fill_batch`` call of width
-    C, the widest AP's, padded as ``NetworkScenario.chan_noise`` says: pads
-    are absent channels that move no bit of the real ones. The rows of
-    ``water_fill_batch`` are independent, so each pair is the per-AP call's
-    row bit for bit, and a ``mus`` row is the full table's. The rates take
-    one log pass; each AP's channels are summed over its own width, once per
-    distinct width, since numpy's pairwise row sum regroups when the row
-    length changes."""
+    Every (row, AP) pair is a row of one ``water_fill_batch`` call, at any
+    table size, of width C, the widest AP's, padded as
+    ``NetworkScenario.chan_noise`` says: pads are absent channels that move
+    no bit of the real ones. The rows of ``water_fill_batch`` are
+    independent, so each pair is the per-AP call's row bit for bit, and a
+    ``mus`` row is the full table's. The rates take one log pass; each AP's
+    channels are summed over its own width, once per distinct width, since
+    numpy's pairwise row sum regroups when the row length changes."""
     gain_sq, budget = scenario.gain_sq, scenario.budget
     if mus is not None:
         gain_sq, budget = gain_sq[mus], budget[mus]
     r, (w, c) = budget.size, scenario.chan_table.shape
-    rates, vecs = np.empty((r, w)), []
-    step = max(1, _STACK_CELLS // (r * c))
-    for lo in range(0, w, step):
-        aps = slice(lo, lo + step)
-        table, width = scenario.chan_table[aps], scenario.chan_width[aps]
-        m = width.size
-        # take, not [:, table]: a fancy gather may come out F-ordered, and the
-        # channel sums below would then run sequentially instead of pairwise.
-        gains = gain_sq.take(table, axis=1)  # (R, m, C)
-        floors = interference.take(table, axis=1)
-        floors += scenario.chan_noise[aps]
-        phi, _ = water_fill_batch(gains.reshape(-1, c), floors.reshape(-1, c), budget.repeat(m))
-        phi = phi.reshape(r, m, c)
-        cells = np.multiply(gains, phi, out=gains)
-        cells /= floors
-        cells += 1.0
-        np.log2(cells, out=cells)  # 0.0 on the pads
-        widths = width.tolist()
-        distinct = set(widths)
-        for k in distinct:
-            own = slice(None) if len(distinct) == 1 else width == k
-            rates[:, lo : lo + m][:, own] = cells[:, own, :k].sum(axis=-1)
-        vecs += [phi[:, j, :k] for j, k in enumerate(widths)]
+    # take, not [:, table]: a fancy gather may come out F-ordered, and the
+    # channel sums below would then run sequentially instead of pairwise.
+    gains = gain_sq.take(scenario.chan_table, axis=1)  # (R, W, C)
+    floors = interference.take(scenario.chan_table, axis=1)
+    floors += scenario.chan_noise
+    phi, _ = water_fill_batch(gains.reshape(-1, c), floors.reshape(-1, c), budget.repeat(w))
+    phi = phi.reshape(r, w, c)
+    cells = np.multiply(gains, phi, out=gains)
+    cells /= floors
+    cells += 1.0
+    np.log2(cells, out=cells)  # 0.0 on the pads
+    rates, width = np.empty((r, w)), scenario.chan_width
+    widths = width.tolist()
+    distinct = set(widths)
+    for k in distinct:
+        own = slice(None) if len(distinct) == 1 else width == k
+        rates[:, own] = cells[:, own, :k].sum(axis=-1)
     rates /= scenario.num_channels
-    return rates, vecs
+    return rates, [phi[:, j, :k] for j, k in enumerate(widths)]
 
 
 def best_reply_table(scenario, association, powers):

@@ -627,7 +627,6 @@ def test_solve_profiles_on_a_mixed_width_batch_follows_the_reference(n, w, k):
 
 
 def test_a_iwf_raises_on_infeasible_step(monkeypatch):
-    sc = make_scenario(6, 2, 8, seed=14)
     real = inner_module.water_fill_batch
 
     def over_budget(*args):
@@ -635,8 +634,10 @@ def test_a_iwf_raises_on_infeasible_step(monkeypatch):
         return 3.0 * phi, levels
 
     monkeypatch.setattr(inner_module, "water_fill_batch", over_budget)
-    with pytest.raises(RuntimeError, match="infeasible"):
-        a_iwf(sc, np.arange(6) % 2)
+    for n, w, k in [(6, 2, 8), (12, 5, 23)]:  # (12,5,23): mixed widths, padded rows
+        sc = make_scenario(n, w, k, seed=14)
+        with pytest.raises(RuntimeError, match="infeasible"):
+            a_iwf(sc, np.arange(n) % w)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,7 @@ def test_compare_has_no_seed_flag(tmp_path, capsys):
         (("--algos", "closest_ap,closest_ap"), "closest_ap"),
         (("--algos", "jaspa", "--costs", "0,0.0"), r"jaspa\(c=0\)"),
         (("--algos", "nope"), "nope"),
+        (("--algos", "se_jaspa,j_jaspa", "--costs", "0,5"), "--costs"),
     ],
 )
 def test_compare_refuses_no_reps_and_repeated_entries(tmp_path, capsys, argv, field):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uplinkgame import (
-    NetworkScenario, ValidationError, best_response_rate, s_iwf, verify_jep, water_fill, wf_operator
+    NetworkScenario, ValidationError, best_response_rate, s_iwf, uniform_powers, verify_jep,
+    water_fill, wf_operator,
 )
 from uplinkgame.game import interference_at, rate
 from uplinkgame.inner import ProfileLayout, evaluate_profile
@@ -559,8 +560,8 @@ def test_stacked_best_replies_equal_the_per_ap_loop(n, w, k):
 
 @pytest.mark.parametrize(
     "n, widths",
-    # Stacks split into several calls, some holding only narrower APs, at
-    # widths where a pad column would regroup numpy's pairwise row sum.
+    # Large stacks of mixed widths, and APs of widths where a pad column would
+    # regroup numpy's pairwise row sum.
     [(400, (24, 23, 24, 23)), (400, (16, 15, 16, 15, 15)), (5, (24, 23, 1, 17)), (30, (3, 1, 2, 9, 16))],
 )
 def test_stacked_best_replies_sum_each_ap_over_its_own_width(n, widths):
@@ -570,6 +571,23 @@ def test_stacked_best_replies_sum_each_ap_over_its_own_width(n, widths):
     interference = profile_table(sc, assoc, random_powers(sc, assoc, rng, slack=True))[1]
     assert_same_best_replies(sc, interference)
     assert_same_best_replies(sc, interference[::3], np.arange(0, n, 3))
+
+
+def test_a_full_best_reply_table_is_one_water_fill_call(monkeypatch):
+    # 400 MUs at four APs of 23-24 channels: 38,400 cells in one stack.
+    waterfill_module = importlib.import_module("uplinkgame.waterfill")
+    sc = block_scenario(400, (24, 23, 24, 23), seed=400)
+    assoc = np.random.default_rng(0).integers(0, sc.num_aps, sc.num_mus)
+    interference = profile_table(sc, assoc, uniform_powers(sc, assoc))[1]
+    shapes = []
+
+    def counted(gains, floors, budgets):
+        shapes.append(gains.shape)
+        return water_fill_batch(gains, floors, budgets)
+
+    monkeypatch.setattr(waterfill_module, "water_fill_batch", counted)
+    best_replies(sc, interference)
+    assert shapes == [(400 * 4, 24)]
 
 
 def test_stacked_best_replies_keep_a_vanishing_gain_mu():

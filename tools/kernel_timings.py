@@ -8,6 +8,8 @@ the closest-AP profile at uniform powers, it times:
 - ``water_fill_batch`` on one AP's (N, K_w) best-reply rows;
 - ``best_replies``, the whole table and one MU's row;
 - ``profile_table``;
+- ``verify_jep``, the whole joint-equilibrium check (its ``profile_table``
+  and full best-reply table included);
 - the evaluation's interference, ``ProfileLayout.interference`` after
   ``evaluate_profile``;
 - ``evaluate_profile`` on the association its layout last loaded, and on a
@@ -84,6 +86,7 @@ def kernels(scenario) -> dict:
         "best_replies, full table": lambda: best_replies(scenario, interference),
         "best_replies, one row": lambda: best_replies(scenario, interference[:1], [0]),
         "profile_table": lambda: profile_table(scenario, assoc, powers),
+        "verify_jep": lambda: ug.verify_jep(scenario, assoc, powers),
         "evaluation's interference": getattr(same, "interference", None),
         "evaluate_profile, same assoc": lambda: evaluate_profile(scenario, assoc, powers, same),
         "evaluate_profile, new assoc": new_association,
