@@ -47,6 +47,14 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_numbers(name: str, array):
+    """``array``, a numpy array, if its kind is integer or real; else a
+    ValidationError naming ``name``. Booleans are refused, as by check_real."""
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name}: expected integers or reals, got {array.dtype} entries")
+    return array
+
+
 def check_tolerance(name: str, value) -> float:
     """A tolerance: ``value``, a finite real number >= 0, as a Python float."""
     value = check_real(name, value)

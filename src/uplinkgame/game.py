@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_tolerance
+from .errors import ValidationError, check_numbers, check_tolerance
 from .waterfill import best_reply_table, profile_table, water_fill, wf_operator
 
 LN2 = math.log(2.0)
@@ -35,7 +35,7 @@ def validate_association(scenario, association, batch: bool = False) -> np.ndarr
     0..W-1, of shape (N,); with ``batch``, a (profiles, N) array of
     ``associations``, every row checked at once by the same rules."""
     name, n = "associations" if batch else "association", scenario.num_mus
-    raw = np.asarray(association)
+    raw = check_numbers(name, np.asarray(association))
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
         raise ValidationError(f"{name}: AP indices must be whole numbers")
     a = raw.astype(np.intp)
@@ -81,7 +81,7 @@ def validate_costs(scenario, costs) -> np.ndarray:
     """Connection costs as one value per MU, a scalar broadcast to all;
     entries must be finite and nonnegative, as in ``NetworkScenario``."""
     try:
-        c = np.asarray(costs, dtype=float)
+        c = check_numbers("connection_cost", np.asarray(costs)).astype(float)
     except (TypeError, ValueError):
         raise ValidationError("connection_cost: expected numbers") from None
     if c.ndim == 0:

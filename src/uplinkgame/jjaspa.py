@@ -111,7 +111,7 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
     and updates its power from the destination AP's stored coalition state
     with a stepsize indexed by that coalition's visit count (1/2 under the
     safeguarded schedule until the coalition's potential first falls between
-    consecutive visits) - or a uniform random feasible vector for a
+    consecutive visits) - or to the best reply that chose the move, for a
     never-seen coalition. Termination is proposed when the association is
     constant over memory_len+1 iterations and the best-response residual is
     below eps_wf, and declared only once the profile verifies as a joint
@@ -140,21 +140,19 @@ def j_jaspa(scenario, config: JaspaConfig) -> RunResult:
 
         sampled = [sample_mu_memory(memory, rng) for rng in rngs]
         a_hat, rows, r_hat = (np.array([s[c][i] for i, s in enumerate(sampled)]) for c in range(3))
-        best, _ = best_replies(scenario, rows)
+        best, br_vecs = best_replies(scenario, rows)
         nxt = uniform_picks((best > r_hat[:, None]) | (np.arange(w) == a_hat[:, None]), rngs)
 
-        # Each AP's members and (members, K_w) power rows: uniform random
-        # feasible rows for a new coalition; for a returning one, each member
-        # steps the coalition's block_alpha of the way from its stored powers
-        # to its water-fill against the stored interference, one call per
-        # coalition, whose rows are independent.
+        # Each AP's members and (members, K_w) power rows: a new coalition's
+        # members start at their best replies to the sampled snapshots, the
+        # ones that chose the move; a returning one's members step its
+        # block_alpha of the way from their stored powers to their water-fill
+        # against the stored interference, in one call (rows independent).
         groups = []
         for ap, (mus, cols) in enumerate(zip(ap_members(nxt, w), scenario.chan_idx)):
             rec = apmem.get(ap, tuple(mus.tolist())) if mus.size else None
             if rec is None:
-                ones = np.ones(cols.size + 1)
-                stack = [scenario.budget[i] * rngs[i].dirichlet(ones)[: cols.size] for i in mus.tolist()]
-                stack = np.reshape(stack, (-1, cols.size))
+                stack = br_vecs[ap].take(mus, axis=0)
             else:
                 alpha = config.schedule.block_alpha(rec.visits, rec.held)
                 phi, _ = water_fill_batch(scenario.gain_sq[mus][:, cols],

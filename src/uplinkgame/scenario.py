@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioParseError, ValidationError, check_count, check_real, check_seed
+from .errors import ScenarioParseError, ValidationError, check_count, check_numbers, check_real, check_seed
 
 # Distances below this are clamped before computing the mean gain, so that
 # co-located nodes do not produce unbounded gains.
@@ -116,14 +116,15 @@ class NetworkScenario:
             idx.append(np.asarray(labels, dtype=np.intp) - 1)
 
         arrays = {
-            "gain_sq": (np.asarray(self.gain_sq, dtype=float), (n, k)),
-            "noise": (np.asarray(self.noise, dtype=float), (k,)),
-            "budget": (np.asarray(self.budget, dtype=float), (n,)),
-            "mu_positions": (np.asarray(self.mu_positions, dtype=float), (n, 2)),
-            "ap_positions": (np.asarray(self.ap_positions, dtype=float), (w, 2)),
-            "connection_cost": (np.asarray(self.connection_cost, dtype=float), (n,)),
+            "gain_sq": (self.gain_sq, (n, k)),
+            "noise": (self.noise, (k,)),
+            "budget": (self.budget, (n,)),
+            "mu_positions": (self.mu_positions, (n, 2)),
+            "ap_positions": (self.ap_positions, (w, 2)),
+            "connection_cost": (self.connection_cost, (n,)),
         }
         for name, (arr, shape) in arrays.items():
+            arr = np.asarray(check_numbers(name, np.asarray(arr)), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -270,10 +271,6 @@ def _indented(value, depth: int = 0):
         yield pad[:-1] + ("}" if keyed else "]")
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def _integer(value) -> int:
     """A JSON integer; a float, a boolean or a string is refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -284,14 +281,14 @@ def _integer(value) -> int:
 def _costs(value) -> np.ndarray:
     if isinstance(value, list) and any(isinstance(c, bool) for c in value):
         raise TypeError(f"expected numbers, got {value!r}")
-    return _floats(value)
+    return np.asarray(value)
 
 
 # How load_scenario converts each NetworkScenario field read from a file.
 _CONVERT = {
     **dict.fromkeys(("num_mus", "num_aps", "num_channels"), _integer),
     "ap_channels": lambda value: tuple(tuple(_integer(c) for c in b) for b in value),
-    **dict.fromkeys(("gain_sq", "noise", "budget", "mu_positions", "ap_positions"), _floats),
+    **dict.fromkeys(("gain_sq", "noise", "budget", "mu_positions", "ap_positions"), np.asarray),
     "connection_cost": _costs,
     "seed": lambda value: None if value is None else _integer(value),
 }

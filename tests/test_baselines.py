@@ -190,8 +190,10 @@ def test_solve_profiles_checks_its_settings():
         [[0, 1, 0.5, 0]],  # not a whole number
         [0, 1, 0, 1],  # 1-D
         np.zeros((2, 4, 1), dtype=int),  # 3-D
+        [[True, False, True, False]],  # booleans: used to pass as [1, 0, 1, 0]
+        [["1", "0", "1", "0"]],  # strings: likewise
     ],
-    ids=["negative", "short", "too-large", "fraction", "1-D", "3-D"],
+    ids=["negative", "short", "too-large", "fraction", "1-D", "3-D", "boolean", "string"],
 )
 def test_solve_profiles_refuses_a_malformed_batch(batch):
     sc = make_scenario(4, 2, 8, seed=0)

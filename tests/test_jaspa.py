@@ -135,7 +135,8 @@ def test_config_validation():
     JaspaConfig(eps_wf=0.0, eps_eq=0.0)
     # Connection costs follow NetworkScenario's rule, checked when a run starts.
     sc = make_scenario(3, 2, 4, seed=1)
-    for cost in (float("nan"), np.inf, -1.0, [0.0, 1.0], [0.0, -0.1, 0.0], "abc"):
+    for cost in (float("nan"), np.inf, -1.0, [0.0, 1.0], [0.0, -0.1, 0.0], "abc", True, "0.5",
+                 [True, False, True]):
         for algo in (jaspa, si_jaspa):
             with pytest.raises(ValidationError, match="connection_cost"):
                 algo(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))
@@ -809,7 +810,7 @@ def test_runs_stop_at_the_first_gate_pass_of_their_record(name, memory, n, w, k)
     outcomes = set()
     for seed in (0, 1):
         sc = make_scenario(n, w, k, seed=seed)
-        for cost, cap in ((c, cap) for c in costs for cap in (5, 300)):
+        for cost, cap in ((c, cap) for c in costs for cap in (2, 5, 300)):
             config = JaspaConfig(memory_len=m, connection_cost=cost, seed=seed, max_outer=cap)
             result = algo(sc, config)
             stop = first_gate_pass(sc, name, config, result)

@@ -14,6 +14,7 @@ from uplinkgame import (
     water_fill,
 )
 from uplinkgame.jjaspa import ApMemory, ap_memory_update
+from uplinkgame.waterfill import best_replies, profile_table
 
 from conftest import assert_coalition_replay, coalition_occurrences, make_scenario
 
@@ -141,15 +142,39 @@ def test_determinism():
 
 
 @pytest.mark.filterwarnings("ignore:memory_len")
-def test_unseen_coalition_powers_are_random_feasible():
-    # Iteration 0 moves every MU onto coalitions never seen before unless the
-    # association is unchanged; either way all powers must stay feasible.
+def test_unseen_coalition_powers_are_sampled_best_replies():
+    # All powers stay feasible. At a coalition's first visit after the
+    # initial profile, each member starts at its best reply, at its new AP,
+    # to one snapshot in its memory window: the interference row of a
+    # recorded profile, as profile_table forms it.
     sc = make_scenario(5, 2, 6, seed=10)
-    result = j_jaspa(sc, base_config(seed=3, max_outer=50))
+    config = base_config(seed=3, max_outer=50)
+    result = j_jaspa(sc, config)
     for rec in result.detail:
         for i, p in enumerate(rec.powers):
             assert np.all(p >= 0.0)
             assert p.sum() <= sc.budget[i] + 1e-12
+    interference = [profile_table(sc, rec.association, rec.powers)[1] for rec in result.detail]
+    first_visits = 0
+    for (ap, key), times in coalition_occurrences(result.detail, sc.num_aps).items():
+        t = times[0]
+        if not key or t == 0:
+            continue
+        first_visits += 1
+        window = interference[max(0, t - config.memory_len) : t]
+        for i in key:
+            starts = [best_replies(sc, rows[i : i + 1], [i])[1][ap][0] for rows in window]
+            assert any(np.array_equal(result.detail[t].powers[i], p) for p in starts), (t, ap, i)
+    assert first_visits > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mid_size_runs_end_at_verified_equilibria(seed):
+    # At (30,3,48) joint runs converge well inside the cap.
+    sc = make_scenario(30, 3, 48, seed=seed)
+    result = j_jaspa(sc, JaspaConfig(memory_len=30, seed=seed, max_outer=4000))
+    assert result.converged
+    assert result.jep_report.is_equilibrium
 
 
 def test_coalition_subsequences_replay_averaged_water_filling():

@@ -203,11 +203,14 @@ def test_unconvertible_field_is_named_and_exits_3(tmp_path, capsys, field, value
         ("ap_channels", [[1], [2.0]]),
         ("ap_channels", [[True], [2]]),
         ("connection_cost", [True, False]),
+        ("noise", ["1", "1"]),
+        ("noise", [True, True]),
     ],
 )
 def test_non_integer_or_boolean_field_is_refused_and_exits_3(tmp_path, capsys, field, value):
-    # Each used to load truncated: num_aps 2.5 as 2 APs, seed 3.9 as 3, and
-    # costs [true, false] as [1.0, 0.0].
+    # Each used to load truncated: num_aps 2.5 as 2 APs, seed 3.9 as 3,
+    # costs [true, false] as [1.0, 0.0], and noise ["1", "1"] or [true, true]
+    # as [1.0, 1.0].
     path = _doc(tmp_path, **{field: value})
     with pytest.raises(ValidationError, match=f"^{field}: "):
         load_scenario(path)
