@@ -5,6 +5,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Input data violates a documented invariant (bad scenario field, infeasible
@@ -47,12 +49,27 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
-def check_numbers(name: str, array):
-    """``array``, a numpy array, if its kind is integer or real; else a
-    ValidationError naming ``name``. Booleans are refused, as by check_real."""
-    if array.dtype.kind not in "iuf":
-        raise ValidationError(f"{name}: expected integers or reals, got {array.dtype} entries")
-    return array
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def check_numbers(name: str, value) -> np.ndarray:
+    """``value`` as a numpy array, if its kind is integer or real; else a
+    ValidationError naming ``name``. Booleans are refused, as by check_real:
+    an ndarray by its dtype, other input entry by entry, since numpy turns a
+    boolean among numbers into a number. A ragged nesting is refused too."""
+    if not isinstance(value, np.ndarray):
+        try:
+            array = np.asarray(value)
+        except ValueError:  # numpy's "inhomogeneous shape"
+            raise ValidationError(f"{name}: expected a rectangular array, got a ragged one") from None
+        if array.dtype.kind in "iuf" and not _BOOLS.isdisjoint(
+            map(type, np.asarray(value, dtype=object).flat)
+        ):
+            raise ValidationError(f"{name}: expected integers or reals, got a boolean entry")
+        value = array
+    if value.dtype.kind not in "iuf":
+        raise ValidationError(f"{name}: expected integers or reals, got {value.dtype} entries")
+    return value
 
 
 def check_tolerance(name: str, value) -> float:

@@ -35,7 +35,7 @@ def validate_association(scenario, association, batch: bool = False) -> np.ndarr
     0..W-1, of shape (N,); with ``batch``, a (profiles, N) array of
     ``associations``, every row checked at once by the same rules."""
     name, n = "associations" if batch else "association", scenario.num_mus
-    raw = check_numbers(name, np.asarray(association))
+    raw = check_numbers(name, association)
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
         raise ValidationError(f"{name}: AP indices must be whole numbers")
     a = raw.astype(np.intp)
@@ -80,10 +80,7 @@ def validate_powers(scenario, association, powers, tol: float = 1e-12) -> None:
 def validate_costs(scenario, costs) -> np.ndarray:
     """Connection costs as one value per MU, a scalar broadcast to all;
     entries must be finite and nonnegative, as in ``NetworkScenario``."""
-    try:
-        c = check_numbers("connection_cost", np.asarray(costs)).astype(float)
-    except (TypeError, ValueError):
-        raise ValidationError("connection_cost: expected numbers") from None
+    c = check_numbers("connection_cost", costs).astype(float)
     if c.ndim == 0:
         c = np.full(scenario.num_mus, float(c))
     if c.shape != (scenario.num_mus,):
@@ -144,6 +141,7 @@ def all_rates(scenario, association, powers) -> np.ndarray:
 
 def sum_rate(scenario, association, powers) -> float:
     a = validate_association(scenario, association)
+    validate_powers(scenario, a, powers)
     return float(profile_table(scenario, a, powers)[0].sum())
 
 

@@ -124,7 +124,7 @@ class NetworkScenario:
             "connection_cost": (self.connection_cost, (n,)),
         }
         for name, (arr, shape) in arrays.items():
-            arr = np.asarray(check_numbers(name, np.asarray(arr)), dtype=float)
+            arr = np.asarray(check_numbers(name, arr), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{name}: expected shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -278,20 +278,14 @@ def _integer(value) -> int:
     return value
 
 
-def _costs(value) -> np.ndarray:
-    if isinstance(value, list) and any(isinstance(c, bool) for c in value):
-        raise TypeError(f"expected numbers, got {value!r}")
-    return np.asarray(value)
-
-
-# How load_scenario converts each NetworkScenario field read from a file.
+# How load_scenario converts each NetworkScenario field read from a file; the
+# array fields go to NetworkScenario as read, and it checks them.
 _CONVERT = {
     **dict.fromkeys(("num_mus", "num_aps", "num_channels"), _integer),
     "ap_channels": lambda value: tuple(tuple(_integer(c) for c in b) for b in value),
-    **dict.fromkeys(("gain_sq", "noise", "budget", "mu_positions", "ap_positions"), np.asarray),
-    "connection_cost": _costs,
     "seed": lambda value: None if value is None else _integer(value),
 }
+_ARRAYS = ("gain_sq", "noise", "budget", "mu_positions", "ap_positions", "connection_cost")
 
 
 def load_scenario(path) -> NetworkScenario:
@@ -313,7 +307,7 @@ def load_scenario(path) -> NetworkScenario:
     if not isinstance(positions, dict) or "mus" not in positions or "aps" not in positions:
         raise ValidationError("positions: expected an object with 'mus' and 'aps'")
     fields = dict(doc, mu_positions=positions["mus"], ap_positions=positions["aps"])
-    values = {}
+    values = {name: fields[name] for name in _ARRAYS}
     for name, convert in _CONVERT.items():
         try:
             values[name] = convert(fields[name])

@@ -6,12 +6,12 @@ sum(p) <= budget. The optimum has the form p_k = max(level - f_k, 0) with
 effective floors f_k = (n+I)_k / g_k; the level is found exactly from the
 sorted floors, so no iterative tolerance is involved.
 
-``profile_table`` is the one pass over a profile: it gives every MU's
-current rate and the (N, K) interference matrix, which ``best_replies``
-water-fills at every AP (for every MU or some). ``interference_matrix`` is
-the one kernel that forms that matrix, from the received powers; after an
-evaluation, ``inner.ProfileLayout.interference`` calls it on the
-evaluation's received powers.
+``profile_table`` is the one pass over a profile: it forms the (N, K)
+interference matrix, reads every MU's current rate off it, and
+``best_replies`` water-fills it at every AP (for every MU or some).
+``interference_matrix`` is the one kernel that forms that matrix, from the
+received powers; after an evaluation, ``inner.ProfileLayout.interference``
+calls it on the evaluation's received powers.
 ``best_reply_table`` chains the two; it is the one kernel behind the joint
 dynamics' best replies and the equilibrium verifiers. ``wf_operator`` and
 the scalar functions in ``game`` are the reference oracles both are tested
@@ -150,29 +150,17 @@ def wf_operator(scenario, association, powers, mu: int) -> np.ndarray:
 
 def profile_table(scenario, association, powers):
     """The current rates (N,) and the interference (N, K) of a profile, the
-    latter ``interference_matrix`` of its received powers. The rates take
-    one pass per AP, each MU's interferers summed as
-    ``game.interference_at`` sums them (predecessors' cumulative sum, then
-    successors one by one), so each equals ``game.rate`` bit for bit."""
+    latter ``interference_matrix`` of its received powers; each MU's rate is
+    read off that matrix on its own channels (``game.rate`` within 1e-12)."""
     a = np.asarray(association)
     rows = np.repeat(np.arange(a.size), scenario.chan_width[a])
     cols = scenario.chan_table[a][np.isfinite(scenario.chan_noise[a])]  # each MU's own channels
     received = np.zeros((scenario.num_mus, scenario.num_channels))
-    received[rows, cols] = scenario.gain_sq[rows, cols] * np.concatenate(powers)
-    current = np.zeros(scenario.num_mus)
-    for ap in range(scenario.num_aps):
-        members = np.flatnonzero(a == ap)
-        if members.size == 0:
-            continue
-        cols = scenario.chan_idx[ap]
-        rx = received[members[:, None], cols]
-        interf = np.zeros_like(rx)
-        interf[1:] = np.cumsum(rx, axis=0)[:-1]
-        for s in range(1, members.size):
-            interf[:s] += rx[s]
-        sinr = rx / (scenario.noise[cols] + interf)
-        current[members] = np.log2(1.0 + sinr).sum(axis=1) / scenario.num_channels
-    return current, interference_matrix(received)
+    rx = received[rows, cols] = scenario.gain_sq[rows, cols] * np.concatenate(powers)
+    interference = interference_matrix(received)
+    cells = np.log2(1.0 + rx / (scenario.noise[cols] + interference[rows, cols]))
+    current = np.bincount(rows, weights=cells, minlength=a.size) / scenario.num_channels
+    return current, interference
 
 
 def interference_matrix(received: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from uplinkgame import (
 )
 from uplinkgame.errors import ValidationError
 from uplinkgame.game import validate_association, validate_powers
+from uplinkgame.inner import solve_profiles
 
 from conftest import make_scenario, random_powers
 
@@ -481,8 +482,8 @@ def test_verifiers_match_scalar_loops(n, w, k, seed):
             assert joint.is_equilibrium == j_ok
             assert (joint.worst_violator and joint.worst_violator[:2]) == j_who
             np.testing.assert_allclose(joint.violations, gains, rtol=1e-12, atol=1e-12)
-            assert power.current_rates.tolist() == cur.tolist()
-            assert joint.current_rates.tolist() == cur.tolist()
+            np.testing.assert_allclose(power.current_rates, cur, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(joint.current_rates, cur, rtol=1e-12, atol=1e-12)
 
 
 def test_verify_jep_costs_shift_the_switch_gain(footnote2):
@@ -523,7 +524,8 @@ def test_verifiers_refuse_a_negative_or_non_finite_tolerance(footnote2, verify, 
 
 
 @pytest.mark.parametrize(
-    "costs", [np.full(2, np.nan), np.array([0.1, -0.1]), np.zeros(3), np.inf, [[0.1, 0.1]]]
+    "costs",
+    [np.full(2, np.nan), np.array([0.1, -0.1]), np.zeros(3), np.inf, [[0.1, 0.1]], [0.5, True]],
 )
 def test_verify_jep_validates_its_costs(footnote2, costs):
     with pytest.raises(ValidationError, match="connection_cost"):
@@ -638,6 +640,15 @@ def test_validate_powers_budget_sums_are_each_vectors_own_sum():
         (lambda sc: validate_association(sc, [0, 1, 0]), "association: expected shape"),
         (lambda sc: validate_association(sc, [[0, 1]]), "association: expected shape"),
         (lambda sc: validate_powers(sc, [0, 1], [np.ones(2)]), "powers: expected 2 vectors"),
+        # numpy turns a boolean among integers into an integer, and raises its
+        # own ValueError on a ragged list: each used to solve or to escape.
+        (lambda sc: a_iwf(sc, [1, True]), "association: expected integers or reals, got a boolean"),
+        (lambda sc: a_iwf(sc, [[0, 1], [0]]), "association: expected a rectangular array"),
+        (lambda sc: solve_profiles(sc, [[0, True]]), "associations: expected integers or reals"),
+        (lambda sc: solve_profiles(sc, [[0, 1], [0]]), "associations: expected a rectangular"),
+        # sum_rate used to broadcast a short vector, and sum negated powers.
+        (lambda sc: sum_rate(sc, [0, 1], [np.ones(3), np.ones(2)]), r"powers\[0\]: expected length 2"),
+        (lambda sc: sum_rate(sc, [0, 1], [np.full(2, 0.1), np.full(2, -0.1)]), r"powers\[1\]: negative"),
     ],
 )
 def test_profiles_of_the_wrong_size_are_refused_by_name(check, field):

@@ -136,7 +136,7 @@ def test_config_validation():
     # Connection costs follow NetworkScenario's rule, checked when a run starts.
     sc = make_scenario(3, 2, 4, seed=1)
     for cost in (float("nan"), np.inf, -1.0, [0.0, 1.0], [0.0, -0.1, 0.0], "abc", True, "0.5",
-                 [True, False, True]):
+                 [True, False, True], [0.5, True, 0]):
         for algo in (jaspa, si_jaspa):
             with pytest.raises(ValidationError, match="connection_cost"):
                 algo(sc, JaspaConfig(memory_len=3, connection_cost=cost, max_outer=5))

@@ -205,12 +205,14 @@ def test_unconvertible_field_is_named_and_exits_3(tmp_path, capsys, field, value
         ("connection_cost", [True, False]),
         ("noise", ["1", "1"]),
         ("noise", [True, True]),
+        ("noise", [1.0, True]),
+        ("budget", [1, True]),
     ],
 )
 def test_non_integer_or_boolean_field_is_refused_and_exits_3(tmp_path, capsys, field, value):
     # Each used to load truncated: num_aps 2.5 as 2 APs, seed 3.9 as 3,
-    # costs [true, false] as [1.0, 0.0], and noise ["1", "1"] or [true, true]
-    # as [1.0, 1.0].
+    # costs [true, false] as [1.0, 0.0], noise ["1", "1"], [true, true] or
+    # [1.0, true] as [1.0, 1.0], and budget [1, true] as [1.0, 1.0].
     path = _doc(tmp_path, **{field: value})
     with pytest.raises(ValidationError, match=f"^{field}: "):
         load_scenario(path)
@@ -310,6 +312,23 @@ def test_scenario_counts_and_seed_are_named_validation_errors(field, value):
     # a TypeError, and such a seed saved a file that load_scenario refused.
     sc = generate_scenario(ScenarioGenParams(num_mus=4, num_aps=2, num_channels=4, seed=0))
     with pytest.raises(ValidationError, match=field):
+        dataclasses.replace(sc, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("noise", [1.0, True, 1.0, 1.0]),
+        ("connection_cost", [0.5, True, 0, 0]),
+        ("mu_positions", [[0.0, 0.0], [1.0, 1.0], [2.0], [3.0, 3.0]]),
+        ("gain_sq", [[1.0] * 4, [1.0] * 4, [1.0] * 4, [1.0] * 3]),
+    ],
+)
+def test_scenario_array_fields_refuse_booleans_and_ragged_nestings(field, value):
+    # A boolean used to construct as 1.0, and a ragged list raised numpy's
+    # bare ValueError.
+    sc = generate_scenario(ScenarioGenParams(num_mus=4, num_aps=2, num_channels=4, seed=0))
+    with pytest.raises(ValidationError, match=f"^{field}: "):
         dataclasses.replace(sc, **{field: value})
 
 

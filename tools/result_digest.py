@@ -18,7 +18,11 @@ Per scenario size and seed it hashes every float bit of:
   (sizes up to 12 MUs, and (16,4,48) at seed 0): the whole ``RunResult``;
   and, under the safeguarded schedule at sizes up to 12 MUs, ``jaspa`` with
   the ``s_iwf`` inner solver, and ``jaspa`` and ``si_jaspa`` with
-  ``selection="best"`` and with a connection cost of 0.05.
+  ``selection="best"`` and with a connection cost of 0.05. Each of these
+  runs is followed by a ``<case>/path`` case, which hashes only its
+  association sequence, outer iteration count and converged flag: a run
+  whose case moves while its path stays made the same picks, and differs
+  by rounding alone.
 
 At seed 0 of every size where the dynamics run, it also hashes the CLI's
 outputs, each run in-process in a temporary directory: ``generate``'s
@@ -153,6 +157,14 @@ def cli_cases(n, w, k, seed):
             )
 
 
+def dynamics_cases(name, run):
+    """A run of the dynamics, then its path: the association of every outer
+    iteration, the outer iteration count and the converged flag."""
+    yield name, run
+    yield f"{name}/path", [[rec.association for rec in run.detail], run.outer_iterations,
+                           run.converged]
+
+
 def cases(n, w, k, seed):
     """(name, result) pairs for one scenario."""
     sc = ug.generate_scenario(ug.ScenarioGenParams(n, w, k, seed=seed))
@@ -184,7 +196,7 @@ def cases(n, w, k, seed):
             memory_len=n, seed=seed, schedule=schedule, max_outer=60, max_inner=MAX_ITERS
         )
         for algo in ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa"):
-            yield f"{algo}/{name}", getattr(ug, algo)(sc, config)
+            yield from dynamics_cases(f"{algo}/{name}", getattr(ug, algo)(sc, config))
     if seed == 0:
         yield from cli_cases(n, w, k, seed)
     if n > DYNAMICS_MAX_MUS:
@@ -193,7 +205,7 @@ def cases(n, w, k, seed):
         config = ug.JaspaConfig(
             memory_len=n, seed=seed, max_outer=60, max_inner=MAX_ITERS, **settings
         )
-        yield label, getattr(ug, label.split("/")[0])(sc, config)
+        yield from dynamics_cases(label, getattr(ug, label.split("/")[0])(sc, config))
 
 
 def main() -> None:
