@@ -28,6 +28,15 @@ the contiguous slice ``Z[j, :nb]``, and one water-fill call moves it. Moving
 the j-th member of every block at once equals stepping MU by MU, because
 blocks are independent and a block's members move in ascending MU order.
 
+s_iwf stops each block at its own ``eps_wf``: once a block's residual
+inf-norm is within it, its rows keep their powers, and later rounds step the
+``subset`` of the blocks still moving. No block's iterates depend on another
+block, so each block's powers are those of solving it alone to ``eps_wf``,
+bit for bit; a stopped block's residual never changes again, and the profile
+converges in the round where its last block stops. ``solve_profiles`` stops
+s_iwf blocks the same way, so a batch's rows still equal per-profile runs.
+a_iwf keeps one stop for the whole profile.
+
 An evaluation computes only what a step and the stop test read: one ``G*P``,
 scattered into ``Z`` through one flat cell index, the totals and the noise
 plus interference, one water-fill call, the residual, the ``log2`` of the
@@ -361,6 +370,13 @@ class _Blocks:
         self.held &= keeps_hold(self.potential, potential)
         self.potential = potential
 
+    def residual_inf(self):
+        """Each block's residual inf-norm at the last evaluation, NaN where a
+        cell is NaN: a block's residual rows are one contiguous run of the
+        flat residual."""
+        residual = np.abs(self.residual)
+        return np.maximum.reduceat(residual.reshape(-1), self.starts * residual.shape[1])
+
     def potentials_at(self, powers):
         """The block potentials at ``powers`` (rows, C). Spends the scratch
         ``gp``, ``Z`` and ``tot``."""
@@ -591,13 +607,20 @@ _TRACE_CELLS = 2**15
 
 
 def _iterate(scenario, association, initial_powers, eps_wf: float, max_iters: int, step,
-             schedule=None) -> InnerLoopResult:
+             schedule=None, per_block=False) -> InnerLoopResult:
     """Run a solver from ``initial_powers`` (default uniform): evaluate and
     test the residual; stop at ``eps_wf`` or ``max_iters``, else take the
     ``_Blocks`` step ``step(blocks, t, schedule)``, which returns the stepsize
     it applied. Evaluations go into a buffer of at most _TRACE_CELLS cells
     (one evaluation at least); each full buffer, and the last, becomes trace
-    rows in one ``ProfileLayout.metrics`` pass."""
+    rows in one ``ProfileLayout.metrics`` pass.
+
+    With ``per_block`` (s_iwf), a block whose residual inf-norm is within
+    ``eps_wf`` stops moving (a NaN block never does): the step runs on the
+    ``subset`` of the blocks still moving, rebuilt only when that set
+    changes, and their rows' powers are written back. Every round still
+    evaluates every block, so the trace rows, the stop test and the round
+    count are the whole profile's."""
     association = validate_association(scenario, association)
     if initial_powers is None:
         initial_powers = uniform_powers(scenario, association)
@@ -616,6 +639,7 @@ def _iterate(scenario, association, initial_powers, eps_wf: float, max_iters: in
 
     converged = False
     t = f = 0
+    stepped, moving = b, None
     while True:
         if f == room:
             flush(f)
@@ -623,7 +647,8 @@ def _iterate(scenario, association, initial_powers, eps_wf: float, max_iters: in
         b.evaluate((log_tot[f], others[f], residual[f]))
         potential[f] = b.potential
         f += 1
-        res_inf.append(float(np.abs(b.residual).max()))  # NaN stays NaN: never converged
+        magnitude = b.residual_inf() if per_block else np.abs(b.residual)
+        res_inf.append(float(magnitude.max()))  # NaN stays NaN: never converged
         alpha.append(math.nan)
         if res_inf[-1] <= eps_wf:
             converged = True
@@ -631,7 +656,13 @@ def _iterate(scenario, association, initial_powers, eps_wf: float, max_iters: in
         if t >= max_iters:
             break
         t += 1
-        alpha[-1] = step(b, t, schedule)
+        if per_block:
+            still = ~(magnitude <= eps_wf)  # a NaN block keeps moving
+            if moving is None or not np.array_equal(still, moving):
+                moving, stepped = still, b if still.all() else b.subset(still)
+        alpha[-1] = step(stepped, t, schedule)
+        if stepped is not b:
+            b.pmat[stepped.rows, : stepped.pmat.shape[1]] = stepped.pmat
     flush(f)
     pot, total, res_two = (np.concatenate(col) for col in zip(*chunks))
     trace = InnerTrace(pot, total, np.array(res_inf), res_two, np.array(alpha))
@@ -672,9 +703,15 @@ def s_iwf(
     initial_powers=None,
 ) -> InnerLoopResult:
     """Sequential iterative water-filling: MUs take exact water-fill steps in
-    ascending index order; one iteration is one full round."""
+    ascending index order; one iteration is one full round. Each (AP, member
+    set) block stops at its own ``eps_wf``: once its residual inf-norm is
+    within it, its MUs keep their powers while the other blocks move on.
+    Blocks share no channel, so every block's powers are those of solving it
+    alone to ``eps_wf``, bit for bit, and the run converges when the last
+    block stops."""
     eps_wf, max_iters = check_solver_settings("s_iwf", eps_wf, max_iters)
-    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.sweep)
+    return _iterate(scenario, association, initial_powers, eps_wf, max_iters, _Blocks.sweep,
+                    per_block=True)
 
 
 def _distinct_blocks(scenario, associations: np.ndarray):
@@ -734,9 +771,12 @@ def solve_profiles(
     block whose residual is at most ``eps_wf``; a profile stops at the first
     evaluation where every one of its blocks is flagged (converged), or at
     ``max_iters``, and a block is dropped when no running profile uses it.
-    Rates are formed only in a round where a profile stops, and summed only
-    for the profiles that stop: the sum rate sums the N MU rates in MU order,
-    the potential adds the block potentials in AP order, from 0.0."""
+    Under s_iwf a flagged block is dropped too, as ``s_iwf`` stops it, with
+    its rates and potential of that evaluation kept: its residual would never
+    change again, so its flag holds. Rates are formed only in a round where
+    a block is dropped or a profile stops, and summed only for the profiles
+    that stop: the sum rate sums the N MU rates in MU order, the potential
+    adds the block potentials in AP order, from 0.0."""
     eps_wf, max_iters = check_solver_settings(solver, eps_wf, max_iters, schedule)
     associations = validate_association(scenario, associations, batch=True)
     step = _Blocks.average if solver == "a_iwf" else _Blocks.sweep
@@ -771,19 +811,19 @@ def solve_profiles(
     t = 0
     while True:
         blocks.evaluate()
-        # A block's residual rows are one contiguous run of the flat residual.
-        residual = np.abs(blocks.residual)
-        block_inf = np.maximum.reduceat(residual.reshape(-1), blocks.starts * residual.shape[1])
-        ok[blocks.ids] = block_inf <= eps_wf
+        within = blocks.residual_inf() <= eps_wf
+        ok[blocks.ids] = within
         done = np.logical_and.reduce(ok[live_blocks], axis=0)
         stop = done | (t >= max_iters)
+        keep = ~within if solver == "s_iwf" else np.ones_like(within)
+        if stop.any() or not keep.all():
+            rates[blocks.rows] = blocks.rates(blocks.log_tot, blocks.others)
+            block_pot[blocks.ids] = blocks.potential
         if stop.any():
             ending, going = np.flatnonzero(stop), np.flatnonzero(~stop)
             end = live[ending]
             converged[end] = done[ending]
-            rates[blocks.rows] = blocks.rates(blocks.log_tot, blocks.others)
             total[end] = rates.take(row_of.take(ending, axis=0)).sum(axis=1)
-            block_pot[blocks.ids] = blocks.potential
             ap_pot = block_pot.take(live_blocks.take(ending, axis=1))  # (AP, ending profile)
             potential[end] = reduce(operator.add, ap_pot, 0.0)
             live, live_blocks, row_of = (
@@ -793,8 +833,9 @@ def solve_profiles(
                 return total, potential, converged
             needed = np.zeros(count + 1, dtype=bool)
             needed[live_blocks] = True
-            if not needed[blocks.ids].all():
-                blocks = blocks.subset(needed[blocks.ids])
+            keep &= needed[blocks.ids]
+        if not keep.all():
+            blocks = blocks.subset(keep)
         t += 1
         step(blocks, t, schedule)
 

@@ -282,6 +282,36 @@ def test_a_nan_residual_never_reads_as_converged(monkeypatch):
     assert math.isnan(res_inf)
 
 
+def test_a_nan_block_never_stops(monkeypatch):
+    # The same NaN patch: AP 0's block (MUs 0 and 2, the first block) has a
+    # NaN residual at every evaluation. At an eps_wf that every finite block
+    # meets at once, AP 1's block stops at evaluation 0 and AP 0's is
+    # water-filled in every round, MU by MU, by s_iwf and by solve_profiles.
+    real = inner_module.water_fill_batch
+    calls = []
+
+    def nan_rows(gains, *args):
+        calls.append(gains.copy())
+        phi, levels = real(gains, *args)
+        phi[0] = np.nan
+        return phi, levels
+
+    monkeypatch.setattr(inner_module, "water_fill_batch", nan_rows)
+    sc = make_scenario(4, 2, 6, seed=0)
+    assoc = np.array([0, 1, 0, 1])
+    sweep = [sc.gain_sq[mu, sc.chan_idx[0]][None] for mu in (0, 2)]
+    result = s_iwf(sc, assoc, eps_wf=1e300, max_iters=3)
+    assert not result.converged and result.iterations == 3
+    assert [g.shape[0] for g in calls] == [4, 1, 1] * 3 + [4]
+    assert all(np.array_equal(calls[i], sweep[i % 3 - 1]) for i in range(9) if i % 3)
+    calls.clear()
+    _, _, converged = solve_profiles(sc, assoc[None], eps_wf=1e300, max_iters=3)
+    assert not converged[0]
+    # Evaluations after the first hold AP 0's block alone.
+    assert [g.shape[0] for g in calls] == [4] + [1, 1, 2] * 3
+    assert all(np.array_equal(calls[i], sweep[i % 3 - 1]) for i in range(1, 10) if i % 3)
+
+
 def test_inner_solvers_give_an_unusable_ap_zero_power():
     # MU 0 at AP 1, where every one of its gains vanishes: both solvers
     # converge, s_iwf's exact step gives it power 0.0 and a_iwf's steps take
@@ -507,50 +537,97 @@ def test_a_iwf_makes_one_water_fill_per_iteration(monkeypatch, n, w, k, widths):
     assert sum(rows for rows, _ in calls) == n * (result.iterations + 1)
 
 
+def block_alone(scenario, association, ap):
+    """The members of AP ``ap``'s block and a scenario of that block alone."""
+    mus = np.flatnonzero(association == ap)
+    return mus, dataclasses.replace(
+        scenario, num_mus=mus.size, gain_sq=scenario.gain_sq[mus], budget=scenario.budget[mus],
+        mu_positions=scenario.mu_positions[mus], connection_cost=scenario.connection_cost[mus],
+    )
+
+
+def s_iwf_water_fills(scenario, association, eps_wf):
+    """The (rows, channels) of every water-fill call of ``s_iwf`` under the
+    per-block stop, from each block solved alone: a block moves in rounds 1
+    to its own round count. An evaluation water-fills every row at the
+    widest width; round t makes one call per member slot of the largest
+    block still moving, slot j over the moving blocks with more than j
+    members, at the widest moving width. Also returns the blocks' rounds."""
+    assoc = np.asarray(association)
+    aps = np.unique(assoc)
+    size = np.array([np.count_nonzero(assoc == ap) for ap in aps])
+    width = np.array([scenario.chan_idx[ap].size for ap in aps])
+    rounds = np.array([s_iwf(block_alone(scenario, assoc, ap)[1], assoc[assoc == ap],
+                             eps_wf=eps_wf).iterations for ap in aps])
+    calls = [(assoc.size, width.max())]
+    for t in range(1, rounds.max() + 1):
+        moving = rounds >= t
+        c = width[moving].max()
+        calls += [(int(np.count_nonzero(size[moving] > j)), c) for j in range(size[moving].max())]
+        calls.append((assoc.size, width.max()))
+    return calls, rounds
+
+
 def test_s_iwf_makes_one_water_fill_per_member_slot(monkeypatch):
     # Four APs with four members each: one call per evaluation plus one per
-    # member slot of every round.
+    # member slot of every round while a block moves; a round's calls hold
+    # the moving blocks' rows.
     sc = make_scenario(16, 4, 48, seed=13)
+    assoc = np.arange(16) % 4
+    expected, rounds = s_iwf_water_fills(sc, assoc, 1e-10)
     calls = _count_water_fills(monkeypatch)
-    result = s_iwf(sc, np.arange(16) % 4, eps_wf=1e-10)
-    assert result.iterations > 0
-    assert len(calls) == (result.iterations + 1) + 4 * result.iterations
-    assert sum(rows for rows, _ in calls) == 16 * (2 * result.iterations + 1)
+    result = s_iwf(sc, assoc, eps_wf=1e-10)
+    assert result.iterations == rounds.max() > rounds.min()  # blocks stop at different rounds
+    moving = [rounds >= t for t in range(1, result.iterations + 1)]
+    assert len(calls) == (result.iterations + 1) + 4 * len(moving)
+    assert sum(rows for rows, _ in calls) == 16 * (result.iterations + 1) + sum(
+        4 * int(np.count_nonzero(m)) for m in moving)
+    assert calls == expected
 
 
 @pytest.mark.parametrize("n, w, k, eps_wf", [(30, 3, 50, 1e-10), (200, 10, 256, 1e-8)])
 def test_mixed_width_s_iwf_makes_one_water_fill_per_member_slot(monkeypatch, n, w, k, eps_wf):
     # Closest-AP blocks of two widths: a round makes one call per member slot
-    # of the largest block, whatever its width, and no evaluation water-fills
-    # a pad member's row.
+    # of the largest moving block, at the widest moving block's width, and no
+    # evaluation water-fills a pad member's row.
     sc = make_scenario(n, w, k, seed=1)
     assoc = closest_ap(sc)
     assert len(_block_widths(sc, assoc)) == 2
-    largest = int(np.bincount(assoc).max())
+    expected, rounds = s_iwf_water_fills(sc, assoc, eps_wf)
+    sizes = np.bincount(assoc)[np.unique(assoc)]
     calls = _count_water_fills(monkeypatch)
     result = s_iwf(sc, assoc, eps_wf=eps_wf)
-    assert result.converged and result.iterations > 0
-    assert len(calls) == (result.iterations + 1) + largest * result.iterations
-    assert sum(rows for rows, _ in calls) == n * (2 * result.iterations + 1)
-    assert {cols for _, cols in calls} == {max(_block_widths(sc, assoc))}
+    assert result.converged and result.iterations == rounds.max() > rounds.min()
+    moving = [rounds >= t for t in range(1, result.iterations + 1)]
+    assert len(calls) == (result.iterations + 1) + sum(int(sizes[m].max()) for m in moving)
+    assert sum(rows for rows, _ in calls) == n * (result.iterations + 1) + sum(
+        int(sizes[m].sum()) for m in moving)
+    assert calls == expected
 
 
 def gauss_seidel_reference(scenario, association, eps_wf=1e-8, max_iters=100_000):
     """Sequential iterative water-filling written MU by MU: each MU's floor
     is its AP block's received total minus its own received power, divided
-    by its gain. Returns the trace rows (potential, sum rate, residual inf-
-    and 2-norm) of s_iwf's evaluations, the final powers and the converged
-    flag."""
+    by its gain. An AP block stops once its residual inf-norm is within
+    ``eps_wf``: its MUs keep their powers from then on. Returns the trace
+    rows (potential, sum rate, residual inf- and 2-norm) of s_iwf's
+    evaluations, the final powers and the converged flag."""
     assoc = np.asarray(association)
     powers = uniform_powers(scenario, assoc)
-    rows = []
+    rows, stopped = [], set()
     for t in range(max_iters + 1):
-        res_inf, res_two = residual_norms(residual(scenario, assoc, powers))
+        res = residual(scenario, assoc, powers)
+        res_inf, res_two = residual_norms(res)
         rows.append([system_potential(scenario, assoc, powers), sum_rate(scenario, assoc, powers),
                      res_inf, res_two])
         if res_inf <= eps_wf or t == max_iters:
             return np.array(rows), powers, res_inf <= eps_wf
+        for ap in np.unique(assoc).tolist():
+            if max(np.abs(res[i]).max() for i in np.flatnonzero(assoc == ap)) <= eps_wf:
+                stopped.add(ap)
         for mu in range(scenario.num_mus):
+            if assoc[mu] in stopped:
+                continue
             cols = scenario.chan_idx[assoc[mu]]
             gain = scenario.gain_sq[:, cols]
             members = np.flatnonzero(assoc == assoc[mu])
@@ -597,11 +674,7 @@ def test_mixed_width_s_iwf_equals_each_block_solved_alone(n, w, k, seed):
     rounds = joint.iterations
     potential, res_inf = np.zeros(rounds + 1), np.zeros(rounds + 1)
     for ap in range(w):
-        mus = np.flatnonzero(assoc == ap)
-        alone = dataclasses.replace(
-            sc, num_mus=mus.size, gain_sq=sc.gain_sq[mus], budget=sc.budget[mus],
-            mu_positions=sc.mu_positions[mus], connection_cost=sc.connection_cost[mus],
-        )
+        mus, alone = block_alone(sc, assoc, ap)
         own = s_iwf(alone, assoc[mus], eps_wf=0.0, max_iters=rounds)
         # A block that reaches residual 0 stops early; its later rounds would
         # repeat its last evaluation.
@@ -612,6 +685,31 @@ def test_mixed_width_s_iwf_equals_each_block_solved_alone(n, w, k, seed):
             assert np.array_equal(joint.powers[i], own.powers[j])
     assert np.array_equal(joint.trace.potential, potential)
     assert np.array_equal(joint.trace.residual_inf, res_inf)
+
+    # At an eps_wf where the blocks stop at different rounds, each stops at
+    # its own: the joint run equals every block solved alone to that eps_wf,
+    # and a stopped block keeps its powers of its first evaluation within.
+    eps_wf = 1e-8
+    joint = s_iwf(sc, assoc, eps_wf=eps_wf)
+    ap_potential = evaluate_profile(sc, assoc, joint.powers)[5]
+    potential, stops = np.zeros(joint.iterations + 1), set()
+    for ap in range(w):
+        mus, alone = block_alone(sc, assoc, ap)
+        own = s_iwf(alone, assoc[mus], eps_wf=eps_wf)
+        stops.add(own.iterations)
+        assert (own.trace.residual_inf[:-1] > eps_wf).all() and own.converged
+        # The joint powers at the block's stop round, run there with no stop.
+        at_stop = uniform_powers(sc, assoc)
+        if own.iterations:
+            at_stop = s_iwf(sc, assoc, eps_wf=0.0, max_iters=own.iterations).powers
+        for j, i in enumerate(mus):
+            assert np.array_equal(joint.powers[i], own.powers[j])
+            assert np.array_equal(joint.powers[i], at_stop[i])
+        assert ap_potential[ap] == own.trace.potential[-1]
+        tail = (0, joint.iterations - own.iterations)
+        potential += np.pad(own.trace.potential, tail, mode="edge")  # AP order, from 0.0
+    assert len(stops) == w and joint.iterations == max(stops)
+    assert np.array_equal(joint.trace.potential, potential)
 
 
 @pytest.mark.parametrize("n, w, k", [(6, 2, 31), (6, 3, 5)])

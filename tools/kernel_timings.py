@@ -20,10 +20,13 @@ the closest-AP profile at uniform powers, it times:
   iterations (``jaspa``'s inner solves included), at the sizes of at most
   16 MUs.
 
-A second table, the L4 row, gives ``exhaustive_search`` in ms per call (its
-whole per-profile equilibrium table under the default ``InnerConfig``) at
-(8,2,16), the size ``desk_sweep`` searches, and (7,3,12), the size of
-``ground_truth_w3``; ``--quick`` runs it too.
+Two tables in ms per call follow. The L2 row gives ``s_iwf`` from the
+closest-AP profile at uniform powers, one whole solve, at (50,5,128) and,
+without ``--quick``, at (200,10,256), the size ``large_certify`` solves. The
+L4 row gives ``exhaustive_search`` (its whole per-profile equilibrium table
+under the default ``InnerConfig``) at (8,2,16), the size ``desk_sweep``
+searches, and (7,3,12), the size of ``ground_truth_w3``; ``--quick`` runs it
+too.
 
 A kernel that the source lacks prints as ``-``, so the tool also runs on
 older sources (``PYTHONPATH=<their src>``). ``--quick`` takes fewer repeats
@@ -46,6 +49,8 @@ from uplinkgame.waterfill import best_replies, profile_table, water_fill_batch
 SIZES = [(8, 2, 16), (16, 4, 48), (50, 5, 128), (200, 10, 256)]
 DYNAMICS = ("jaspa", "se_jaspa", "si_jaspa", "j_jaspa")
 DYNAMICS_MAX_MUS = 16
+S_IWF_SIZES = [(50, 5, 128), (200, 10, 256)]
+S_IWF_LABEL = "s_iwf from closest AP, ms per solve"
 EXHAUSTIVE_SIZES = [(8, 2, 16), (7, 3, 12)]
 
 
@@ -108,6 +113,21 @@ def per_outer_iteration(scenario, algo: str, repeat: int) -> float:
     return best * 1e6
 
 
+def scenario_of(n: int, w: int, k: int):
+    return ug.generate_scenario(ug.ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=1))
+
+
+def ms_table(label: str, sizes: list, call, repeat: int, budget_s: float, width: int) -> None:
+    """One row of ms per ``call(scenario)`` at each size, under its heads."""
+    heads = [f"({n},{w},{k})" for n, w, k in sizes]
+    print(f"{'ms per call':<{width}}" + "".join(f"{h:>15}" for h in heads))
+    cells = []
+    for size in sizes:
+        scenario = scenario_of(*size)
+        cells.append(best_of(lambda: call(scenario), repeat, budget_s) / 1e3)
+    print(f"{label:<{width}}" + "".join(f"{v:15.2f}" for v in cells))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="fewer repeats, a few seconds")
@@ -116,9 +136,7 @@ def main(argv=None) -> int:
     max_mus = 8 if args.quick else DYNAMICS_MAX_MUS
     table: dict = {}
     for n, w, k in SIZES:
-        scenario = ug.generate_scenario(
-            ug.ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=1)
-        )
+        scenario = scenario_of(n, w, k)
         for label, fn in kernels(scenario).items():
             table.setdefault(label, {})[(n, w, k)] = fn and best_of(fn, repeat, budget_s)
         for algo in DYNAMICS:
@@ -126,22 +144,17 @@ def main(argv=None) -> int:
             if n <= max_mus:
                 table.setdefault(label, {})[(n, w, k)] = per_outer_iteration(scenario, algo, repeat)
     heads = [f"({n},{w},{k})" for n, w, k in SIZES]
-    width = max(map(len, table))
+    width = max(len(S_IWF_LABEL), *map(len, table))
     print(f"{'µs per call':<{width}}" + "".join(f"{h:>15}" for h in heads))
     for label, row in table.items():
         cells = (row.get(size) for size in SIZES)
         print(f"{label:<{width}}" + "".join("-".rjust(15) if v is None else f"{v:15.1f}"
                                            for v in cells))
     print()
-    heads = [f"({n},{w},{k})" for n, w, k in EXHAUSTIVE_SIZES]
-    print(f"{'ms per call':<{width}}" + "".join(f"{h:>15}" for h in heads))
-    cells = []
-    for n, w, k in EXHAUSTIVE_SIZES:
-        scenario = ug.generate_scenario(
-            ug.ScenarioGenParams(num_mus=n, num_aps=w, num_channels=k, seed=1)
-        )
-        cells.append(best_of(lambda: ug.exhaustive_search(scenario), repeat, budget_s) / 1e3)
-    print(f"{'exhaustive_search':<{width}}" + "".join(f"{v:15.2f}" for v in cells))
+    ms_table(S_IWF_LABEL, S_IWF_SIZES[:1] if args.quick else S_IWF_SIZES,
+             lambda sc: ug.s_iwf(sc, ug.closest_ap(sc)), repeat, budget_s, width)
+    print()
+    ms_table("exhaustive_search", EXHAUSTIVE_SIZES, ug.exhaustive_search, repeat, budget_s, width)
     return 0
 
 
