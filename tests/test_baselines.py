@@ -210,6 +210,14 @@ def test_solve_profiles_takes_an_empty_batch_and_whole_floats():
     got = baselines_module.solve_profiles(sc, batch.astype(float))
     want = baselines_module.solve_profiles(sc, batch)
     assert all(np.array_equal(g, x) for g, x in zip(got, want))
+    # a_iwf runs profile by profile and builds its arrays on its own path.
+    settings = dict(solver="a_iwf", eps_wf=1e-7, max_iters=3_000)
+    empty = baselines_module.solve_profiles(sc, np.zeros((0, 4), dtype=np.intp), **settings)
+    assert [(a.shape, a.dtype) for a in empty] == [((0,), float), ((0,), float), ((0,), bool)]
+    got = baselines_module.solve_profiles(sc, batch.astype(float), **settings)
+    want = baselines_module.solve_profiles(sc, batch, **settings)
+    assert [(a.shape, a.dtype) for a in got] == [((2,), float), ((2,), float), ((2,), bool)]
+    assert all(np.array_equal(g, x) for g, x in zip(got, want))
 
 
 def test_exhaustive_search_solves_profiles_in_batches(monkeypatch):

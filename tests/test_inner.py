@@ -897,6 +897,18 @@ def test_a_reused_layout_evaluates_as_a_fresh_one(n, w, k):
     assert stacks[9] is not stacks[8] and stacks[12] is not stacks[11]
 
 
+def test_a_layout_reused_on_another_scenario_evaluates_as_a_fresh_one():
+    # Two scenarios of one size: the same association and powers, other gains.
+    first, second = make_scenario(6, 2, 8, seed=0), make_scenario(6, 2, 8, seed=1)
+    association = np.array([0, 1, 0, 1, 0, 1])
+    powers = uniform_powers(first, association)
+    layout = ProfileLayout()
+    for sc in (first, second, first):
+        got = evaluate_profile(sc, association, powers, layout)
+        assert same_metrics(got, evaluate_profile(sc, association, powers))
+        assert layout.blocks.scenario is sc
+
+
 # ---------------------------------------------------------------------------
 # _Blocks.subset: the kept blocks, laid out as a fresh _Blocks would be.
 

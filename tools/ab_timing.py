@@ -14,11 +14,12 @@ on each suite scenario with the default ``InnerConfig``. Before timing, the
 tool checks that both trees give each run the same outer iterations, final
 association and last trace row (for ``exhaustive``, the same table and both
 argmax associations), and stops with exit code 1 when they do not.
-``--moved`` is for a change to the dynamics that moves results: instead of
-that check it prints, per algorithm and tree, the suite's total outer and
-inner iterations (an inner iteration is a trace row with ``inner_iter`` above
-0) and how many runs converged and end at a verified joint equilibrium, then
-times both trees alike.
+``--moved`` is for a change that moves results: instead of that check it
+prints, per algorithm and tree, the suite's total outer and inner iterations
+(an inner iteration is a trace row with ``inner_iter`` above 0) and how many
+runs converged and end at a verified joint equilibrium (for ``exhaustive``:
+the profiles solved, how many converged, and the summed T*), then times both
+trees alike.
 
 Each pass times every algorithm's whole suite on both trees, the order
 alternating from pass to pass. Per algorithm it prints each tree's minimum
@@ -80,11 +81,20 @@ def fingerprint(result) -> tuple:
     return result.outer_iterations, result.association.tolist(), vars(result.rows[-1])
 
 
-def counts(results) -> tuple:
-    """Total outer and inner iterations, converged runs and verified JEPs."""
-    return (sum(r.outer_iterations for r in results),
-            sum(row.inner_iter > 0 for r in results for row in r.rows),
-            sum(r.converged for r in results), sum(r.jep_report.is_equilibrium for r in results))
+def counts(results) -> str:
+    """A suite's totals: of joint runs, the outer and inner iterations,
+    converged runs and verified JEPs; of exhaustive searches, the profiles,
+    converged profiles and the summed T*."""
+    n = len(results)
+    if hasattr(results[0], "table"):
+        records = [rec for r in results for rec in r.table]
+        tstar = sum(r.best_sum_rate for r in results)
+        return (f"profiles {len(records)}  converged {sum(rec.converged for rec in records)}"
+                f"  T* sum {tstar:.12g}")
+    return (f"outer {sum(r.outer_iterations for r in results)}"
+            f"  inner {sum(row.inner_iter > 0 for r in results for row in r.rows)}"
+            f"  converged {sum(r.converged for r in results)}/{n}"
+            f"  jep {sum(r.jep_report.is_equilibrium for r in results)}/{n}")
 
 
 def main(argv=None) -> int:
@@ -101,24 +111,18 @@ def main(argv=None) -> int:
     size = tuple(int(v) for v in args.size.split(","))
     if unknown := set(algos) - set(ALGOS):
         parser.error(f"unknown algorithms {sorted(unknown)}")
-    if args.moved and "exhaustive" in algos:
-        parser.error("--moved counts the joint dynamics' iterations; leave out exhaustive")
     if len(size) != 3 or args.scenarios < 1 or args.passes < 1:
         parser.error("--size takes N,W,K; --scenarios and --passes at least 1")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = load_trees(args.base_src, Path(tmp))
         suites = {name: suite(ug, size, args.scenarios) for name, ug in trees.items()}
-        if args.moved:
-            print(f"{'algorithm':<10}{'tree':<8}{'outer':>8}{'inner':>8}{'converged':>11}{'jep':>6}")
         for algo in algos:
             runs = {name: [runner(ug, algo)(*case) for case in suites[name]]
                     for name, ug in trees.items()}
             if args.moved:
                 for name, results in runs.items():
-                    outer, inner, converged, jep = counts(results)
-                    n = len(results)
-                    print(f"{algo:<10}{name:<8}{outer:8d}{inner:8d}{converged:>8}/{n}{jep:>4}/{n}")
+                    print(f"{algo:<11}{name:<8}{counts(results)}")
             elif [*map(fingerprint, runs["base"])] != [*map(fingerprint, runs["change"])]:
                 print(f"{algo}: the trees' runs differ", file=sys.stderr)
                 return 1
